@@ -1,3 +1,8 @@
+import json
+import math
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
 from pdws import ModelHandle, OracleSuite, WatermarkParams, keygen
@@ -55,3 +60,38 @@ def make_blocked_script(params, forced_blocks, char="Q"):
         script=tuple(segments),
         script_cycle=True,
     )
+
+
+class _MultiCharHandler(BaseHTTPRequestHandler):
+    """Remote-model stub serving eight equiprobable tokens of 1-3 characters."""
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        body = json.loads(self.rfile.read(length)) if length else {}
+        # vary candidates with context length so sampling has entropy
+        ctx = body.get("context", "")
+        base = ["ab", "c", "de", "fgh", "i", "jk", "lm", "nop"]
+        shift = len(ctx) % len(base)
+        tokens = base[shift:] + base[:shift]
+        payload = {
+            "candidates": [
+                {"token": t, "logprob": math.log(1.0 / len(tokens))} for t in tokens
+            ]
+        }
+        data = json.dumps(payload).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture(scope="session")
+def multichar_endpoint():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _MultiCharHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield "http://127.0.0.1:%d" % server.server_port
+    server.shutdown()
+    server.server_close()

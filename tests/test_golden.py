@@ -1,0 +1,95 @@
+"""Golden digests: embedding and detection outputs pinned byte for byte.
+
+Every case runs the public pipeline on fixed keys, salts, seeds and models
+and compares a SHA-256 of the exact output (text, plus the transcript JSON
+where there is one) with a value recorded before the embedder and detector
+were restructured. A change that keeps the protocol's outputs passes these
+unchanged; any change to a sampled character, a planted block, a transcript
+field or a detection offset fails here first.
+"""
+
+import hashlib
+
+import pytest
+
+from pdws.cli import load_profile
+from pdws.core import WatermarkParams
+from pdws.detector import detect, detect_all
+from pdws.embedder import tile_compress, watermark
+from pdws.model import ModelHandle
+
+from conftest import make_blocked_script
+
+PROMPT = "golden"
+
+# Small remote layout: 4-char blocks so 1-3-char tokens often straddle a
+# block boundary, and n runs 9 characters past the gadget so the plain tail
+# is generated (and its last token truncated) too.
+REMOTE_PARAMS = WatermarkParams(ell=4, a_max=64, n=4 * 181 + 9)
+
+
+def _digest(text, transcript=None):
+    h = hashlib.sha256(text.encode("utf-8"))
+    if transcript is not None:
+        h.update(transcript.to_json().encode("utf-8"))
+    return h.hexdigest()
+
+
+PROFILE_DIGESTS = {
+    "compact-328": "3de73834226531e78a44eb122960b06ab4de79faa2c1e2cb21ac5d66e0cda53c",
+    "ed25519-544": "9d20ae5900d62281dadbb3d1cd79dcd61567a381e86ce0c77d4226483e83f883",
+    "wide-32": "e09965873f57e3bf0fe09b2ef4e9d08002afd740a605b636190023004f4759a8",
+    "gamma0-328": "420b2a46aca8d063f637a76a9282353cdc54563f3f7fb7d94cbea2ec56e6c9e3",
+}
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILE_DIGESTS))
+def test_watermark_per_profile(profile, schnorr_keys, ed_keys, model64, suite):
+    params = load_profile(profile)
+    keys = ed_keys if profile.startswith("ed25519") else schnorr_keys
+    text, tr = watermark(params, keys, model64, PROMPT, seed=21, suite=suite)
+    assert _digest(text, tr) == PROFILE_DIGESTS[profile]
+
+
+def test_low_entropy_gadget_plants_two(schnorr_keys, suite):
+    params = load_profile("compact-328")
+    model = make_blocked_script(params, {1, 2})
+    text, tr = watermark(params, schnorr_keys, model, PROMPT, seed=0, suite=suite)
+    assert tr.gamma_used == 2
+    assert _digest(text, tr) == "ca004ece843f79e7fdfa9d84b72cb23804b4484e107d37cfeddeaf75a7cefba3"
+
+
+def test_tile_compress_three_pairs(schnorr_keys, model64, suite):
+    params = load_profile("compact-328")
+    text = tile_compress(params, schnorr_keys, model64, PROMPT, k_pairs=3, seed=22, suite=suite)
+    assert len(text) == 3 * params.gadget_chars - 2 * params.ell
+    assert _digest(text) == "1b00f29245f74222b32382f7d333c9af88ac15ee5d0f029947f61cc6551c3f51"
+
+
+def test_remote_multichar_watermark(schnorr_keys, suite, multichar_endpoint):
+    model = ModelHandle(kind="remote", endpoint=multichar_endpoint)
+    text, tr = watermark(REMOTE_PARAMS, schnorr_keys, model, PROMPT, seed=23, suite=suite)
+    assert len(text) == REMOTE_PARAMS.n
+    assert _digest(text, tr) == "f832f149f1b40c20d22d7fa2e7b3616de9020ba7b839cb92f9360404f000f3c4"
+
+
+def test_remote_multichar_tile_compress(schnorr_keys, suite, multichar_endpoint):
+    model = ModelHandle(kind="remote", endpoint=multichar_endpoint)
+    text = tile_compress(REMOTE_PARAMS, schnorr_keys, model, PROMPT, k_pairs=2, seed=24, suite=suite)
+    assert _digest(text) == "4d4db230e2fe049f8ea26727fada30d3cd1b2881dbed9c02ec09e41d675dad1e"
+
+
+def test_detection_on_padded_tiled_document(schnorr_keys, suite):
+    # Forced blocks make the tiled gadgets plant errors, so the hits carry
+    # nonzero corrected_errors as well as offsets.
+    params = load_profile("compact-328")
+    model = make_blocked_script(params, {1, 2})
+    tile = tile_compress(params, schnorr_keys, model, PROMPT, k_pairs=3, seed=3, suite=suite)
+    doc = "x" * 7 + tile + "y" * 11
+    public = schnorr_keys.public_only()
+
+    hits = detect_all(public, params, doc, suite=suite)
+    assert [(h.offset, h.corrected_errors) for h in hits] == [(7, 1), (2887, 0), (5767, 1)]
+    assert detect(public, params, doc, suite=suite) == hits[0]
+    probed = [detect(public, params, doc, suite=suite, known_offset=h.offset) for h in hits]
+    assert probed == hits
