@@ -13,12 +13,8 @@ from .core import (
     BlockRecord,
     EmbedTranscript,
     ParameterError,
-    TextBuffer,
     WatermarkParams,
     chunk,
-    concat_all,
-    hamming,
-    xor,
 )
 from .crypto import (
     DEFAULT_SCHEME,
@@ -38,7 +34,6 @@ from .detector import DetectionResult, detect, detect_all
 from .ecc import EccProfile, decode, encode, symbol_distance
 from .embedder import (
     EmbedFailure,
-    GadgetLayout,
     generate_message_signature_pair,
     reject_sample_tokens,
     tile_compress,
@@ -71,7 +66,6 @@ __all__ = [
     "EccProfile",
     "EmbedFailure",
     "EmbedTranscript",
-    "GadgetLayout",
     "KeyMaterial",
     "KeyMaterialError",
     "ModelHandle",
@@ -79,13 +73,11 @@ __all__ = [
     "ParameterError",
     "ProtocolError",
     "SamplerState",
-    "TextBuffer",
     "TokenDistribution",
     "TransportError",
     "WatermarkParams",
     "available_schemes",
     "chunk",
-    "concat_all",
     "decode",
     "detect",
     "detect_all",
@@ -97,7 +89,6 @@ __all__ = [
     "h_bit",
     "h_mask",
     "h_sign",
-    "hamming",
     "keygen",
     "min_entropy_per_block",
     "next_distribution",
@@ -110,5 +101,4 @@ __all__ = [
     "tile_compress",
     "verify",
     "watermark",
-    "xor",
 ]

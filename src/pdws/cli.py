@@ -11,7 +11,7 @@ Exit codes:
     1  no signature detected
     2  bad input, bad parameters, unreadable or unwritable files
     3  embedding failed (planted-error budget exhausted)
-    4  model transport failure
+    4  model endpoint unreachable or malformed reply
 
 The PDWS_MODEL_ENDPOINT environment variable points remote model handles
 at a generation endpoint, overriding whatever the model config file says.
@@ -35,7 +35,7 @@ from .core import FORMAT_VERSION, ParameterError, WatermarkParams
 from .crypto import KeyMaterial, KeyMaterialError, OracleSuite
 from .detector import detect
 from .embedder import EmbedFailure, watermark
-from .model import ModelHandle, TransportError
+from .model import ModelHandle, ProtocolError, TransportError
 
 SECRET_KIND = "pdws-secret-key"
 PUBLIC_KIND = "pdws-public-key"
@@ -442,7 +442,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TransportError as exc:
+    except (TransportError, ProtocolError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
     except (ParameterError, KeyMaterialError) as exc:

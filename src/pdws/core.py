@@ -2,8 +2,8 @@
 
 Everything here is an immutable value: fixed-length bit strings (the
 signature, codeword and chunk carriers), the parameter profile that every
-other module reads its knobs from, the append-only text buffer used during
-embedding, and the per-block transcript of an embedding run.
+other module reads its knobs from, and the per-block transcript of an
+embedding run.
 
 Bit order convention: bit 0 of a BitString is the most significant bit of
 byte 0, and serialization is big-endian throughout. Characters are unicode
@@ -13,7 +13,7 @@ scalar values; all character counts index ``str`` positions, never bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 
@@ -43,7 +43,7 @@ class BitString:
 
     Backed by an integer whose most significant bit (after left-padding to
     ``length``) is bit 0. Supports the operations the protocol needs: xor,
-    Hamming distance, concatenation, slicing and chunking.
+    concatenation and slicing; ``chunk`` splits one into beta-bit pieces.
     """
 
     value: int
@@ -138,30 +138,11 @@ class BitString:
         return BitString(self.value ^ (1 << (self.length - 1 - i)), self.length)
 
 
-def xor(a: BitString, b: BitString) -> BitString:
-    """Bitwise XOR of equal-length bit strings."""
-    return a ^ b
-
-
-def hamming(a: BitString, b: BitString) -> int:
-    """Number of positions where a and b differ."""
-    if a.length != b.length:
-        raise ParameterError("hamming length mismatch: %d vs %d" % (a.length, b.length))
-    return (a.value ^ b.value).bit_count()
-
-
 def chunk(c: BitString, beta: int) -> tuple[BitString, ...]:
     """Split c into consecutive beta-bit chunks; beta must divide the length."""
     if beta <= 0 or c.length % beta:
         raise ParameterError("chunk width %d does not divide length %d" % (beta, c.length))
     return tuple(c[i : i + beta] for i in range(0, c.length, beta))
-
-
-def concat_all(parts) -> BitString:
-    out = BitString.empty()
-    for p in parts:
-        out = out.concat(p)
-    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,34 +274,6 @@ class WatermarkParams:
             lambda_c=lambda_c,
             **overrides,
         )
-
-
-@dataclass(frozen=True, slots=True)
-class TextBuffer:
-    """Append-only character buffer with a committed prefix.
-
-    ``committed`` counts characters finalized by accepted blocks; rollback
-    drops only the uncommitted tail. All updates return new buffers.
-    """
-
-    text: str = ""
-    committed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.committed <= len(self.text):
-            raise ParameterError("committed length outside buffer")
-
-    def __len__(self) -> int:
-        return len(self.text)
-
-    def append(self, more: str) -> "TextBuffer":
-        return TextBuffer(self.text + more, self.committed)
-
-    def commit(self) -> "TextBuffer":
-        return TextBuffer(self.text, len(self.text))
-
-    def rollback(self) -> "TextBuffer":
-        return TextBuffer(self.text[: self.committed], self.committed)
 
 
 @dataclass(frozen=True, slots=True)

@@ -77,14 +77,13 @@ class HashOracle:
     (tag, salt, data) triples injective as byte strings.
     """
 
-    __slots__ = ("domain_tag", "salt", "output_len_bits", "_prefix")
+    __slots__ = ("domain_tag", "salt", "_prefix")
 
-    def __init__(self, domain_tag: bytes, salt: bytes = b"", output_len_bits: Optional[int] = None):
+    def __init__(self, domain_tag: bytes, salt: bytes = b""):
         if domain_tag not in _VALID_TAGS:
             raise ValueError("unknown oracle domain tag %r" % domain_tag)
         self.domain_tag = domain_tag
         self.salt = salt
-        self.output_len_bits = output_len_bits
         self._prefix = bytes([len(domain_tag)]) + domain_tag + len(salt).to_bytes(4, "big") + salt
 
     def digest256(self, data: bytes) -> bytes:
@@ -129,20 +128,14 @@ class OracleSuite:
     mask_salt: bytes = b""
     bit_salt: bytes = b""
 
-    def sign_oracle(self) -> HashOracle:
-        return HashOracle(TAG_SIGN, self.sign_salt, 256)
-
-    def mask_oracle(self) -> HashOracle:
-        return HashOracle(TAG_MASK, self.mask_salt)
-
     def bit_oracle(self) -> HashOracle:
         return HashOracle(TAG_BIT, self.bit_salt)
 
     def h_sign(self, data: bytes) -> BitString:
-        return BitString.from_bytes(self.sign_oracle().digest256(data), 256)
+        return h_sign(data, self.sign_salt)
 
     def h_mask(self, data: bytes, out_bits: int) -> BitString:
-        return self.mask_oracle().xof(data, out_bits)
+        return h_mask(data, out_bits, self.mask_salt)
 
     def h_bit(self, data: bytes, beta: int) -> BitString:
         return BitString(self.bit_oracle().bit_value(data, beta), beta)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from . import crypto, ecc
 from .core import FORMAT_VERSION, BitString, WatermarkParams
@@ -71,11 +71,19 @@ def _try_offset(
     bit_oracle = suite.bit_oracle()
 
     msg_window = text[offset : offset + ell]
+    try:
+        msg_bytes = msg_window.encode("utf-8")
+        blocks = [
+            text[offset + j * ell : offset + (j + 1) * ell].encode("utf-8")
+            for j in range(1, params.n_blocks + 1)
+        ]
+    except UnicodeEncodeError:
+        # A lone surrogate: the embedder never emits one, so no gadget here.
+        return None
     m_acc = bytearray()
     c_val = 0
     c_len = 0
-    for j in range(1, params.n_blocks + 1):
-        window_bytes = text[offset + j * ell : offset + (j + 1) * ell].encode("utf-8")
+    for window_bytes in blocks:
         if c_len:
             pad = (-c_len) % 8
             c_bytes = (c_val << pad).to_bytes((c_len + pad) // 8, "big")
@@ -87,7 +95,6 @@ def _try_offset(
         c_len += beta
 
     received = BitString(c_val, c_len)
-    msg_bytes = msg_window.encode("utf-8")
     codeword = suite.h_mask(msg_bytes, params.lambda_c) ^ received
     sigma = ecc.decode(codeword, profile)
     if sigma is None:
@@ -104,8 +111,28 @@ def _try_offset(
     )
 
 
-def _candidate_offsets(text: str, gadget_len: int) -> Iterable[int]:
-    return range(0, len(text) - gadget_len + 1)
+def _scan(
+    keys: KeyMaterial,
+    params: WatermarkParams,
+    text: str,
+    suite: OracleSuite,
+) -> Iterator[DetectionResult]:
+    """Yield every gadget found, in offset order.
+
+    After a hit the scan resumes at offset + gadget_chars - ell so a
+    following gadget whose message block is the previous gadget's final
+    window is still seen; non-overlapping gadgets are a fortiori covered.
+    """
+    profile = ecc.EccProfile.for_params(params)
+    gadget_len = params.gadget_chars
+    offset = 0
+    while offset <= len(text) - gadget_len:
+        result = _try_offset(text, offset, params, profile, keys, suite)
+        if result is not None:
+            yield result
+            offset += gadget_len - params.ell
+        else:
+            offset += 1
 
 
 def detect(
@@ -122,21 +149,13 @@ def detect(
     Otherwise offsets 0..len(text)-gadget_chars are tried in order and the
     lowest verifying one wins. Total: bad input means not detected.
     """
-    profile = ecc.EccProfile.for_params(params)
-    gadget_len = params.gadget_chars
-    if len(text) < gadget_len:
+    if known_offset is None:
+        return next(_scan(keys, params, text, suite), _NOT_DETECTED)
+    if not 0 <= known_offset <= len(text) - params.gadget_chars:
         return _NOT_DETECTED
-    if known_offset is not None:
-        if known_offset < 0 or known_offset > len(text) - gadget_len:
-            return _NOT_DETECTED
-        offsets: Iterable[int] = (known_offset,)
-    else:
-        offsets = _candidate_offsets(text, gadget_len)
-    for offset in offsets:
-        result = _try_offset(text, offset, params, profile, keys, suite)
-        if result is not None:
-            return result
-    return _NOT_DETECTED
+    profile = ecc.EccProfile.for_params(params)
+    result = _try_offset(text, known_offset, params, profile, keys, suite)
+    return _NOT_DETECTED if result is None else result
 
 
 def detect_all(
@@ -146,21 +165,5 @@ def detect_all(
     *,
     suite: OracleSuite = OracleSuite(),
 ) -> list[DetectionResult]:
-    """Find every gadget, including tiled ones that share a message block.
-
-    After a hit the scan resumes at offset + gadget_chars - ell so a
-    following gadget whose message block is the previous gadget's final
-    window is still seen; non-overlapping gadgets are a fortiori covered.
-    """
-    profile = ecc.EccProfile.for_params(params)
-    gadget_len = params.gadget_chars
-    results: list[DetectionResult] = []
-    offset = 0
-    while offset <= len(text) - gadget_len:
-        result = _try_offset(text, offset, params, profile, keys, suite)
-        if result is not None:
-            results.append(result)
-            offset += gadget_len - params.ell
-        else:
-            offset += 1
-    return results
+    """Find every gadget, including tiled ones that share a message block."""
+    return list(_scan(keys, params, text, suite))

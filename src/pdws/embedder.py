@@ -23,7 +23,6 @@ next block and only characters beyond it are resampled.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 from . import crypto, ecc
 from .core import (
@@ -31,7 +30,6 @@ from .core import (
     BlockRecord,
     EmbedTranscript,
     ParameterError,
-    TextBuffer,
     WatermarkParams,
     chunk,
 )
@@ -56,37 +54,6 @@ class EmbedFailure(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class GadgetLayout:
-    """Character geometry of one gadget."""
-
-    msg_start: int
-    msg_len: int
-    n_blocks: int
-    block_len: int
-
-    @property
-    def total_len(self) -> int:
-        return self.msg_len + self.n_blocks * self.block_len
-
-    @property
-    def end(self) -> int:
-        return self.msg_start + self.total_len
-
-    def block_start(self, j: int) -> int:
-        """Window start of signature block j (1-based)."""
-        return self.msg_start + j * self.block_len
-
-    @classmethod
-    def for_params(cls, params: WatermarkParams, msg_start: int = 0) -> "GadgetLayout":
-        return cls(
-            msg_start=msg_start,
-            msg_len=params.ell,
-            n_blocks=params.n_blocks,
-            block_len=params.ell,
-        )
-
-
 def _check_scheme(params: WatermarkParams, keys: KeyMaterial) -> None:
     scheme = crypto.get_scheme(keys.scheme_id)
     if scheme.sig_bits != params.lambda_sig:
@@ -98,7 +65,7 @@ def _check_scheme(params: WatermarkParams, keys: KeyMaterial) -> None:
 
 def reject_sample_tokens(
     target_chunk: BitString,
-    state: TextBuffer,
+    text: str,
     m_acc: bytes,
     c_prev: BitString,
     params: WatermarkParams,
@@ -106,28 +73,26 @@ def reject_sample_tokens(
     *,
     suite: OracleSuite = OracleSuite(),
     prompt: str = "",
-    window_start: int | None = None,
+    window_start: int,
     rng: SamplerState,
     gamma_available: bool = False,
     gadget_index: int = 0,
     block_index: int = 0,
-) -> tuple[TextBuffer, bytes, BitString, BlockRecord]:
-    """Embed one chunk into the next ell-char block.
+) -> tuple[str, bytes, BitString, BlockRecord]:
+    """Embed one chunk into the ell-char block at window_start.
 
     Samples fresh candidate blocks (attempt a uses the forked stream
     rng.fork(a), so evaluation order cannot change the outcome) until the
-    chained hash matches target_chunk. After a_max+1 misses the minimal-
-    Hamming candidate is planted if budget remains, preferring the earliest
-    attempt on ties. Returns the extended buffer, message accumulator,
-    chunk accumulator, and the block record.
+    chained hash matches target_chunk. Characters of text already inside
+    the window are kept; only the rest is sampled. After a_max+1 misses the
+    minimal-Hamming candidate is planted if budget remains, preferring the
+    earliest attempt on ties. Returns the extended text, message
+    accumulator, chunk accumulator, and the block record.
     """
     if target_chunk.length != params.beta:
         raise ParameterError("chunk width %d != beta %d" % (target_chunk.length, params.beta))
-    if window_start is None:
-        window_start = state.committed
-    if window_start > len(state.text):
-        raise ParameterError("block window starts beyond the buffer")
-    base_text = state.text
+    if window_start > len(text):
+        raise ParameterError("block window starts beyond the text")
     bit_oracle = suite.bit_oracle()
     c_prev_bytes = c_prev.to_bytes()
     target = target_chunk.value
@@ -135,7 +100,7 @@ def reject_sample_tokens(
 
     best = None  # (distance, attempt, full text, window bytes, achieved value)
     for attempt in range(1, params.a_max + 2):
-        cand = base_text
+        cand = text
         if len(cand) < window_end:
             cand += sample_min_chars(
                 model, window_end - len(cand), prompt, cand, rng.fork(attempt)
@@ -144,12 +109,7 @@ def reject_sample_tokens(
         achieved = bit_oracle.bit_value(m_acc + window_bytes + c_prev_bytes, params.beta)
         if achieved == target:
             record = BlockRecord(attempt, False, 0, cand[window_start:window_end])
-            return (
-                TextBuffer(cand, len(cand)),
-                m_acc + window_bytes,
-                c_prev.concat(target_chunk),
-                record,
-            )
+            return cand, m_acc + window_bytes, c_prev.concat(target_chunk), record
         distance = (achieved ^ target).bit_count()
         if best is None or distance < best[0]:
             best = (distance, attempt, cand, window_bytes, achieved)
@@ -159,7 +119,7 @@ def reject_sample_tokens(
     distance, _, cand, window_bytes, achieved = best
     record = BlockRecord(params.a_max + 1, True, distance, cand[window_start:window_end])
     return (
-        TextBuffer(cand, len(cand)),
+        cand,
         m_acc + window_bytes,
         # The chain must carry what the block really hashes to, or every
         # later block would inherit the mismatch.
@@ -168,39 +128,53 @@ def reject_sample_tokens(
     )
 
 
-def _embed_signature_region(
-    state: TextBuffer,
-    msg_window: str,
-    layout: GadgetLayout,
+def generate_message_signature_pair(
+    text: str,
     params: WatermarkParams,
     keys: KeyMaterial,
     model: ModelHandle,
-    suite: OracleSuite,
-    prompt: str,
+    *,
+    suite: OracleSuite = OracleSuite(),
+    prompt: str = "",
     rng: SamplerState,
-    gadget_index: int,
-) -> tuple[TextBuffer, list[BlockRecord], int]:
-    """Sign the message window and embed the masked codeword after it."""
-    profile = ecc.EccProfile.for_params(params)
+    msg_start: int,
+    gadget_index: int = 0,
+) -> tuple[str, list[BlockRecord], int]:
+    """Extend the text by one complete gadget whose message block starts at msg_start.
+
+    The ell-char message block is sampled natively unless the text already
+    holds it, as it does for a tiled gadget. Then h_mask(msg) XOR
+    encode(sign(sk, h_sign(msg))) is embedded chunk by chunk, signature
+    block j at msg_start + j*ell. Returns the extended text, all 1+n_blocks
+    block records, and gamma_used.
+    """
+    _check_scheme(params, keys)
+    msg_end = msg_start + params.ell
+    if len(text) < msg_end:
+        text += sample_min_chars(
+            model, msg_end - len(text), prompt, text, rng.fork(_MSG_BLOCK)
+        )
+    msg_window = text[msg_start:msg_end]
     msg_bytes = msg_window.encode("utf-8")
     sigma = crypto.sign(keys, suite.h_sign(msg_bytes))
+    profile = ecc.EccProfile.for_params(params)
     masked = suite.h_mask(msg_bytes, params.lambda_c) ^ ecc.encode(sigma, profile)
 
-    records: list[BlockRecord] = []
+    records = [BlockRecord(1, False, 0, msg_window)]
     m_acc = b""
     c_prev = BitString.empty()
     gamma_used = 0
     for j, target in enumerate(chunk(masked, params.beta), start=1):
-        state, m_acc, c_prev, rec = reject_sample_tokens(
+        text, m_acc, c_prev, rec = reject_sample_tokens(
             target,
-            state,
+            text,
             m_acc,
             c_prev,
             params,
             model,
             suite=suite,
             prompt=prompt,
-            window_start=layout.block_start(j),
+            window_start=msg_start + j * params.ell,
             rng=rng.fork(j),
             gamma_available=gamma_used < params.gamma_max,
             gadget_index=gadget_index,
@@ -209,46 +183,7 @@ def _embed_signature_region(
         records.append(rec)
         if rec.planted_error:
             gamma_used += 1
-    return state, records, gamma_used
-
-
-def generate_message_signature_pair(
-    state: TextBuffer,
-    params: WatermarkParams,
-    keys: KeyMaterial,
-    model: ModelHandle,
-    *,
-    suite: OracleSuite = OracleSuite(),
-    prompt: str = "",
-    rng: SamplerState,
-    msg_start: int | None = None,
-    gadget_index: int = 0,
-) -> tuple[TextBuffer, list[BlockRecord], int]:
-    """Extend the buffer by one complete gadget.
-
-    Samples the ell-char message block natively, then embeds
-    h_mask(msg) XOR encode(sign(sk, h_sign(msg))) chunk by chunk. Returns
-    the extended buffer, all 1+n_blocks block records, and gamma_used.
-    """
-    _check_scheme(params, keys)
-    if msg_start is None:
-        msg_start = len(state.text)
-    layout = GadgetLayout.for_params(params, msg_start)
-
-    text = state.text
-    msg_end = msg_start + params.ell
-    if len(text) < msg_end:
-        text += sample_min_chars(
-            model, msg_end - len(text), prompt, text, rng.fork(_MSG_BLOCK)
-        )
-    msg_window = text[msg_start:msg_end]
-    state = TextBuffer(text, len(text))
-    records = [BlockRecord(1, False, 0, msg_window)]
-
-    state, sig_records, gamma_used = _embed_signature_region(
-        state, msg_window, layout, params, keys, model, suite, prompt, rng, gadget_index
-    )
-    return state, records + sig_records, gamma_used
+    return text, records, gamma_used
 
 
 def watermark(
@@ -280,12 +215,12 @@ def watermark(
             gadget_len,
         )
 
-    state = TextBuffer()
+    text = ""
     records: list[BlockRecord] = []
     gamma_total = 0
     for g in range(k_fit):
-        state, recs, gamma_used = generate_message_signature_pair(
-            state,
+        text, recs, gamma_used = generate_message_signature_pair(
+            text,
             params,
             keys,
             model,
@@ -298,7 +233,6 @@ def watermark(
         records.extend(recs)
         gamma_total += gamma_used
 
-    text = state.text
     if len(text) < params.n:
         text += gen_model(model, params.n - len(text), prompt, text, root.fork(k_fit))
     text = text[: params.n]
@@ -323,7 +257,6 @@ def tile_compress(
     region as its message block, so consecutive gadgets overlap by one
     block and no fresh message characters are spent.
     """
-    _check_scheme(params, keys)
     if k_pairs < 1:
         raise ParameterError("k_pairs must be >= 1")
     if params.lambda_sig < params.ell:
@@ -332,25 +265,18 @@ def tile_compress(
         seed = model.seed
     root = SamplerState(seed)
 
-    state, _, _ = generate_message_signature_pair(
-        state=TextBuffer(),
-        params=params,
-        keys=keys,
-        model=model,
-        suite=suite,
-        prompt=prompt,
-        rng=root.fork(0),
-        msg_start=0,
-        gadget_index=0,
-    )
+    text = ""
     stride = params.gadget_chars - params.ell
-    for j in range(1, k_pairs):
-        layout = GadgetLayout.for_params(params, msg_start=j * stride)
-        msg_window = state.text[layout.msg_start : layout.msg_start + params.ell]
-        if len(msg_window) != params.ell:
-            raise ParameterError("tiling message window missing from buffer")
-        state, _, _ = _embed_signature_region(
-            state, msg_window, layout, params, keys, model, suite, prompt,
-            root.fork(j), gadget_index=j,
+    for j in range(k_pairs):
+        text, _, _ = generate_message_signature_pair(
+            text,
+            params,
+            keys,
+            model,
+            suite=suite,
+            prompt=prompt,
+            rng=root.fork(j),
+            msg_start=j * stride,
+            gadget_index=j,
         )
-    return state.text[: k_pairs * params.gadget_chars - (k_pairs - 1) * params.ell]
+    return text[: k_pairs * params.gadget_chars - (k_pairs - 1) * params.ell]

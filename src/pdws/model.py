@@ -62,9 +62,10 @@ class TokenDistribution:
             raise ParameterError("tokens and probs must be non-empty and parallel")
         if any(not t for t in self.tokens):
             raise ParameterError("empty token string in distribution")
-        if any(p < 0 or p > 1 for p in self.probs):
+        # Written so that NaN fails both checks.
+        if any(not 0 <= p <= 1 for p in self.probs):
             raise ParameterError("probabilities outside [0, 1]")
-        if abs(sum(self.probs) - 1.0) > 1e-9:
+        if not abs(sum(self.probs) - 1.0) <= 1e-9:
             raise ParameterError("probabilities must sum to 1")
 
     def cumulative(self) -> tuple[float, ...]:
@@ -199,12 +200,16 @@ def _remote_distribution(model: ModelHandle, prompt: str, context: str) -> Token
         candidates = body["candidates"]
         tokens = tuple(c["token"] for c in candidates)
         logprobs = [float(c["logprob"]) for c in candidates]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError("malformed candidates payload: %s" % exc) from exc
     if not tokens or any(not t for t in tokens):
         raise ProtocolError("endpoint returned an empty candidate list or empty token")
+    if any(math.isnan(lp) or lp == math.inf for lp in logprobs):
+        raise ProtocolError("endpoint returned a NaN or +inf logprob")
     # renormalize the top-k slice
     peak = max(logprobs)
+    if peak == -math.inf:
+        raise ProtocolError("endpoint gave every candidate zero weight")
     weights = [math.exp(lp - peak) for lp in logprobs]
     total = sum(weights)
     return TokenDistribution(tokens, tuple(w / total for w in weights))

@@ -1,5 +1,7 @@
 import io
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -228,6 +230,35 @@ class TestErrorPaths:
             "--model", str(cfg),
         )
         assert code == 4 and "error" in err
+
+    def test_non_json_endpoint_exits_four(self, tmp_path, capsys, keypair):
+        sk, _ = keypair
+
+        class Hello(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                self.send_response(200)
+                self.send_header("Content-Length", "5")
+                self.end_headers()
+                self.wfile.write(b"hello")
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Hello)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            cfg = tmp_path / "model.json"
+            endpoint = "http://127.0.0.1:%d" % server.server_port
+            cfg.write_text(json.dumps({"kind": "remote", "endpoint": endpoint}))
+            code, _, err = run(
+                capsys, "watermark", "--key", str(sk), "--seed", "1",
+                "--model", str(cfg),
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert code == 4 and "not JSON" in err
 
     def test_endpoint_env_override(self, capsys, keypair, monkeypatch):
         sk, _ = keypair

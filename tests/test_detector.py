@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pdws.core import WatermarkParams
 from pdws.crypto import OracleSuite, keygen, sign
 from pdws.detector import DetectionResult, detect, detect_all
 from pdws.embedder import tile_compress, watermark
@@ -183,3 +185,31 @@ class TestScanOrder:
         text = marked + other
         result = detect(schnorr_keys, params328, text, suite=suite)
         assert result.offset == 0
+
+
+# 42 characters: one-char message block plus 41 one-byte chunks.
+TINY_PARAMS = WatermarkParams(
+    ell=1, beta=8, gamma_max=0, lambda_sig=328, lambda_c=328, n=42
+)
+# Lone surrogates (category Cs) cannot be UTF-8 encoded; mix them in on purpose.
+ANY_CHAR = st.one_of(
+    st.characters(categories=["Cs"]), st.characters(exclude_categories=())
+)
+
+
+class TestLoneSurrogates:
+    def test_gadget_after_surrogate_is_found(self, marked, params328, schnorr_keys, suite):
+        pad = "a" * 20 + "\ud800" + "b" * 5
+        text = pad + marked + "\udfff"
+        assert detect(schnorr_keys, params328, text, suite=suite).offset == len(pad)
+        hits = detect_all(schnorr_keys, params328, text, suite=suite)
+        assert [h.offset for h in hits] == [len(pad)]
+
+    @settings(deadline=None)
+    @given(text=st.text(ANY_CHAR, min_size=42, max_size=120), offset=st.integers(-1, 90))
+    def test_detection_is_total(self, schnorr_keys, suite, text, offset):
+        assert not detect(schnorr_keys, TINY_PARAMS, text, suite=suite).detected
+        assert not detect(
+            schnorr_keys, TINY_PARAMS, text, suite=suite, known_offset=offset
+        ).detected
+        assert detect_all(schnorr_keys, TINY_PARAMS, text, suite=suite) == []

@@ -2,9 +2,9 @@ import pytest
 
 from pdws.core import (
     BitString,
+    BlockRecord,
     EmbedTranscript,
     ParameterError,
-    TextBuffer,
     WatermarkParams,
     chunk,
 )
@@ -12,7 +12,6 @@ from pdws.crypto import sign
 from pdws.ecc import EccProfile, encode
 from pdws.embedder import (
     EmbedFailure,
-    GadgetLayout,
     generate_message_signature_pair,
     reject_sample_tokens,
     tile_compress,
@@ -178,19 +177,20 @@ class TestRejectSampleTokens:
     def test_accepted_block_satisfies_hash(self, params328, model64, suite):
         rng = SamplerState(11)
         target = BitString(0b10, 2)
-        state, m_acc, c_prev, rec = reject_sample_tokens(
+        text, m_acc, c_prev, rec = reject_sample_tokens(
             target,
-            TextBuffer(),
+            "",
             b"",
             BitString.empty(),
             params328,
             model64,
             suite=suite,
+            window_start=0,
             rng=rng,
             gamma_available=True,
         )
-        assert len(state.text) == params328.ell
-        assert state.committed == len(state.text)
+        assert text == rec.text
+        assert len(text) == params328.ell
         assert m_acc == rec.text.encode()
         assert not rec.planted_error
         assert rec.attempts >= 1
@@ -202,12 +202,27 @@ class TestRejectSampleTokens:
         with pytest.raises(ParameterError):
             reject_sample_tokens(
                 BitString(0, 1),
-                TextBuffer(),
+                "",
                 b"",
                 BitString.empty(),
                 params328,
                 model64,
                 suite=suite,
+                window_start=0,
+                rng=SamplerState(0),
+            )
+
+    def test_window_beyond_text_rejected(self, params328, model64, suite):
+        with pytest.raises(ParameterError):
+            reject_sample_tokens(
+                BitString(0, 2),
+                "abc",
+                b"",
+                BitString.empty(),
+                params328,
+                model64,
+                suite=suite,
+                window_start=4,
                 rng=SamplerState(0),
             )
 
@@ -219,14 +234,15 @@ class TestRejectSampleTokens:
         )
         achieved = suite.h_bit(("Z" * params328.ell).encode(), params328.beta)
         bad_target = BitString(achieved.value ^ 0b01, 2)
-        state, m_acc, c_prev, rec = reject_sample_tokens(
+        text, m_acc, c_prev, rec = reject_sample_tokens(
             bad_target,
-            TextBuffer(),
+            "",
             b"",
             BitString.empty(),
             params328,
             model,
             suite=suite,
+            window_start=0,
             rng=SamplerState(12),
             gamma_available=True,
         )
@@ -248,12 +264,13 @@ class TestRejectSampleTokens:
         with pytest.raises(EmbedFailure) as info:
             reject_sample_tokens(
                 bad_target,
-                TextBuffer(),
+                "",
                 b"",
                 BitString.empty(),
                 params328,
                 model,
                 suite=suite,
+                window_start=0,
                 rng=SamplerState(13),
                 gamma_available=False,
                 gadget_index=4,
@@ -262,13 +279,43 @@ class TestRejectSampleTokens:
         assert (info.value.gadget_index, info.value.block_index) == (4, 7)
 
 
-class TestGadgetLayout:
-    def test_geometry(self, params328):
-        layout = GadgetLayout.for_params(params328, msg_start=32)
-        assert layout.total_len == params328.gadget_chars
-        assert layout.end == 32 + params328.gadget_chars
-        assert layout.block_start(1) == 32 + params328.ell
-        assert layout.block_start(params328.n_blocks) == layout.end - params328.ell
+class TestGenerateMessageSignaturePair:
+    def test_blocks_start_at_msg_start(self, params328, schnorr_keys, model64, suite):
+        prefix = "x" * 32
+        text, records, gamma_used = generate_message_signature_pair(
+            prefix,
+            params328,
+            schnorr_keys,
+            model64,
+            suite=suite,
+            prompt="p",
+            rng=SamplerState(17),
+            msg_start=32,
+        )
+        assert text.startswith(prefix)
+        assert len(text) == 32 + params328.gadget_chars
+        assert len(records) == 1 + params328.n_blocks
+        assert "".join(r.text for r in records) == text[32:]
+        mismatches, _, _ = replay_gadget(params328, suite, schnorr_keys, records)
+        assert mismatches == gamma_used
+
+    def test_message_block_already_present_is_kept(
+        self, params328, schnorr_keys, model64, suite
+    ):
+        held = "m" * (params328.ell + 3)  # message block plus surplus characters
+        text, records, _ = generate_message_signature_pair(
+            held,
+            params328,
+            schnorr_keys,
+            model64,
+            suite=suite,
+            prompt="p",
+            rng=SamplerState(18),
+            msg_start=0,
+        )
+        assert records[0] == BlockRecord(1, False, 0, "m" * params328.ell)
+        assert text.startswith(held)
+        assert records[1].text.startswith("mmm")
 
 
 class TestTiling:
@@ -304,7 +351,7 @@ class TestTiling:
 class TestMultiCharTokens:
     def test_surplus_commits_into_next_block(self, params328, suite, multichar_endpoint):
         model = ModelHandle(kind="remote", endpoint=multichar_endpoint)
-        state = TextBuffer()
+        text = ""
         m_acc = b""
         c_prev = BitString.empty()
         rng = SamplerState(16)
@@ -314,10 +361,10 @@ class TestMultiCharTokens:
             # rejection keeps sampling until the chain hash matches
             target = BitString(j % 4, 2)
             window_start = j * params328.ell
-            prefix_before = state.text
-            state, m_acc, c_prev, rec = reject_sample_tokens(
+            prefix_before = text
+            text, m_acc, c_prev, rec = reject_sample_tokens(
                 target,
-                state,
+                text,
                 m_acc,
                 c_prev,
                 params328,
@@ -330,16 +377,15 @@ class TestMultiCharTokens:
             )
             targets.append(target)
             assert not rec.planted_error
-            assert len(state.text) >= window_start + params328.ell
-            assert state.committed == len(state.text)
+            assert len(text) >= window_start + params328.ell
             # surplus from the previous block was reused, never discarded
-            assert state.text.startswith(prefix_before)
+            assert text.startswith(prefix_before)
 
         # detector-style replay over fixed character windows agrees
         m_replay = b""
         c_replay = BitString.empty()
         for j, target in enumerate(targets):
-            window = state.text[j * params328.ell : (j + 1) * params328.ell]
+            window = text[j * params328.ell : (j + 1) * params328.ell]
             achieved = suite.h_bit(
                 m_replay + window.encode() + c_replay.to_bytes(), params328.beta
             )

@@ -22,6 +22,15 @@ from pdws.model import (
 from pdws.rng import SamplerState
 
 
+# Routes serving two candidates with these logprobs; none may reach sampling.
+_BAD_LOGPROBS = {
+    "/nan-logprob": [math.nan, 0.0],
+    "/inf-logprob": [math.inf, 0.0],
+    "/zero-weight": [-math.inf, -math.inf],
+    "/text-logprob": ["high", 0.0],
+}
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     """Serves multi-character candidates; /bad-* routes exercise failures."""
 
@@ -38,6 +47,13 @@ class _StubHandler(BaseHTTPRequestHandler):
             return
         if self.path == "/bad-shape":
             payload = {"tokens": ["oops"]}
+        elif self.path in _BAD_LOGPROBS:
+            payload = {
+                "candidates": [
+                    {"token": t, "logprob": lp}
+                    for t, lp in zip("ab", _BAD_LOGPROBS[self.path])
+                ]
+            }
         else:
             payload = {
                 "candidates": [
@@ -79,6 +95,10 @@ class TestTokenDistribution:
             TokenDistribution(("a", ""), (0.5, 0.5))
         with pytest.raises(ParameterError):
             TokenDistribution(("a", "b"), (1.2, -0.2))
+        with pytest.raises(ParameterError):
+            TokenDistribution(("a", "b"), (math.nan, math.nan))
+        with pytest.raises(ParameterError):
+            TokenDistribution(("a", "b"), (math.nan, 1.0))
 
     def test_sample_deterministic(self):
         dist = TokenDistribution(("a", "b", "c"), (0.2, 0.3, 0.5))
@@ -186,6 +206,12 @@ class TestRemote:
 
     def test_malformed_shape_is_protocol_error(self, stub_server):
         model = ModelHandle(kind="remote", endpoint=stub_server + "/bad-shape")
+        with pytest.raises(ProtocolError):
+            next_distribution(model, "p", "")
+
+    @pytest.mark.parametrize("route", sorted(_BAD_LOGPROBS))
+    def test_unusable_logprobs_are_protocol_errors(self, stub_server, route):
+        model = ModelHandle(kind="remote", endpoint=stub_server + route)
         with pytest.raises(ProtocolError):
             next_distribution(model, "p", "")
 
