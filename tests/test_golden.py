@@ -27,6 +27,10 @@ PROMPT = "golden"
 # is generated (and its last token truncated) too.
 REMOTE_PARAMS = WatermarkParams(ell=4, a_max=64, n=4 * 181 + 9)
 
+# 2-, 3- and 4-byte UTF-8 characters, so block windows and the hashed
+# prefix never fall on a one-byte-per-character boundary.
+MULTIBYTE_ALPHABET = "äöüßéèçñøåæœαβγδλπσω中文字符检测水印签名😀🔏📜✅"
+
 
 def _digest(text, transcript=None):
     h = hashlib.sha256(text.encode("utf-8"))
@@ -93,3 +97,14 @@ def test_detection_on_padded_tiled_document(schnorr_keys, suite):
     assert detect(public, params, doc, suite=suite) == hits[0]
     probed = [detect(public, params, doc, suite=suite, known_offset=h.offset) for h in hits]
     assert probed == hits
+
+
+def test_multibyte_gadget_detected_after_surrogate(schnorr_keys, suite):
+    params = load_profile("compact-328")
+    model = ModelHandle(kind="uniform-mock", alphabet=MULTIBYTE_ALPHABET)
+    text, tr = watermark(params, schnorr_keys, model, PROMPT, seed=25, suite=suite)
+    assert len(text.encode("utf-8")) > 2 * len(text)
+    assert _digest(text, tr) == "37c8cde532d80aa72256d6907d94e221371fe2283636e4657885244c0e6efeab"
+    doc = "ñ€😀" * 5 + "\ud800" + text + "中ü🔏" * 4
+    hits = detect_all(schnorr_keys.public_only(), params, doc, suite=suite)
+    assert [(h.offset, h.corrected_errors) for h in hits] == [(16, 0)]
