@@ -93,9 +93,20 @@ class HashOracle:
         raw = hashlib.shake_256(self._prefix + data).digest((out_bits + 7) // 8)
         return BitString.from_bytes(raw, out_bits)
 
-    def bit_value(self, data: bytes, beta: int) -> int:
-        """First beta bits of the digest as an int (hot-path form of h_bit)."""
-        return hashlib.sha256(self._prefix + data).digest()[0] >> (8 - beta)
+    def running(self, data: bytes = b""):
+        """A SHA-256 state that has absorbed the frame and data; extend it with update()."""
+        return hashlib.sha256(self._prefix + data)
+
+    def bit_value(self, data: bytes, beta: int, state=None) -> int:
+        """First beta bits of the digest as an int (hot-path form of h_bit).
+
+        With state (from running(), possibly updated since) the digest covers
+        what the state absorbed followed by data; the state itself is copied,
+        not consumed.
+        """
+        h = self.running() if state is None else state.copy()
+        h.update(data)
+        return h.digest()[0] >> (8 - beta)
 
 
 def h_sign(data: bytes, salt: bytes = b"") -> BitString:
@@ -138,7 +149,7 @@ class OracleSuite:
         return h_mask(data, out_bits, self.mask_salt)
 
     def h_bit(self, data: bytes, beta: int) -> BitString:
-        return BitString(self.bit_oracle().bit_value(data, beta), beta)
+        return h_bit(data, beta, self.bit_salt)
 
     def to_json_dict(self) -> dict:
         return {

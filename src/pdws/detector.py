@@ -80,7 +80,9 @@ def _try_offset(
     except UnicodeEncodeError:
         # A lone surrogate: the embedder never emits one, so no gadget here.
         return None
-    m_acc = bytearray()
+    # One running state holds frame || m_acc; each block is absorbed once and
+    # only the chunk accumulator is hashed on a copy.
+    m_state = bit_oracle.running()
     c_val = 0
     c_len = 0
     for window_bytes in blocks:
@@ -89,8 +91,8 @@ def _try_offset(
             c_bytes = (c_val << pad).to_bytes((c_len + pad) // 8, "big")
         else:
             c_bytes = b""
-        achieved = bit_oracle.bit_value(bytes(m_acc) + window_bytes + c_bytes, beta)
-        m_acc += window_bytes
+        m_state.update(window_bytes)
+        achieved = bit_oracle.bit_value(c_bytes, beta, m_state)
         c_val = (c_val << beta) | achieved
         c_len += beta
 

@@ -94,6 +94,7 @@ def reject_sample_tokens(
     if window_start > len(text):
         raise ParameterError("block window starts beyond the text")
     bit_oracle = suite.bit_oracle()
+    m_state = bit_oracle.running(m_acc)
     c_prev_bytes = c_prev.to_bytes()
     target = target_chunk.value
     window_end = window_start + params.ell
@@ -106,7 +107,7 @@ def reject_sample_tokens(
                 model, window_end - len(cand), prompt, cand, rng.fork(attempt)
             )
         window_bytes = cand[window_start:window_end].encode("utf-8")
-        achieved = bit_oracle.bit_value(m_acc + window_bytes + c_prev_bytes, params.beta)
+        achieved = bit_oracle.bit_value(window_bytes + c_prev_bytes, params.beta, m_state)
         if achieved == target:
             record = BlockRecord(attempt, False, 0, cand[window_start:window_end])
             return cand, m_acc + window_bytes, c_prev.concat(target_chunk), record

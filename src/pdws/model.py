@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-import requests
-
 from .core import ParameterError
 from .rng import SamplerState
 
@@ -180,6 +178,8 @@ def next_distribution(model: ModelHandle, prompt: str, context: str) -> TokenDis
 
 
 def _remote_distribution(model: ModelHandle, prompt: str, context: str) -> TokenDistribution:
+    import requests  # deferred: only the remote kind needs HTTP, and it is slow to import
+
     payload = {"prompt": prompt, "context": context, "top_k": model.top_k}
     last_exc: Optional[Exception] = None
     for _ in range(model.retries + 1):

@@ -60,6 +60,32 @@ class TestOracles:
         with pytest.raises(Exception):
             h_bit(b"x", 3)
 
+    def test_suite_h_bit_rejects_bad_beta_like_h_bit(self):
+        with pytest.raises(ValueError):
+            OracleSuite().h_bit(b"x", 3)
+        assert OracleSuite(bit_salt=b"s").h_bit(b"x", 4) == h_bit(b"x", 4, b"s")
+
+    @pytest.mark.parametrize(
+        "a, b, tail",
+        [
+            (b"", b"", b""),
+            (b"", b"block", b""),
+            (b"prefix", b"", b"\x80"),
+            (b"m_acc", b"window", b"\xc0\x01"),
+            ("äß中".encode(), "文😀".encode(), "✅".encode()),
+        ],
+    )
+    def test_running_state_matches_whole_input(self, a, b, tail):
+        oracle = OracleSuite(bit_salt=b"salt").bit_oracle()
+        state = oracle.running(a)
+        state.update(b)
+        for beta in (1, 2, 4, 8):
+            whole = oracle.bit_value(a + b + tail, beta)
+            assert oracle.bit_value(tail, beta, state) == whole
+            # the state is copied, not consumed
+            assert oracle.bit_value(tail, beta, state) == whole
+            assert h_bit(a + b + tail, beta, b"salt").value == whole
+
     def test_h_bit_balance(self):
         ones = sum(h_bit(b"%d" % i, 1).value for i in range(2000))
         assert abs(ones / 2000 - 0.5) < 0.05

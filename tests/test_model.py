@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import pdws
 from pdws.core import ParameterError
 from pdws.model import (
     DEFAULT_ALPHABET,
@@ -246,3 +250,12 @@ class TestMinEntropy:
         model = ModelHandle(kind="remote", endpoint="http://x")
         with pytest.raises(ParameterError):
             min_entropy_per_block(model, 16)
+
+
+def test_import_pdws_does_not_load_requests():
+    # Only the remote adapter speaks HTTP; detection and the mocks never pay
+    # for importing the client.
+    src = os.path.dirname(os.path.dirname(pdws.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, pdws; assert 'requests' not in sys.modules, 'requests loaded'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
