@@ -8,6 +8,12 @@ h_mask(msg), decoded by the error-correcting code, and the recovered
 signature is checked against h_sign(msg). Any planted block contributes
 a wrong chunk, which is exactly what the decoder's error budget absorbs.
 
+The chain keeps one running SHA-256 state over the oracle frame and the
+blocks read so far: each block is absorbed once and only the chunk
+accumulator is hashed, on a copy. An offset therefore feeds about
+ell * n_blocks bytes plus the accumulator tails to SHA-256, and a scan
+costs time linear in the text length.
+
 A forged text would need a valid signature on its own message block, so
 false positives reduce to signature forgery (or a hash collision on the
 decode side, bounded by the code's minimum distance).
@@ -80,9 +86,7 @@ def _try_offset(
     except UnicodeEncodeError:
         # A lone surrogate: the embedder never emits one, so no gadget here.
         return None
-    # One running state holds frame || m_acc; each block is absorbed once and
-    # only the chunk accumulator is hashed on a copy.
-    m_state = bit_oracle.running()
+    m_state = bit_oracle.running()  # frame || the blocks read so far
     c_val = 0
     c_len = 0
     for window_bytes in blocks:
