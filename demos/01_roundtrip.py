@@ -2,7 +2,6 @@
 """Generate a signed text with the secret key, detect it with the public key."""
 
 from pdws import (
-    KeyMaterial,
     ModelHandle,
     OracleSuite,
     WatermarkParams,
@@ -26,9 +25,11 @@ print(
     % (len(transcript.blocks), transcript.gamma_used, params.gamma_max)
 )
 
-# detection never touches the signing key
-public_only = KeyMaterial(keys.scheme_id, keys.verify_key, None)
-result = detect(public_only, params, text, suite=suite)
+# detection never touches the signing key or the embed knobs: the verifier
+# holds the public key, the salts and the gadget layout
+layout = params.layout
+print("verifier layout:", layout)
+result = detect(keys.public_only(), layout, text, suite=suite)
 print("detected: %s at offset %s" % (result.detected, result.offset))
 print("corrected symbol errors: %d" % result.corrected_errors)
 print("recovered signature bits: %d" % result.recovered_sig.length)
@@ -36,4 +37,4 @@ print("message block: %r" % result.message_block)
 
 # a fresh key cannot claim the text
 impostor = keygen(b"someone-else")
-print("impostor detects:", detect(impostor, params, text, suite=suite).detected)
+print("impostor detects:", detect(impostor, layout, text, suite=suite).detected)

@@ -12,6 +12,7 @@ from .core import (
     BitString,
     BlockRecord,
     EmbedTranscript,
+    Layout,
     ParameterError,
     WatermarkParams,
     chunk,
@@ -46,7 +47,6 @@ from .model import (
     TokenDistribution,
     TransportError,
     gen_model,
-    min_entropy_per_block,
     next_distribution,
     sample_min_chars,
     sample_token,
@@ -68,6 +68,7 @@ __all__ = [
     "EmbedTranscript",
     "KeyMaterial",
     "KeyMaterialError",
+    "Layout",
     "ModelHandle",
     "OracleSuite",
     "ParameterError",
@@ -90,7 +91,6 @@ __all__ = [
     "h_mask",
     "h_sign",
     "keygen",
-    "min_entropy_per_block",
     "next_distribution",
     "reject_sample_tokens",
     "run_bench",

@@ -15,7 +15,7 @@ import json
 import platform
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import FORMAT_VERSION, ParameterError, WatermarkParams
 from .crypto import KeyMaterial, OracleSuite
@@ -153,10 +153,9 @@ def run_bench(
     *,
     seed: int = 0,
     suite: OracleSuite = OracleSuite(),
-    known_offset: Optional[int] = 0,
     warmup: int = 1,
 ) -> BenchReport:
-    """Time watermark and detect over a prompt set.
+    """Time watermark and a full-scan detect over a prompt set.
 
     Each (prompt, repeat) gets a derived seed recorded in its row. Warmup
     iterations run first and are discarded. Runs that end in EmbedFailure
@@ -197,7 +196,7 @@ def run_bench(
             chars += max(0, params.n - len(transcript.blocks) * params.ell)
 
             t0 = time.perf_counter()
-            result = detect(keys, params, text, suite=suite, known_offset=known_offset)
+            result = detect(keys, params, text, suite=suite)
             det_s = time.perf_counter() - t0
             runs.append(
                 BenchRun(

@@ -2,9 +2,10 @@
 
 Key material travels in two JSON envelopes. The secret envelope holds the
 signing key plus the full embedding parameters. The public envelope holds
-only what detection needs: scheme id, verification key, and the layout
-subset (ell, beta, lambda_sig, lambda_c, the code profile, hash salts).
-Secrets never enter the public file.
+only what detection needs: scheme id, verification key, the Layout (ell,
+beta, lambda_sig, lambda_c) and the hash salts, plus the code profile the
+layout implies, which is checked on load. Secrets and embedding knobs
+never enter the public file.
 
 Exit codes:
     0  success / signature detected
@@ -31,7 +32,7 @@ from typing import Optional
 
 from . import crypto, ecc
 from .bench import run_bench
-from .core import FORMAT_VERSION, ParameterError, WatermarkParams
+from .core import FORMAT_VERSION, Layout, ParameterError, WatermarkParams
 from .crypto import KeyMaterial, KeyMaterialError, OracleSuite
 from .detector import detect
 from .embedder import EmbedFailure, watermark
@@ -82,30 +83,22 @@ def load_profile(name_or_path: str) -> WatermarkParams:
 class PublicEnvelope:
     """Everything a verifier needs, nothing more."""
 
-    scheme_id: str
-    public_key: bytes
-    ell: int
-    beta: int
-    lambda_sig: int
-    lambda_c: int
-    profile: ecc.EccProfile
+    keys: KeyMaterial
+    layout: Layout
     suite: OracleSuite
 
     def to_json_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": PUBLIC_KIND,
-            "scheme_id": self.scheme_id,
-            "public_key": self.public_key.hex(),
-            "params": {
-                "ell": self.ell,
-                "beta": self.beta,
-                "lambda_sig": self.lambda_sig,
-                "lambda_c": self.lambda_c,
-                "ecc": self.profile.to_json_dict(),
-                "salts": self.suite.to_json_dict(),
-            },
-        }
+        d = self.keys.to_json_dict(include_secret=False)
+        d["format_version"] = FORMAT_VERSION
+        d["kind"] = PUBLIC_KIND
+        # The ecc block is redundant with the layout; it is written for
+        # readers and checked on load.
+        d["params"] = dict(
+            dataclasses.asdict(self.layout),
+            ecc=ecc.EccProfile.for_layout(self.layout).to_json_dict(),
+            salts=self.suite.to_json_dict(),
+        )
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PublicEnvelope":
@@ -113,55 +106,14 @@ class PublicEnvelope:
             raise ParameterError("not a public key envelope")
         if "secret_key" in d:
             raise ParameterError("public envelope contains secret material")
+        keys = KeyMaterial.from_json_dict(d)
         try:
             p = d["params"]
-            return cls(
-                scheme_id=d["scheme_id"],
-                public_key=bytes.fromhex(d["public_key"]),
-                ell=int(p["ell"]),
-                beta=int(p["beta"]),
-                lambda_sig=int(p["lambda_sig"]),
-                lambda_c=int(p["lambda_c"]),
-                profile=ecc.EccProfile.from_json_dict(p["ecc"]),
-                suite=OracleSuite.from_json_dict(p["salts"]),
-            )
+            layout = Layout(**{f.name: int(p[f.name]) for f in dataclasses.fields(Layout)})
+            ecc.EccProfile.for_layout(layout).check_stated(p["ecc"])
+            return cls(keys, layout, OracleSuite.from_json_dict(p["salts"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError("malformed public envelope: %s" % exc) from exc
-
-    @classmethod
-    def build(
-        cls, keys: KeyMaterial, params: WatermarkParams, suite: OracleSuite
-    ) -> "PublicEnvelope":
-        return cls(
-            scheme_id=keys.scheme_id,
-            public_key=keys.verify_key,
-            ell=params.ell,
-            beta=params.beta,
-            lambda_sig=params.lambda_sig,
-            lambda_c=params.lambda_c,
-            profile=ecc.EccProfile.for_params(params),
-            suite=suite,
-        )
-
-    def to_keys(self) -> KeyMaterial:
-        return KeyMaterial(self.scheme_id, self.public_key, None)
-
-    def to_params(self) -> WatermarkParams:
-        """Layout parameters sufficient for detection.
-
-        gamma_max is recovered from the code profile; a_max and n only
-        matter for embedding, so detector-side defaults are fine.
-        """
-        gamma = 0 if self.profile.is_bypass else self.profile.t_correctable
-        n_blocks = self.lambda_c // self.beta
-        return WatermarkParams(
-            ell=self.ell,
-            beta=self.beta,
-            gamma_max=gamma,
-            n=self.ell * (1 + n_blocks),
-            lambda_sig=self.lambda_sig,
-            lambda_c=self.lambda_c,
-        )
 
 
 def _secret_envelope_dict(
@@ -260,6 +212,8 @@ def cmd_keygen(args) -> int:
     else:
         params = load_profile("compact-328")
 
+    crypto.check_signature_bits(args.scheme, params.lambda_sig)
+
     seed_bytes = None
     if args.seed is not None:
         seed_bytes = args.seed.to_bytes(8, "big")
@@ -275,15 +229,9 @@ def cmd_keygen(args) -> int:
     else:
         suite = OracleSuite()
 
-    scheme = crypto.get_scheme(args.scheme)
-    if scheme.sig_bits != params.lambda_sig:
-        raise ParameterError(
-            "profile expects lambda_sig=%d but scheme %s signs %d bits"
-            % (params.lambda_sig, args.scheme, scheme.sig_bits)
-        )
-
     _dump_json(_secret_envelope_dict(keys, params, suite), args.secret_out)
-    _dump_json(PublicEnvelope.build(keys, params, suite).to_json_dict(), args.public_out)
+    public = PublicEnvelope(keys.public_only(), params.layout, suite)
+    _dump_json(public.to_json_dict(), args.public_out)
     return 0
 
 
@@ -322,8 +270,8 @@ def cmd_detect(args) -> int:
     text = _read_input_text(args.input)
     known = args.known_offset if not args.scan else None
     result = detect(
-        envelope.to_keys(),
-        envelope.to_params(),
+        envelope.keys,
+        envelope.layout,
         text,
         suite=envelope.suite,
         known_offset=known,
@@ -343,7 +291,6 @@ def cmd_bench(args) -> int:
     else:
         bundled = resources.files("pdws") / "profiles" / "prompts.txt"
         prompts = [line for line in bundled.read_text("utf-8").splitlines() if line]
-    known = None if args.scan else args.known_offset
 
     report = run_bench(
         params,
@@ -353,7 +300,6 @@ def cmd_bench(args) -> int:
         repeats=args.repeats,
         seed=args.seed or 0,
         suite=suite,
-        known_offset=known,
     )
     _dump_json(report.to_json_dict(), args.out)
     if args.plot_data:
@@ -427,10 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--seed", type=int, default=0)
     bn.add_argument("--out", help="report JSON path (default stdout)")
     bn.add_argument("--plot-data", help="write per-run CSV rows here")
-    bn.add_argument(
-        "--known-offset", type=int, default=0, help="detection offset to probe"
-    )
-    bn.add_argument("--scan", action="store_true", help="full scan during detection")
     _add_model_flags(bn)
     bn.set_defaults(func=cmd_bench)
 

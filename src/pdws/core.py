@@ -1,9 +1,9 @@
 """Shared value types for the watermarking protocol.
 
 Everything here is an immutable value: fixed-length bit strings (the
-signature, codeword and chunk carriers), the parameter profile that every
-other module reads its knobs from, and the per-block transcript of an
-embedding run.
+signature, codeword and chunk carriers), the gadget layout a verifier
+needs, the full parameter profile the embedder reads its knobs from, and
+the per-block transcript of an embedding run.
 
 Bit order convention: bit 0 of a BitString is the most significant bit of
 byte 0, and serialization is big-endian throughout. Characters are unicode
@@ -146,46 +146,30 @@ def chunk(c: BitString, beta: int) -> tuple[BitString, ...]:
 
 
 @dataclass(frozen=True, slots=True)
-class WatermarkParams:
-    """All protocol knobs.
+class Layout:
+    """Gadget geometry: everything detection reads besides the key and salts.
 
     ell        characters per block
     beta       bits embedded per block (1, 2, 4 or 8)
-    gamma_max  planted-error budget per gadget
-    a_max      max rejection attempts per block (one extra sample is drawn
-               before planting, so up to a_max+1 candidates are examined)
-    n          total output length in characters
     lambda_sig raw signature length in bits
     lambda_c   codeword length in bits after error-correction encoding
-    alpha      assumed min-entropy per block in bits (test harness only)
+               (equal to lambda_sig when there is no code)
     """
 
     ell: int = 16
     beta: int = 2
-    gamma_max: int = 2
-    a_max: int = 16
-    n: int = 2896
     lambda_sig: int = 328
     lambda_c: int = 360
-    alpha: float = 96.0
 
     def __post_init__(self) -> None:
         if self.ell < 1:
             raise ParameterError("ell must be positive")
         if self.beta not in (1, 2, 4, 8):
             raise ParameterError("beta must divide 8 (one chunk error, one code symbol)")
-        if self.gamma_max < 0:
-            raise ParameterError("gamma_max must be non-negative")
-        if self.a_max < 1:
-            raise ParameterError("a_max must be positive")
-        if self.n < 1:
-            raise ParameterError("n must be positive")
         if self.lambda_sig < 1 or self.lambda_c < self.lambda_sig:
             raise ParameterError("need lambda_c >= lambda_sig >= 1")
         if self.lambda_c % self.beta:
             raise ParameterError("beta must divide lambda_c (whole chunks only)")
-        if self.alpha <= 0:
-            raise ParameterError("alpha must be positive")
 
     @property
     def n_blocks(self) -> int:
@@ -197,14 +181,40 @@ class WatermarkParams:
         """Characters in one complete gadget: message block + signature region."""
         return self.ell * (1 + self.n_blocks)
 
-    @property
-    def gadget_fits(self) -> bool:
-        """Whether n admits at least one whole gadget.
 
-        Deliberately not a construction error: short-n profiles degrade to
-        plain generation with a warning instead of refusing to run.
-        """
-        return self.n >= self.gadget_chars
+@dataclass(frozen=True, slots=True)
+class WatermarkParams(Layout):
+    """A Layout plus the knobs only the embedder reads.
+
+    gamma_max  planted-error budget per gadget
+    a_max      max rejection attempts per block (one extra sample is drawn
+               before planting, so up to a_max+1 candidates are examined)
+    n          total output length in characters; short-n profiles degrade
+               to plain generation with a warning instead of refusing to run
+    alpha      assumed min-entropy per block in bits (test harness only)
+    """
+
+    gamma_max: int = 2
+    a_max: int = 16
+    n: int = 2896
+    alpha: float = 96.0
+
+    def __post_init__(self) -> None:
+        # Zero-argument super() fails in slots dataclasses on Python 3.11.
+        Layout.__post_init__(self)
+        if self.gamma_max < 0:
+            raise ParameterError("gamma_max must be non-negative")
+        if self.a_max < 1:
+            raise ParameterError("a_max must be positive")
+        if self.n < 1:
+            raise ParameterError("n must be positive")
+        if self.alpha <= 0:
+            raise ParameterError("alpha must be positive")
+
+    @property
+    def layout(self) -> Layout:
+        """The public part, as a verifier receives it."""
+        return Layout(self.ell, self.beta, self.lambda_sig, self.lambda_c)
 
     def to_json_dict(self) -> dict:
         d = {name: getattr(self, name) for name in _PARAM_FIELDS}
@@ -230,14 +240,9 @@ class WatermarkParams:
         except TypeError as exc:
             raise ParameterError(str(exc)) from exc
         if "ecc" in d:
-            # The embedded code profile is redundant with (lambda_sig,
-            # lambda_c, gamma_max); reject documents that disagree.
             from .ecc import EccProfile
 
-            stated = EccProfile.from_json_dict(d["ecc"])
-            derived = EccProfile.for_params(params)
-            if stated != derived:
-                raise ParameterError("ecc profile inconsistent with lambda_sig/lambda_c/gamma_max")
+            EccProfile.for_params(params).check_stated(d["ecc"])
         return params
 
     @classmethod
@@ -247,33 +252,6 @@ class WatermarkParams:
         except json.JSONDecodeError as exc:
             raise ParameterError("parameter profile is not valid JSON: %s" % exc) from exc
         return cls.from_json_dict(d)
-
-    @classmethod
-    def for_signature_bits(cls, sig_bits: int, **overrides) -> "WatermarkParams":
-        """Profile resized for a scheme whose signatures are sig_bits long.
-
-        With error correction (gamma_max > 0) the codeword is the padded
-        signature bytes plus 2*gamma_max parity symbols; with gamma_max=0 the
-        codeword is the signature itself.
-        """
-        gamma_max = overrides.pop("gamma_max", 2)
-        ell = overrides.pop("ell", 16)
-        beta = overrides.pop("beta", 2)
-        if gamma_max > 0:
-            lambda_c = 8 * ((sig_bits + 7) // 8 + 2 * gamma_max)
-        else:
-            lambda_c = sig_bits
-        n_blocks = lambda_c // beta
-        n = overrides.pop("n", ell * (1 + n_blocks))
-        return cls(
-            ell=ell,
-            beta=beta,
-            gamma_max=gamma_max,
-            n=n,
-            lambda_sig=sig_bits,
-            lambda_c=lambda_c,
-            **overrides,
-        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -40,7 +40,7 @@ from cryptography.hazmat.primitives.serialization import (
     PublicFormat,
 )
 
-from .core import BitString
+from .core import BitString, ParameterError
 
 __all__ = [
     "HashOracle",
@@ -54,6 +54,7 @@ __all__ = [
     "h_mask",
     "h_bit",
     "get_scheme",
+    "check_signature_bits",
     "available_schemes",
     "DEFAULT_SCHEME",
 ]
@@ -342,6 +343,16 @@ def get_scheme(scheme_id: str):
         return _SCHEMES[scheme_id]
     except KeyError:
         raise KeyMaterialError("unknown signature scheme %r" % scheme_id) from None
+
+
+def check_signature_bits(scheme_id: str, lambda_sig: int) -> None:
+    """Raise ParameterError unless the scheme's signatures are lambda_sig bits long."""
+    sig_bits = get_scheme(scheme_id).sig_bits
+    if sig_bits != lambda_sig:
+        raise ParameterError(
+            "scheme %s signs %d bits but params expect lambda_sig=%d"
+            % (scheme_id, sig_bits, lambda_sig)
+        )
 
 
 def keygen(seed: Optional[bytes] = None, scheme_id: str = DEFAULT_SCHEME) -> KeyMaterial:

@@ -1,12 +1,15 @@
 """Detection: recompute the chunk chain at each offset and verify.
 
-Detection needs only the public key, the hash salts, and the layout
-parameters. At a candidate offset the first ell chars are read as the
-message block and each following block's chained hash h_bit(m || x ||
-c_prev) is recomputed; the concatenated values are unmasked with
-h_mask(msg), decoded by the error-correcting code, and the recovered
-signature is checked against h_sign(msg). Any planted block contributes
-a wrong chunk, which is exactly what the decoder's error budget absorbs.
+Detection needs only the public key, the hash salts and a Layout (ell,
+beta, lambda_sig, lambda_c); the error-correcting code follows from the
+layout, and no embedding knob (gamma_max, a_max, n) is read. At a
+candidate offset the first ell chars are read as the message block and
+each following block's chained hash h_bit(m || x || c_prev) is
+recomputed; the concatenated values are unmasked with h_mask(msg),
+decoded by the error-correcting code, and the recovered signature is
+checked against h_sign(msg). Any planted block contributes a wrong
+chunk, which the code corrects up to its capacity t; the embedder's
+budget gamma_max never exceeds t.
 
 The chain keeps one running SHA-256 state over the oracle frame and the
 blocks read so far: each block is absorbed once and only the chunk
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import crypto, ecc
-from .core import FORMAT_VERSION, BitString, WatermarkParams
+from .core import FORMAT_VERSION, BitString, Layout
 from .crypto import KeyMaterial, OracleSuite
 
 
@@ -66,14 +69,14 @@ _NOT_DETECTED = DetectionResult(detected=False)
 def _try_offset(
     text: str,
     offset: int,
-    params: WatermarkParams,
+    layout: Layout,
     profile: ecc.EccProfile,
     keys: KeyMaterial,
     suite: OracleSuite,
 ) -> Optional[DetectionResult]:
     """Attempt full recovery of a gadget starting at a character offset."""
-    ell = params.ell
-    beta = params.beta
+    ell = layout.ell
+    beta = layout.beta
     bit_oracle = suite.bit_oracle()
 
     msg_window = text[offset : offset + ell]
@@ -81,7 +84,7 @@ def _try_offset(
         msg_bytes = msg_window.encode("utf-8")
         blocks = [
             text[offset + j * ell : offset + (j + 1) * ell].encode("utf-8")
-            for j in range(1, params.n_blocks + 1)
+            for j in range(1, layout.n_blocks + 1)
         ]
     except UnicodeEncodeError:
         # A lone surrogate: the embedder never emits one, so no gadget here.
@@ -101,7 +104,7 @@ def _try_offset(
         c_len += beta
 
     received = BitString(c_val, c_len)
-    codeword = suite.h_mask(msg_bytes, params.lambda_c) ^ received
+    codeword = suite.h_mask(msg_bytes, layout.lambda_c) ^ received
     sigma = ecc.decode(codeword, profile)
     if sigma is None:
         return None
@@ -119,7 +122,7 @@ def _try_offset(
 
 def _scan(
     keys: KeyMaterial,
-    params: WatermarkParams,
+    layout: Layout,
     text: str,
     suite: OracleSuite,
 ) -> Iterator[DetectionResult]:
@@ -129,21 +132,21 @@ def _scan(
     following gadget whose message block is the previous gadget's final
     window is still seen; non-overlapping gadgets are a fortiori covered.
     """
-    profile = ecc.EccProfile.for_params(params)
-    gadget_len = params.gadget_chars
+    profile = ecc.EccProfile.for_layout(layout)
+    gadget_len = layout.gadget_chars
     offset = 0
     while offset <= len(text) - gadget_len:
-        result = _try_offset(text, offset, params, profile, keys, suite)
+        result = _try_offset(text, offset, layout, profile, keys, suite)
         if result is not None:
             yield result
-            offset += gadget_len - params.ell
+            offset += gadget_len - layout.ell
         else:
             offset += 1
 
 
 def detect(
     keys: KeyMaterial,
-    params: WatermarkParams,
+    layout: Layout,
     text: str,
     *,
     suite: OracleSuite = OracleSuite(),
@@ -151,25 +154,26 @@ def detect(
 ) -> DetectionResult:
     """Scan every offset (or probe just one) for an embedded signature.
 
+    layout may be a full WatermarkParams; only its Layout fields are read.
     With known_offset the scan collapses to a single recovery attempt.
     Otherwise offsets 0..len(text)-gadget_chars are tried in order and the
     lowest verifying one wins. Total: bad input means not detected.
     """
     if known_offset is None:
-        return next(_scan(keys, params, text, suite), _NOT_DETECTED)
-    if not 0 <= known_offset <= len(text) - params.gadget_chars:
+        return next(_scan(keys, layout, text, suite), _NOT_DETECTED)
+    if not 0 <= known_offset <= len(text) - layout.gadget_chars:
         return _NOT_DETECTED
-    profile = ecc.EccProfile.for_params(params)
-    result = _try_offset(text, known_offset, params, profile, keys, suite)
+    profile = ecc.EccProfile.for_layout(layout)
+    result = _try_offset(text, known_offset, layout, profile, keys, suite)
     return _NOT_DETECTED if result is None else result
 
 
 def detect_all(
     keys: KeyMaterial,
-    params: WatermarkParams,
+    layout: Layout,
     text: str,
     *,
     suite: OracleSuite = OracleSuite(),
 ) -> list[DetectionResult]:
     """Find every gadget, including tiled ones that share a message block."""
-    return list(_scan(keys, params, text, suite))
+    return list(_scan(keys, layout, text, suite))

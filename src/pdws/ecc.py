@@ -10,8 +10,8 @@ Decoding failure is a normal return value (None), never an exception: the
 caller treats any decode output as a candidate and relies on signature
 verification for the final word, so a miscorrection is harmless.
 
-The gamma_max = 0 profile bypasses the code entirely; encode is the
-identity and lambda_c == lambda_sig.
+A layout with lambda_c == lambda_sig bypasses the code entirely (the
+embedder's gamma_max must then be 0); encode is the identity.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import BitString, ParameterError, WatermarkParams
+from .core import BitString, Layout, ParameterError, WatermarkParams
 
 _PRIM_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
 
@@ -229,39 +229,45 @@ class EccProfile:
         return (self.data_symbols + self.parity_symbols) * self.symbol_bits
 
     @classmethod
-    def for_params(cls, params: WatermarkParams) -> "EccProfile":
-        """Derive the profile from (lambda_sig, lambda_c, gamma_max)."""
-        if params.gamma_max == 0:
-            if params.lambda_c != params.lambda_sig:
-                raise ParameterError("gamma_max=0 requires lambda_c == lambda_sig")
-            return cls(
-                data_symbols=(params.lambda_sig + 7) // 8,
-                parity_symbols=0,
-                symbol_bits=8,
-                t_correctable=0,
-                data_bits=params.lambda_sig,
-            )
-        data_symbols = (params.lambda_sig + 7) // 8
-        if params.lambda_c % 8:
-            raise ParameterError("lambda_c must be byte-aligned when gamma_max > 0")
-        parity = params.lambda_c // 8 - data_symbols
-        if parity < 2 or parity % 2:
-            raise ParameterError(
-                "lambda_c leaves %d parity symbols; need a positive even count" % parity
-            )
-        profile = cls(
+    def for_layout(cls, layout: Layout) -> "EccProfile":
+        """Derive the code from (lambda_sig, lambda_c): none when they are equal."""
+        data_symbols = (layout.lambda_sig + 7) // 8
+        parity = 0
+        if layout.lambda_c != layout.lambda_sig:
+            if layout.lambda_c % 8:
+                raise ParameterError("lambda_c must be byte-aligned when it exceeds lambda_sig")
+            parity = layout.lambda_c // 8 - data_symbols
+            if parity < 2 or parity % 2:
+                raise ParameterError(
+                    "lambda_c leaves %d parity symbols; need a positive even count" % parity
+                )
+        return cls(
             data_symbols=data_symbols,
             parity_symbols=parity,
             symbol_bits=8,
             t_correctable=parity // 2,
-            data_bits=params.lambda_sig,
+            data_bits=layout.lambda_sig,
         )
+
+    @classmethod
+    def for_params(cls, params: WatermarkParams) -> "EccProfile":
+        """for_layout, checking that the code fits the planted-error budget gamma_max."""
+        profile = cls.for_layout(params)
+        if params.gamma_max == 0 and not profile.is_bypass:
+            raise ParameterError("gamma_max=0 requires lambda_c == lambda_sig")
         if params.gamma_max > profile.t_correctable:
             raise ParameterError(
                 "gamma_max %d exceeds correction capacity t=%d"
                 % (params.gamma_max, profile.t_correctable)
             )
         return profile
+
+    def check_stated(self, stated: dict) -> None:
+        """Reject a document whose redundant ecc block disagrees with this code."""
+        if EccProfile.from_json_dict(stated) != self:
+            raise ParameterError(
+                "ecc block disagrees with the code derived from lambda_sig/lambda_c"
+            )
 
     def to_json_dict(self) -> dict:
         return {

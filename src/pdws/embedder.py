@@ -54,15 +54,6 @@ class EmbedFailure(RuntimeError):
         )
 
 
-def _check_scheme(params: WatermarkParams, keys: KeyMaterial) -> None:
-    scheme = crypto.get_scheme(keys.scheme_id)
-    if scheme.sig_bits != params.lambda_sig:
-        raise ParameterError(
-            "scheme %s signs %d bits but params expect lambda_sig=%d"
-            % (keys.scheme_id, scheme.sig_bits, params.lambda_sig)
-        )
-
-
 def reject_sample_tokens(
     target_chunk: BitString,
     text: str,
@@ -149,7 +140,7 @@ def generate_message_signature_pair(
     block j at msg_start + j*ell. Returns the extended text, all 1+n_blocks
     block records, and gamma_used.
     """
-    _check_scheme(params, keys)
+    crypto.check_signature_bits(keys.scheme_id, params.lambda_sig)
     msg_end = msg_start + params.ell
     if len(text) < msg_end:
         text += sample_min_chars(
@@ -202,7 +193,7 @@ def watermark(
     are plain model output. Raises EmbedFailure when a gadget exhausts its
     planted-error budget.
     """
-    _check_scheme(params, keys)
+    crypto.check_signature_bits(keys.scheme_id, params.lambda_sig)
     if seed is None:
         seed = model.seed
     root = SamplerState(seed)

@@ -240,27 +240,3 @@ def gen_model(
     if n_chars < 1:
         raise ParameterError("n_chars must be >= 1")
     return sample_min_chars(model, n_chars, prompt, context, rng)[:n_chars]
-
-
-def min_entropy_per_block(model: ModelHandle, ell: int) -> float:
-    """Analytic per-block min-entropy in bits (mock kinds only).
-
-    For the scripted mock this is the minimum over its ell-char blocks,
-    counting log2(|alphabet|) bits for each non-forced position.
-    """
-    if ell < 1:
-        raise ParameterError("ell must be positive")
-    per_char = math.log2(len(model.alphabet))
-    if model.kind == "uniform-mock":
-        return ell * per_char
-    if model.kind == "scripted-mock":
-        forced = _script_forced_map(model.script)
-        if not forced:
-            return ell * per_char
-        worst = math.inf
-        for start in range(0, len(forced), ell):
-            block = forced[start : start + ell]
-            free = sum(1 for c in block if c is None) + (ell - len(block))
-            worst = min(worst, free * per_char)
-        return worst
-    raise ParameterError("min-entropy is analytic for mock kinds only")

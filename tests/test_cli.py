@@ -330,7 +330,20 @@ class TestPublicEnvelope:
     def test_detection_params_reconstruction(self, keypair):
         _, pk = keypair
         env = PublicEnvelope.from_json_dict(json.loads(pk.read_text()))
-        params = env.to_params()
-        assert params.gadget_chars == params.n
-        assert params.gamma_max == 2
-        assert params.lambda_c == 360
+        assert env.layout == load_profile("compact-328").layout
+        assert env.keys.signing_key is None
+
+    def test_rejects_ecc_block_that_disagrees_with_layout(self, tmp_path, capsys, keypair):
+        # compact-328's 360-bit codeword carries 4 parity symbols (t=2); an
+        # envelope claiming t=1 must not be detected with the derived code.
+        _, pk = keypair
+        doc = json.loads(pk.read_text())
+        doc["params"]["ecc"].update(parity_symbols=2, t_correctable=1)
+        with pytest.raises(ParameterError):
+            PublicEnvelope.from_json_dict(doc)
+        bad = tmp_path / "bad-pk.json"
+        bad.write_text(json.dumps(doc))
+        text = tmp_path / "text.txt"
+        text.write_text("irrelevant")
+        code, _, err = run(capsys, "detect", "--public", str(bad), str(text))
+        assert code == 2 and "ecc" in err

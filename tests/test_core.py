@@ -7,6 +7,7 @@ from pdws.core import (
     BitString,
     BlockRecord,
     EmbedTranscript,
+    Layout,
     ParameterError,
     WatermarkParams,
     chunk,
@@ -102,6 +103,29 @@ class TestBitString:
         assert a ^ b == b ^ a
 
 
+class TestLayout:
+    def test_default_geometry(self):
+        layout = Layout()
+        assert (layout.ell, layout.beta) == (16, 2)
+        assert (layout.lambda_sig, layout.lambda_c) == (328, 360)
+        assert layout.n_blocks == 180
+        assert layout.gadget_chars == 2896
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"beta": 3},
+            {"beta": 16},
+            {"lambda_c": 361},  # beta=2 does not divide
+            {"lambda_c": 320},  # shorter than lambda_sig
+            {"ell": 0},
+        ],
+    )
+    def test_rejects_bad_values(self, kwargs):
+        with pytest.raises(ParameterError):
+            Layout(**kwargs)
+
+
 class TestWatermarkParams:
     def test_default_layout(self):
         p = WatermarkParams()
@@ -109,11 +133,12 @@ class TestWatermarkParams:
         assert (p.n, p.lambda_sig, p.lambda_c) == (2896, 328, 360)
         assert p.n_blocks == 180
         assert p.gadget_chars == 2896
-        assert p.gadget_fits
+        assert p.layout == Layout()
 
     @pytest.mark.parametrize(
         "kwargs",
         [
+            # Layout's cases too: the subclass must still run Layout's checks.
             {"beta": 3},
             {"beta": 16},
             {"lambda_c": 361},  # beta=2 does not divide
@@ -157,18 +182,6 @@ class TestWatermarkParams:
         d["ecc"]["t_correctable"] = 4
         with pytest.raises(ParameterError):
             WatermarkParams.from_json_dict(d)
-
-    def test_for_signature_bits(self):
-        p = WatermarkParams.for_signature_bits(328)
-        assert (p.lambda_sig, p.lambda_c) == (328, 360)
-        p0 = WatermarkParams.for_signature_bits(328, gamma_max=0)
-        assert (p0.lambda_sig, p0.lambda_c) == (328, 328)
-        pe = WatermarkParams.for_signature_bits(512)
-        assert (pe.lambda_sig, pe.lambda_c) == (512, 544)
-
-    def test_soft_fit(self):
-        p = WatermarkParams(n=100)
-        assert not p.gadget_fits
 
 
 class TestTranscript:

@@ -13,7 +13,7 @@ import hashlib
 import pytest
 
 from pdws.cli import load_profile
-from pdws.core import WatermarkParams
+from pdws.core import Layout, WatermarkParams
 from pdws.detector import detect, detect_all
 from pdws.embedder import tile_compress, watermark
 from pdws.model import ModelHandle
@@ -83,13 +83,18 @@ def test_remote_multichar_tile_compress(schnorr_keys, suite, multichar_endpoint)
     assert _digest(text) == "4d4db230e2fe049f8ea26727fada30d3cd1b2881dbed9c02ec09e41d675dad1e"
 
 
-def test_detection_on_padded_tiled_document(schnorr_keys, suite):
+@pytest.fixture(scope="module")
+def padded_tiled_document(schnorr_keys, suite):
     # Forced blocks make the tiled gadgets plant errors, so the hits carry
     # nonzero corrected_errors as well as offsets.
     params = load_profile("compact-328")
     model = make_blocked_script(params, {1, 2})
     tile = tile_compress(params, schnorr_keys, model, PROMPT, k_pairs=3, seed=3, suite=suite)
-    doc = "x" * 7 + tile + "y" * 11
+    return params, "x" * 7 + tile + "y" * 11
+
+
+def test_detection_on_padded_tiled_document(padded_tiled_document, schnorr_keys, suite):
+    params, doc = padded_tiled_document
     public = schnorr_keys.public_only()
 
     hits = detect_all(public, params, doc, suite=suite)
@@ -97,6 +102,16 @@ def test_detection_on_padded_tiled_document(schnorr_keys, suite):
     assert detect(public, params, doc, suite=suite) == hits[0]
     probed = [detect(public, params, doc, suite=suite, known_offset=h.offset) for h in hits]
     assert probed == hits
+
+
+def test_detection_from_layout_alone(padded_tiled_document, schnorr_keys, suite):
+    # A verifier holds no embed knobs: the bare Layout gives the same hits.
+    params, doc = padded_tiled_document
+    public = schnorr_keys.public_only()
+    layout = Layout(ell=16, beta=2, lambda_sig=328, lambda_c=360)
+    hits = detect_all(public, layout, doc, suite=suite)
+    assert len(hits) == 3 and hits == detect_all(public, params, doc, suite=suite)
+    assert detect(public, layout, doc, suite=suite) == hits[0]
 
 
 def test_multibyte_gadget_detected_after_surrogate(schnorr_keys, suite):

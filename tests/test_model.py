@@ -18,7 +18,6 @@ from pdws.model import (
     TokenDistribution,
     TransportError,
     gen_model,
-    min_entropy_per_block,
     next_distribution,
     sample_min_chars,
     sample_token,
@@ -225,31 +224,6 @@ class TestRemote:
         )
         with pytest.raises(TransportError):
             next_distribution(model, "p", "")
-
-
-class TestMinEntropy:
-    def test_uniform(self):
-        model = ModelHandle(kind="uniform-mock")
-        assert min_entropy_per_block(model, 16) == pytest.approx(96.0)
-
-    def test_four_char_alphabet(self):
-        model = ModelHandle(kind="uniform-mock", alphabet="ACGT")
-        assert min_entropy_per_block(model, 4) == pytest.approx(8.0)
-
-    def test_scripted_minimum_over_blocks(self):
-        model = ModelHandle(
-            kind="scripted-mock", script=(("free", 16), ("forced", "Q" * 16))
-        )
-        assert min_entropy_per_block(model, 16) == pytest.approx(0.0)
-        model2 = ModelHandle(
-            kind="scripted-mock", script=(("free", 8), ("forced", "QQQQQQQQ"))
-        )
-        assert min_entropy_per_block(model2, 16) == pytest.approx(48.0)
-
-    def test_remote_has_no_analytic_entropy(self):
-        model = ModelHandle(kind="remote", endpoint="http://x")
-        with pytest.raises(ParameterError):
-            min_entropy_per_block(model, 16)
 
 
 def test_import_pdws_does_not_load_requests():
