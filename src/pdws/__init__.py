@@ -5,9 +5,13 @@ over fixed-width character blocks, with a small error-correcting budget
 for blocks that refuse to cooperate. Anyone holding the public key and
 the layout parameters can scan a string and verify the claim; nobody can
 forge a positive without the signing key.
+
+The top level holds the protocol, the types it takes and returns, and the
+errors the command line maps to exit codes. Internals (the code profile,
+sampling, raw sign/verify) are imported from their submodules.
 """
 
-from .bench import BenchReport, BenchRun, expected_chars, run_bench
+from .bench import BenchReport, expected_chars, run_bench
 from .core import (
     BitString,
     BlockRecord,
@@ -15,55 +19,25 @@ from .core import (
     Layout,
     ParameterError,
     WatermarkParams,
-    chunk,
 )
-from .crypto import (
-    DEFAULT_SCHEME,
-    KeyMaterial,
-    KeyMaterialError,
-    OracleSuite,
-    available_schemes,
-    get_scheme,
-    h_bit,
-    h_mask,
-    h_sign,
-    keygen,
-    sign,
-    verify,
-)
+from .crypto import KeyMaterial, KeyMaterialError, OracleSuite, h_bit, keygen
 from .detector import DetectionResult, detect, detect_all
-from .ecc import EccProfile, decode, encode, symbol_distance
-from .embedder import (
-    EmbedFailure,
-    generate_message_signature_pair,
-    reject_sample_tokens,
-    tile_compress,
-    watermark,
-)
+from .embedder import EmbedFailure, tile_compress, watermark
 from .model import (
-    DEFAULT_ALPHABET,
     ModelHandle,
     ProtocolError,
     TokenDistribution,
     TransportError,
-    gen_model,
     next_distribution,
-    sample_min_chars,
-    sample_token,
 )
-from .rng import SamplerState
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BenchReport",
-    "BenchRun",
     "BitString",
     "BlockRecord",
-    "DEFAULT_ALPHABET",
-    "DEFAULT_SCHEME",
     "DetectionResult",
-    "EccProfile",
     "EmbedFailure",
     "EmbedTranscript",
     "KeyMaterial",
@@ -73,32 +47,16 @@ __all__ = [
     "OracleSuite",
     "ParameterError",
     "ProtocolError",
-    "SamplerState",
     "TokenDistribution",
     "TransportError",
     "WatermarkParams",
-    "available_schemes",
-    "chunk",
-    "decode",
     "detect",
     "detect_all",
-    "encode",
     "expected_chars",
-    "gen_model",
-    "generate_message_signature_pair",
-    "get_scheme",
     "h_bit",
-    "h_mask",
-    "h_sign",
     "keygen",
     "next_distribution",
-    "reject_sample_tokens",
     "run_bench",
-    "sample_min_chars",
-    "sample_token",
-    "sign",
-    "symbol_distance",
     "tile_compress",
-    "verify",
     "watermark",
 ]

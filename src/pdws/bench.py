@@ -14,7 +14,7 @@ import io
 import json
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .core import FORMAT_VERSION, ParameterError, WatermarkParams
@@ -64,19 +64,6 @@ class BenchRun:
             "gamma_used": self.gamma_used,
             "detected": int(self.detected),
         }
-
-
-_CSV_COLUMNS = (
-    "prompt_index",
-    "repeat",
-    "seed",
-    "failed",
-    "gen_seconds",
-    "detect_seconds",
-    "chars_sampled",
-    "gamma_used",
-    "detected",
-)
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -137,7 +124,7 @@ class BenchReport:
         import csv
 
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS)
+        writer = csv.DictWriter(buf, fieldnames=[f.name for f in fields(BenchRun)])
         writer.writeheader()
         for run in self.rows:
             writer.writerow(run.to_row())

@@ -111,9 +111,11 @@ class PublicEnvelope:
             p = d["params"]
             layout = Layout(**{f.name: int(p[f.name]) for f in dataclasses.fields(Layout)})
             ecc.EccProfile.for_layout(layout).check_stated(p["ecc"])
-            return cls(keys, layout, OracleSuite.from_json_dict(p["salts"]))
+            suite = OracleSuite.from_json_dict(p["salts"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError("malformed public envelope: %s" % exc) from exc
+        crypto.check_signature_bits(keys.scheme_id, layout.lambda_sig)
+        return cls(keys, layout, suite)
 
 
 def _secret_envelope_dict(
@@ -268,13 +270,18 @@ def cmd_detect(args) -> int:
     with open(args.public, "r", encoding="utf-8") as fh:
         envelope = PublicEnvelope.from_json_dict(json.load(fh))
     text = _read_input_text(args.input)
-    known = args.known_offset if not args.scan else None
+    gadget_chars = envelope.layout.gadget_chars
+    if args.known_offset is not None and not 0 <= args.known_offset <= len(text) - gadget_chars:
+        raise ParameterError(
+            "--known-offset %d: no %d-char gadget fits there in a %d-char text"
+            % (args.known_offset, gadget_chars, len(text))
+        )
     result = detect(
         envelope.keys,
         envelope.layout,
         text,
         suite=envelope.suite,
-        known_offset=known,
+        known_offset=args.known_offset,
     )
     sys.stdout.write(result.to_json())
     return 0 if result.detected else 1

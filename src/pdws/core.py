@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 
 class ParameterError(ValueError):
@@ -62,10 +62,6 @@ class BitString:
         return cls(0, 0)
 
     @classmethod
-    def zeros(cls, length: int) -> "BitString":
-        return cls(0, length)
-
-    @classmethod
     def from_bytes(cls, data: bytes, length: Optional[int] = None) -> "BitString":
         """First ``length`` bits of ``data``, MSB-first (default: all bits)."""
         nbits = 8 * len(data)
@@ -76,21 +72,12 @@ class BitString:
         value = int.from_bytes(data, "big") >> (nbits - length)
         return cls(value, length)
 
-    @classmethod
-    def from01(cls, bits: str) -> "BitString":
-        if bits and set(bits) - {"0", "1"}:
-            raise ParameterError("from01 expects only '0'/'1' characters")
-        return cls(int(bits, 2) if bits else 0, len(bits))
-
     # -- serialization --------------------------------------------------
 
     def to_bytes(self) -> bytes:
         """Pack MSB-first, zero-padding the final partial byte."""
         nbytes = (self.length + 7) // 8
         return (self.value << (8 * nbytes - self.length)).to_bytes(nbytes, "big")
-
-    def to01(self) -> str:
-        return format(self.value, "0%db" % self.length) if self.length else ""
 
     # -- element access -------------------------------------------------
 
@@ -111,9 +98,6 @@ class BitString:
         width = max(stop - start, 0)
         return BitString((self.value >> (self.length - stop)) & ((1 << width) - 1), width)
 
-    def __iter__(self) -> Iterator[int]:
-        return (self.bit(i) for i in range(self.length))
-
     # -- operations -----------------------------------------------------
 
     def __xor__(self, other: "BitString") -> "BitString":
@@ -127,15 +111,6 @@ class BitString:
         return BitString(
             (self.value << other.length) | other.value, self.length + other.length
         )
-
-    def __add__(self, other: "BitString") -> "BitString":
-        return self.concat(other)
-
-    def flip(self, i: int) -> "BitString":
-        """Copy with bit i inverted (test helper for corruption experiments)."""
-        if not 0 <= i < self.length:
-            raise IndexError("bit index out of range")
-        return BitString(self.value ^ (1 << (self.length - 1 - i)), self.length)
 
 
 def chunk(c: BitString, beta: int) -> tuple[BitString, ...]:

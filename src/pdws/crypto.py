@@ -1,11 +1,13 @@
 """Hash oracles and pluggable signature schemes.
 
 Three domain-separated oracles stand in for the protocol's random oracles:
-``h_sign`` (256-bit signing digest), ``h_mask`` (extendable-output one-time
-pad for the codeword) and ``h_bit`` (the beta-bit rejection hash). Every
-oracle input is framed with its domain tag and an optional public salt, so
-distinct roles can never collide and experiments can draw fresh oracles by
-re-salting.
+``OracleSuite.h_sign`` (256-bit signing digest), ``OracleSuite.h_mask``
+(extendable-output one-time pad for the codeword) and the beta-bit
+rejection hash, which the embedder and detector evaluate through
+``HashOracle.bit_value`` on a running state; the module-level ``h_bit`` is
+its one-shot form. Every oracle input is framed with its domain tag and an
+optional public salt, so distinct roles can never collide and experiments
+can draw fresh oracles by re-salting.
 
 Signature schemes live behind a small registry keyed by scheme_id:
 
@@ -18,7 +20,8 @@ Signature schemes live behind a small registry keyed by scheme_id:
   for deployments that prefer a standard scheme over the compact one.
 
 Both schemes sign deterministically; embedding relies on equal message,
-equal signature.
+equal signature. A key envelope is checked against its scheme on load, so
+a truncated or out-of-group public key is bad input, not a failed verify.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ __all__ = [
     "keygen",
     "sign",
     "verify",
-    "h_sign",
-    "h_mask",
     "h_bit",
     "get_scheme",
     "check_signature_bits",
@@ -87,13 +88,6 @@ class HashOracle:
         self.salt = salt
         self._prefix = bytes([len(domain_tag)]) + domain_tag + len(salt).to_bytes(4, "big") + salt
 
-    def digest256(self, data: bytes) -> bytes:
-        return hashlib.sha256(self._prefix + data).digest()
-
-    def xof(self, data: bytes, out_bits: int) -> BitString:
-        raw = hashlib.shake_256(self._prefix + data).digest((out_bits + 7) // 8)
-        return BitString.from_bytes(raw, out_bits)
-
     def running(self, data: bytes = b""):
         """A SHA-256 state that has absorbed the frame and data; extend it with update()."""
         return hashlib.sha256(self._prefix + data)
@@ -108,16 +102,6 @@ class HashOracle:
         h = self.running() if state is None else state.copy()
         h.update(data)
         return h.digest()[0] >> (8 - beta)
-
-
-def h_sign(data: bytes, salt: bytes = b"") -> BitString:
-    """256-bit signing digest, domain tag SIGN."""
-    return BitString.from_bytes(HashOracle(TAG_SIGN, salt).digest256(data), 256)
-
-
-def h_mask(data: bytes, out_bits: int, salt: bytes = b"") -> BitString:
-    """Exactly out_bits mask bits, domain tag MASK, extendable-output."""
-    return HashOracle(TAG_MASK, salt).xof(data, out_bits)
 
 
 def h_bit(data: bytes, beta: int, salt: bytes = b"") -> BitString:
@@ -144,13 +128,15 @@ class OracleSuite:
         return HashOracle(TAG_BIT, self.bit_salt)
 
     def h_sign(self, data: bytes) -> BitString:
-        return h_sign(data, self.sign_salt)
+        """256-bit signing digest, domain tag SIGN."""
+        digest = HashOracle(TAG_SIGN, self.sign_salt).running(data).digest()
+        return BitString.from_bytes(digest, 256)
 
     def h_mask(self, data: bytes, out_bits: int) -> BitString:
-        return h_mask(data, out_bits, self.mask_salt)
-
-    def h_bit(self, data: bytes, beta: int) -> BitString:
-        return h_bit(data, beta, self.bit_salt)
+        """Exactly out_bits mask bits, domain tag MASK, extendable-output."""
+        frame = HashOracle(TAG_MASK, self.mask_salt)._prefix
+        raw = hashlib.shake_256(frame + data).digest((out_bits + 7) // 8)
+        return BitString.from_bytes(raw, out_bits)
 
     def to_json_dict(self) -> dict:
         return {
@@ -199,6 +185,7 @@ class KeyMaterial:
         try:
             scheme_id = d["scheme_id"]
             public_key = bytes.fromhex(d["public_key"])
+            get_scheme(scheme_id).check_verify_key(public_key)
         except (KeyError, TypeError, ValueError) as exc:
             raise KeyMaterialError("malformed key envelope: %s" % exc) from exc
         secret = d.get("secret_key")
@@ -251,6 +238,14 @@ class SchnorrP1024:
             y.to_bytes(self._PK_LEN, "big"),
             x.to_bytes(self._SK_LEN, "big"),
         )
+
+    def check_verify_key(self, verify_key: bytes) -> None:
+        """Raise KeyMaterialError unless y is an element of the order-q subgroup."""
+        if len(verify_key) != self._PK_LEN:
+            raise KeyMaterialError("schnorr public key must be %d bytes" % self._PK_LEN)
+        y = int.from_bytes(verify_key, "big")
+        if not 1 < y < self.P or pow(y, self.Q, self.P) != 1:
+            raise KeyMaterialError("schnorr public key is not in the order-q subgroup")
 
     def _challenge(self, r_point: int, y: int, digest: bytes) -> int:
         raw = hashlib.shake_256(
@@ -312,6 +307,10 @@ class Ed25519Scheme:
             key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw),
             key.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption()),
         )
+
+    def check_verify_key(self, verify_key: bytes) -> None:
+        if len(verify_key) != 32:
+            raise KeyMaterialError("ed25519 public key must be 32 bytes")
 
     def sign(self, signing_key: bytes, digest: bytes) -> BitString:
         try:

@@ -34,7 +34,7 @@ from .core import (
     chunk,
 )
 from .crypto import KeyMaterial, OracleSuite
-from .model import ModelHandle, gen_model, sample_min_chars
+from .model import ModelHandle, sample_min_chars
 from .rng import SamplerState
 
 logger = logging.getLogger(__name__)
@@ -226,7 +226,7 @@ def watermark(
         gamma_total += gamma_used
 
     if len(text) < params.n:
-        text += gen_model(model, params.n - len(text), prompt, text, root.fork(k_fit))
+        text += sample_min_chars(model, params.n - len(text), prompt, text, root.fork(k_fit))
     text = text[: params.n]
 
     transcript = EmbedTranscript(params, seed, tuple(records), gamma_total)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import string
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -228,15 +228,3 @@ def sample_min_chars(
         context += tok
     return "".join(parts)
 
-
-def gen_model(
-    model: ModelHandle, n_chars: int, prompt: str, context: str, rng: SamplerState
-) -> str:
-    """Exactly n_chars characters by iterative multinomial sampling.
-
-    Each sampled token is appended to the context before the next query. A
-    final multi-character token is truncated to honor the exact length.
-    """
-    if n_chars < 1:
-        raise ParameterError("n_chars must be >= 1")
-    return sample_min_chars(model, n_chars, prompt, context, rng)[:n_chars]

@@ -5,18 +5,29 @@ Philox is a counter-based generator, so a state is fully determined by its
 states are forked by hashing the parent key together with integer labels;
 the embedder forks once per (gadget, block, attempt), which makes every
 candidate attempt reproducible and order-independent.
+
+numpy is imported on the first draw, not with the package: detection never
+samples, and the import is most of the cost of ``import pdws``. Generator
+and Philox still resolve as module attributes, and each new generator looks
+them up on the module, so a wrapper installed there is seen.
 """
 
 from __future__ import annotations
 
 import hashlib
-
-from numpy.random import Generator, Philox
-
-_U64 = (1 << 64) - 1
-
+import sys
 
 _KEY_MASK = (1 << 128) - 1
+
+
+def __getattr__(name: str):
+    if name in ("Generator", "Philox"):
+        import numpy.random
+
+        value = getattr(numpy.random, name)
+        globals()[name] = value
+        return value
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def _key_from_labels(root: int, labels: tuple[int, ...]) -> int:
@@ -40,10 +51,11 @@ class SamplerState:
         self._gen = None
 
     @property
-    def generator(self) -> Generator:
+    def generator(self):
         if self._gen is None:
             key = self.seed if not self._labels else _key_from_labels(self.seed, self._labels)
-            self._gen = Generator(Philox(key=key & _KEY_MASK))
+            module = sys.modules[__name__]
+            self._gen = module.Generator(module.Philox(key=key & _KEY_MASK))
         return self._gen
 
     def fork(self, *labels: int) -> "SamplerState":
@@ -56,9 +68,3 @@ class SamplerState:
 
     def random(self) -> float:
         return float(self.generator.random())
-
-    def randbelow(self, n: int) -> int:
-        return int(self.generator.integers(0, n))
-
-    def randbytes(self, n: int) -> bytes:
-        return self.generator.bytes(n)

@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from pdws.cli import PublicEnvelope, list_profiles, load_profile, main
-from pdws.core import ParameterError
+from pdws.core import Layout, ParameterError
 
 PROFILE_SCHEMES = [
     ("compact-328", "schnorr-p1024"),
@@ -347,3 +347,56 @@ class TestPublicEnvelope:
         text.write_text("irrelevant")
         code, _, err = run(capsys, "detect", "--public", str(bad), str(text))
         assert code == 2 and "ecc" in err
+
+
+def _unknown_scheme(doc):
+    doc["scheme_id"] = "schnorr-p2048"
+
+
+def _short_key(doc):
+    doc["public_key"] = doc["public_key"][:20]  # 10 bytes
+
+
+def _other_signature_length(doc):
+    # A valid layout whose gadget fits the text, for 320-bit signatures.
+    env = PublicEnvelope.from_json_dict(doc)
+    layout = Layout(ell=16, beta=2, lambda_sig=320, lambda_c=352)
+    doc.update(PublicEnvelope(env.keys, layout, env.suite).to_json_dict())
+
+
+class TestUnverifiableInputExitsTwo:
+    """Input that can never verify is bad input (2), not "not detected" (1)."""
+
+    @pytest.fixture()
+    def marked(self, tmp_path, capsys, keypair):
+        sk, pk = keypair
+        out = tmp_path / "wm.json"
+        code, _, err = run(
+            capsys, "watermark", "--key", str(sk), "--seed", "8", "--out", str(out)
+        )
+        assert code == 0, err
+        code, _, _ = run(capsys, "detect", "--public", str(pk), str(out))
+        assert code == 0
+        return pk, out
+
+    @pytest.mark.parametrize(
+        "breakage", [_unknown_scheme, _short_key, _other_signature_length]
+    )
+    def test_public_envelope(self, tmp_path, capsys, marked, breakage):
+        pk, out = marked
+        doc = json.loads(pk.read_text())
+        breakage(doc)
+        bad = tmp_path / "bad-pk.json"
+        bad.write_text(json.dumps(doc))
+        code, stdout, err = run(capsys, "detect", "--public", str(bad), str(out))
+        assert code == 2 and stdout == "" and "error" in err
+
+    @pytest.mark.parametrize("offset", ["-5", "1"])
+    def test_known_offset_where_no_gadget_fits(self, capsys, marked, offset):
+        pk, out = marked
+        code, stdout, err = run(
+            capsys, "detect", "--public", str(pk), str(out), "--known-offset", offset
+        )
+        assert code == 2 and stdout == "" and "--known-offset" in err
+        code, _, _ = run(capsys, "detect", "--public", str(pk), str(out), "--known-offset", "0")
+        assert code == 0

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pdws.core import BitString
@@ -6,48 +8,48 @@ from pdws.crypto import (
     KeyMaterial,
     KeyMaterialError,
     OracleSuite,
+    SchnorrP1024,
     available_schemes,
     get_scheme,
     h_bit,
-    h_mask,
-    h_sign,
     keygen,
     sign,
     verify,
 )
-from pdws.rng import SamplerState
+
+SUITE = OracleSuite()
 
 
 class TestOracles:
     # frozen against accidental changes to the domain-separation frame
     def test_h_sign_pinned_vectors(self):
         assert (
-            h_sign(b"").to_bytes().hex()
+            SUITE.h_sign(b"").to_bytes().hex()
             == "5d295db37d4c62d00bbe1a54c80fb1a0cf78a4620a09ad1eec56c8d6d700a916"
         )
         assert (
-            h_sign(b"abc", b"\x01\x02").to_bytes().hex()
+            OracleSuite(sign_salt=b"\x01\x02").h_sign(b"abc").to_bytes().hex()
             == "51870eb933f1684a5e1c316f61052bb13726ca2976d73f1edb5dc3266266f793"
         )
 
     def test_h_mask_pinned_vector_and_exact_length(self):
-        assert h_mask(b"abc", 12).to01() == "000000111011"
-        assert h_mask(b"abc", 360).length == 360
-        assert h_mask(b"abc", 7).length == 7
+        assert SUITE.h_mask(b"abc", 12) == BitString(0b000000111011, 12)
+        assert SUITE.h_mask(b"abc", 360).length == 360
+        assert SUITE.h_mask(b"abc", 7).length == 7
 
     def test_domain_separation(self):
         data = b"same input"
         outs = {
-            h_sign(data).to_bytes(),
-            h_mask(data, 256).to_bytes(),
+            SUITE.h_sign(data).to_bytes(),
+            SUITE.h_mask(data, 256).to_bytes(),
             h_bit(data, 8).to_bytes() + b"rest-differs",
         }
         assert len(outs) == 3
-        assert h_sign(data) != h_sign(data, b"salt")
+        assert SUITE.h_sign(data) != OracleSuite(sign_salt=b"salt").h_sign(data)
 
     def test_salt_changes_every_oracle(self):
         data = b"x"
-        assert h_mask(data, 64) != h_mask(data, 64, b"s")
+        assert SUITE.h_mask(data, 64) != OracleSuite(mask_salt=b"s").h_mask(data, 64)
         vals = [h_bit(bytes([v]), 8) for v in range(32)]
         salted = [h_bit(bytes([v]), 8, b"s") for v in range(32)]
         assert vals != salted
@@ -59,11 +61,6 @@ class TestOracles:
                 assert out.length == beta
         with pytest.raises(Exception):
             h_bit(b"x", 3)
-
-    def test_suite_h_bit_rejects_bad_beta_like_h_bit(self):
-        with pytest.raises(ValueError):
-            OracleSuite().h_bit(b"x", 3)
-        assert OracleSuite(bit_salt=b"s").h_bit(b"x", 4) == h_bit(b"x", 4, b"s")
 
     @pytest.mark.parametrize(
         "a, b, tail",
@@ -101,7 +98,7 @@ class TestOracles:
 class TestSchemes:
     def test_roundtrip_and_length(self, scheme_id):
         keys = keygen(b"seed-a", scheme_id=scheme_id)
-        digest = h_sign(b"hello world")
+        digest = SUITE.h_sign(b"hello world")
         sig = sign(keys, digest)
         assert sig.length == get_scheme(scheme_id).sig_bits
         assert verify(keys, digest, sig)
@@ -110,46 +107,47 @@ class TestSchemes:
         k1 = keygen(b"seed-b", scheme_id=scheme_id)
         k2 = keygen(b"seed-b", scheme_id=scheme_id)
         assert k1 == k2
-        digest = h_sign(b"msg")
+        digest = SUITE.h_sign(b"msg")
         assert sign(k1, digest) == sign(k2, digest)
         assert keygen(b"seed-c", scheme_id=scheme_id) != k1
 
     def test_wrong_message_rejected(self, scheme_id):
         keys = keygen(b"seed-d", scheme_id=scheme_id)
-        sig = sign(keys, h_sign(b"genuine"))
-        assert not verify(keys, h_sign(b"altered"), sig)
+        sig = sign(keys, SUITE.h_sign(b"genuine"))
+        assert not verify(keys, SUITE.h_sign(b"altered"), sig)
 
     def test_wrong_key_rejected(self, scheme_id):
         keys = keygen(b"seed-e", scheme_id=scheme_id)
         other = keygen(b"seed-f", scheme_id=scheme_id)
-        digest = h_sign(b"msg")
+        digest = SUITE.h_sign(b"msg")
         assert not verify(other, digest, sign(keys, digest))
 
     def test_bit_flips_rejected(self, scheme_id):
         keys = keygen(b"seed-g", scheme_id=scheme_id)
-        digest = h_sign(b"msg")
+        digest = SUITE.h_sign(b"msg")
         sig = sign(keys, digest)
         for i in (0, 1, sig.length // 2, sig.length - 1):
-            assert not verify(keys, digest, sig.flip(i))
+            flipped = BitString(sig.value ^ (1 << (sig.length - 1 - i)), sig.length)
+            assert not verify(keys, digest, flipped)
 
     def test_random_signatures_rejected(self, scheme_id):
         keys = keygen(b"seed-h", scheme_id=scheme_id)
-        digest = h_sign(b"msg")
+        digest = SUITE.h_sign(b"msg")
         bits = get_scheme(scheme_id).sig_bits
-        rng = SamplerState(17)
+        rng = random.Random(17)
         for _ in range(1000):
             cand = BitString.from_bytes(rng.randbytes((bits + 7) // 8), bits)
             assert not verify(keys, digest, cand)
 
     def test_verify_total_on_malformed_input(self, scheme_id):
         keys = keygen(b"seed-i", scheme_id=scheme_id)
-        digest = h_sign(b"msg")
-        assert not verify(keys, digest, BitString.zeros(8))
+        digest = SUITE.h_sign(b"msg")
+        assert not verify(keys, digest, BitString(0, 8))
         assert not verify(keys, digest, BitString.empty())
 
     def test_public_only_can_verify_but_not_sign(self, scheme_id):
         keys = keygen(b"seed-j", scheme_id=scheme_id)
-        digest = h_sign(b"msg")
+        digest = SUITE.h_sign(b"msg")
         sig = sign(keys, digest)
         pub = keys.public_only()
         assert not pub.has_secret
@@ -164,6 +162,26 @@ class TestSchemes:
         pub = KeyMaterial.from_json_dict(keys.to_json_dict(include_secret=False))
         assert pub == keys.public_only()
         assert "secret_key" not in keys.to_json_dict(include_secret=False)
+
+
+_P = SchnorrP1024.P
+
+
+@pytest.mark.parametrize(
+    "scheme_id, public_key",
+    [
+        ("schnorr-p1024", keygen(b"short").verify_key[:10]),
+        ("schnorr-p1024", (1).to_bytes(128, "big")),
+        ("schnorr-p1024", _P.to_bytes(128, "big")),
+        # order 2, so outside the order-q subgroup though 1 < y < P
+        ("schnorr-p1024", (_P - 1).to_bytes(128, "big")),
+        ("ed25519", bytes(31)),
+        ("rsa", bytes(128)),
+    ],
+)
+def test_key_envelope_rejects_keys_its_scheme_cannot_hold(scheme_id, public_key):
+    with pytest.raises(KeyMaterialError):
+        KeyMaterial.from_json_dict({"scheme_id": scheme_id, "public_key": public_key.hex()})
 
 
 def test_registry():

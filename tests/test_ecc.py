@@ -162,7 +162,7 @@ class TestBitLevel:
 
     def test_encode_rejects_wrong_length(self):
         with pytest.raises(ParameterError):
-            encode(BitString.zeros(327), PROFILE)
+            encode(BitString(0, 327), PROFILE)
 
     def test_decode_inverts_encode(self):
         rng = random.Random(30)

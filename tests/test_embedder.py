@@ -8,7 +8,7 @@ from pdws.core import (
     WatermarkParams,
     chunk,
 )
-from pdws.crypto import sign
+from pdws.crypto import h_bit, sign
 from pdws.ecc import EccProfile, encode
 from pdws.embedder import (
     EmbedFailure,
@@ -41,7 +41,7 @@ def replay_gadget(params, suite, keys, records):
     mismatches = 0
     for rec, target in zip(records[1:], targets):
         x = rec.text.encode("utf-8")
-        achieved = suite.h_bit(m_acc + x + c_prev.to_bytes(), params.beta)
+        achieved = h_bit(m_acc + x + c_prev.to_bytes(), params.beta, suite.bit_salt)
         if achieved == target:
             assert not rec.planted_error
         else:
@@ -49,7 +49,7 @@ def replay_gadget(params, suite, keys, records):
             assert rec.planted_error
             assert rec.best_hamming >= 1
         m_acc += x
-        c_prev = c_prev + achieved
+        c_prev = c_prev.concat(achieved)
     return mismatches, masked, c_prev
 
 
@@ -195,7 +195,7 @@ class TestRejectSampleTokens:
         assert not rec.planted_error
         assert rec.attempts >= 1
         assert c_prev == target
-        achieved = suite.h_bit(rec.text.encode(), params328.beta)
+        achieved = h_bit(rec.text.encode(), params328.beta, suite.bit_salt)
         assert achieved == target
 
     def test_wrong_chunk_width_rejected(self, params328, model64, suite):
@@ -232,7 +232,7 @@ class TestRejectSampleTokens:
             script=(("forced", "Z" * params328.ell),),
             script_cycle=True,
         )
-        achieved = suite.h_bit(("Z" * params328.ell).encode(), params328.beta)
+        achieved = h_bit(("Z" * params328.ell).encode(), params328.beta, suite.bit_salt)
         bad_target = BitString(achieved.value ^ 0b01, 2)
         text, m_acc, c_prev, rec = reject_sample_tokens(
             bad_target,
@@ -259,7 +259,7 @@ class TestRejectSampleTokens:
             script=(("forced", "Z" * params328.ell),),
             script_cycle=True,
         )
-        achieved = suite.h_bit(("Z" * params328.ell).encode(), params328.beta)
+        achieved = h_bit(("Z" * params328.ell).encode(), params328.beta, suite.bit_salt)
         bad_target = BitString(achieved.value ^ 0b11, 2)
         with pytest.raises(EmbedFailure) as info:
             reject_sample_tokens(
@@ -386,9 +386,9 @@ class TestMultiCharTokens:
         c_replay = BitString.empty()
         for j, target in enumerate(targets):
             window = text[j * params328.ell : (j + 1) * params328.ell]
-            achieved = suite.h_bit(
-                m_replay + window.encode() + c_replay.to_bytes(), params328.beta
+            achieved = h_bit(
+                m_replay + window.encode() + c_replay.to_bytes(), params328.beta, suite.bit_salt
             )
             assert achieved == target
             m_replay += window.encode()
-            c_replay = c_replay + achieved
+            c_replay = c_replay.concat(achieved)

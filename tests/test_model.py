@@ -10,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import pdws
+from pdws import WatermarkParams, keygen, watermark
 from pdws.core import ParameterError
 from pdws.model import (
     DEFAULT_ALPHABET,
@@ -17,7 +18,6 @@ from pdws.model import (
     ProtocolError,
     TokenDistribution,
     TransportError,
-    gen_model,
     next_distribution,
     sample_min_chars,
     sample_token,
@@ -127,7 +127,7 @@ class TestMocks:
     def test_uniform_covers_alphabet(self):
         model = ModelHandle(kind="uniform-mock", alphabet="xyz")
         rng = SamplerState(7)
-        seen = {gen_model(model, 1, "", "", rng.fork(i)) for i in range(300)}
+        seen = {sample_min_chars(model, 1, "", "", rng.fork(i)) for i in range(300)}
         assert seen == {"x", "y", "z"}
 
     def test_scripted_forced_and_free(self):
@@ -147,14 +147,6 @@ class TestMocks:
         )
         assert next_distribution(model, "", "abcd").tokens == ("Q",)
         assert next_distribution(model, "", "abcdefgh").tokens == ("Q",)
-
-    def test_gen_model_exact_length(self):
-        model = ModelHandle(kind="uniform-mock")
-        out = gen_model(model, 37, "p", "", SamplerState(8))
-        assert len(out) == 37
-        assert set(out) <= set(DEFAULT_ALPHABET)
-        with pytest.raises(ParameterError):
-            gen_model(model, 0, "p", "", SamplerState(8))
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -191,11 +183,11 @@ class TestRemote:
 
     def test_multi_char_tokens_fill_and_truncate(self, stub_server):
         model = ModelHandle(kind="remote", endpoint=stub_server + "/ok")
-        out = sample_min_chars(model, 7, "p", "", SamplerState(9))
+        out = sample_min_chars(model, 7, "p", "", SamplerState(9).fork(0))
         assert len(out) >= 7
-        exact = gen_model(model, 7, "p", "", SamplerState(9))
-        assert len(exact) == 7
-        assert out.startswith(exact)
+        # Below one gadget, watermark() is the same draw cut to exactly n.
+        exact, _ = watermark(WatermarkParams(n=7), keygen(b"t"), model, "p", seed=9)
+        assert out[:7] == exact
 
     def test_http_error_is_protocol_error(self, stub_server):
         model = ModelHandle(kind="remote", endpoint=stub_server + "/bad-status")

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import pdws
+from pdws import rng
 from pdws.rng import SamplerState
 
 
@@ -33,18 +39,6 @@ def test_fork_independent_of_parent_draws():
     assert draws(parent.fork(0)) == child_before
 
 
-def test_randbelow_bounds():
-    s = SamplerState(3)
-    vals = [s.randbelow(10) for _ in range(500)]
-    assert all(0 <= v < 10 for v in vals)
-    assert len(set(vals)) == 10
-
-
-def test_randbytes_length_and_determinism():
-    assert SamplerState(8).randbytes(16) == SamplerState(8).randbytes(16)
-    assert len(SamplerState(8).randbytes(5)) == 5
-
-
 def test_large_seed_accepted():
     draws(SamplerState(2**200).fork(1))
 
@@ -52,3 +46,28 @@ def test_large_seed_accepted():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         SamplerState(-1)
+
+
+def test_import_pdws_does_not_load_numpy():
+    # Detection never samples, so only the first draw pays for numpy.
+    src = os.path.dirname(os.path.dirname(pdws.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, pdws; assert 'numpy' not in sys.modules, 'numpy loaded'; "
+        "pdws.rng.SamplerState(1).random(); assert 'numpy' in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_generator_looks_up_philox_on_the_module(monkeypatch):
+    # A wrapper installed on rng.Philox (as a profiler does) sees every stream.
+    original = rng.Philox
+    keys = []
+
+    def counting(key):
+        keys.append(key)
+        return original(key=key)
+
+    monkeypatch.setattr(rng, "Philox", counting)
+    assert draws(SamplerState(4).fork(1)) == draws(SamplerState(4).fork(1))
+    assert len(keys) == 2 and keys[0] == keys[1]
