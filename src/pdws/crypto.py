@@ -21,11 +21,21 @@ Signature schemes live behind a small registry keyed by scheme_id:
 
 Both schemes sign deterministically; embedding relies on equal message,
 equal signature. A key envelope is checked against its scheme on load, so
-a truncated or out-of-group public key is bad input, not a failed verify.
+a truncated, out-of-group or off-curve public key is bad input, not a
+failed verify.
+
+A scan runs one verify at every offset whose decode succeeds, which is
+every offset under a bypass code such as ``gamma0-328``. Schnorr verify
+therefore evaluates both of its powers from fixed-base window tables: one
+for g, built on the first verify in the process, and one per public key y,
+built on the first verify under that key and kept for the last 8 keys.
+Each build costs about 11 ms; a power then takes about a fifth of
+``pow``. Signing and key checks run once per call and stay on ``pow``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -158,6 +168,35 @@ class OracleSuite:
 # Signature schemes
 # ---------------------------------------------------------------------------
 
+# Exponent bits per window-table row; each row holds 2^_WINDOW_BITS powers.
+_WINDOW_BITS = 6
+
+
+def _window_table(base: int, modulus: int, exponent_bits: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds base^(d * 2^(w*i)) mod modulus for every digit d < 2^w."""
+    rows = []
+    for _ in range(-(-exponent_bits // _WINDOW_BITS)):
+        row = [1]
+        for _ in range((1 << _WINDOW_BITS) - 1):
+            row.append(row[-1] * base % modulus)
+        rows.append(tuple(row))
+        base = row[-1] * base % modulus
+    return tuple(rows)
+
+
+def _table_pow(table: tuple[tuple[int, ...], ...], exponent: int, modulus: int) -> int:
+    """base^exponent mod modulus from _window_table(base, ...), one multiply per row."""
+    if exponent < 0 or exponent >> (_WINDOW_BITS * len(table)):
+        raise ValueError("exponent outside the table's range")
+    mask = (1 << _WINDOW_BITS) - 1
+    acc = 1
+    for row in table:
+        digit = exponent & mask
+        if digit:
+            acc = acc * row[digit] % modulus
+        exponent >>= _WINDOW_BITS
+    return acc
+
 
 @dataclass(frozen=True)
 class KeyMaterial:
@@ -286,8 +325,23 @@ class SchnorrP1024:
         if s >= self.Q:
             return False
         # R' = g^s * y^(-e); y has order q so reduce the exponent mod q.
-        r_point = pow(self.G, s, self.P) * pow(y, self.Q - e % self.Q, self.P) % self.P
+        r_point = (
+            _table_pow(_g_table(), s, self.P)
+            * _table_pow(_key_table(verify_key), self.Q - e % self.Q, self.P)
+            % self.P
+        )
         return self._challenge(r_point, y, digest) == e
+
+
+@functools.cache
+def _g_table() -> tuple[tuple[int, ...], ...]:
+    return _window_table(SchnorrP1024.G, SchnorrP1024.P, SchnorrP1024._HALF_BITS)
+
+
+@functools.lru_cache(maxsize=8)
+def _key_table(verify_key: bytes) -> tuple[tuple[int, ...], ...]:
+    y = int.from_bytes(verify_key, "big")
+    return _window_table(y, SchnorrP1024.P, SchnorrP1024._HALF_BITS)
 
 
 class Ed25519Scheme:
@@ -308,9 +362,22 @@ class Ed25519Scheme:
             key.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption()),
         )
 
+    _P = 2**255 - 19
+    _D = -121665 * pow(121666, -1, _P) % _P
+
     def check_verify_key(self, verify_key: bytes) -> None:
+        """Raise KeyMaterialError unless the key decodes to a point (RFC 8032 5.1.3)."""
         if len(verify_key) != 32:
             raise KeyMaterialError("ed25519 public key must be 32 bytes")
+        y = int.from_bytes(verify_key, "little")
+        x_sign, y = y >> 255, y & ((1 << 255) - 1)
+        if y >= self._P:
+            raise KeyMaterialError("ed25519 public key y is not below p")
+        x2 = (y * y - 1) * pow(self._D * y * y + 1, -1, self._P) % self._P
+        if x2 and pow(x2, (self._P - 1) // 2, self._P) != 1:
+            raise KeyMaterialError("ed25519 public key is not on the curve")
+        if not x2 and x_sign:
+            raise KeyMaterialError("ed25519 public key has x = 0 with the sign bit set")
 
     def sign(self, signing_key: bytes, digest: bytes) -> BitString:
         try:

@@ -4,8 +4,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import strategies as st
 
-from pdws import ModelHandle, OracleSuite, WatermarkParams, keygen
+from pdws import Layout, ModelHandle, OracleSuite, WatermarkParams, keygen
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +43,17 @@ def params_beta1():
 @pytest.fixture(scope="session")
 def params_gamma0():
     return WatermarkParams(gamma_max=0, lambda_c=328, a_max=64, n=2640)
+
+
+@st.composite
+def layouts(draw, lambda_sig=None):
+    """Valid Layouts: no code (lambda_c == lambda_sig) or RS with 2-16 parity bytes."""
+    beta = draw(st.sampled_from((1, 2, 4, 8)))
+    if lambda_sig is None:
+        lambda_sig = beta * draw(st.integers(1, 80))
+    parity = 2 * draw(st.integers(0, 8))
+    lambda_c = 8 * ((lambda_sig + 7) // 8 + parity) if parity else lambda_sig
+    return Layout(draw(st.integers(1, 64)), beta, lambda_sig, lambda_c)
 
 
 def make_blocked_script(params, forced_blocks, char="Q"):

@@ -4,9 +4,13 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pdws.cli import PublicEnvelope, list_profiles, load_profile, main
 from pdws.core import Layout, ParameterError
+from pdws.crypto import OracleSuite, available_schemes, get_scheme, keygen
+
+from conftest import layouts
 
 PROFILE_SCHEMES = [
     ("compact-328", "schnorr-p1024"),
@@ -313,12 +317,30 @@ class TestBenchCommand:
         assert json.loads(report.read_text())["runs"] >= 4
 
 
+ENVELOPE_KEYS = [
+    keygen(b"envelope-%d" % i, scheme_id=scheme).public_only()
+    for scheme in available_schemes()
+    for i in range(2)
+]
+
+
 class TestPublicEnvelope:
     def test_roundtrip(self, keypair):
         _, pk = keypair
         doc = json.loads(pk.read_text())
         env = PublicEnvelope.from_json_dict(doc)
         assert env.to_json_dict() == doc
+
+    @given(
+        keys=st.sampled_from(ENVELOPE_KEYS),
+        data=st.data(),
+        salts=st.lists(st.binary(max_size=8), min_size=3, max_size=3),
+    )
+    def test_json_roundtrip_property(self, keys, data, salts):
+        layout = data.draw(layouts(lambda_sig=get_scheme(keys.scheme_id).sig_bits))
+        env = PublicEnvelope(keys, layout, OracleSuite(*salts))
+        again = PublicEnvelope.from_json_dict(json.loads(json.dumps(env.to_json_dict())))
+        assert (again.keys, again.layout, again.suite) == (env.keys, env.layout, env.suite)
 
     def test_rejects_smuggled_secret(self, keypair):
         _, pk = keypair

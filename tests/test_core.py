@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -12,6 +13,9 @@ from pdws.core import (
     WatermarkParams,
     chunk,
 )
+from pdws.ecc import EccProfile
+
+from conftest import layouts
 
 bitstrings = st.integers(min_value=0, max_value=512).flatmap(
     lambda n: st.integers(min_value=0, max_value=(1 << n) - 1 if n else 0).map(
@@ -142,9 +146,21 @@ class TestWatermarkParams:
         with pytest.raises(ParameterError):
             WatermarkParams(**kwargs)
 
-    def test_json_roundtrip(self):
-        p = WatermarkParams(ell=32, n=5792, alpha=192.0)
+    @given(data=st.data(), layout=layouts())
+    def test_json_roundtrip(self, data, layout):
+        t = EccProfile.for_layout(layout).t_correctable
+        p = WatermarkParams(
+            *dataclasses.astuple(layout),
+            gamma_max=data.draw(st.integers(min(t, 1), t)),
+            a_max=data.draw(st.integers(1, 64)),
+            n=data.draw(st.integers(1, 10**6)),
+            alpha=data.draw(st.floats(1e-3, 1e3)),
+        )
+        assert WatermarkParams.from_json_dict(p.to_json_dict()) == p
         assert WatermarkParams.from_json(p.to_json()) == p
+        # as a bundled profile writes it, with the redundant ecc block
+        d = dict(p.to_json_dict(), ecc=EccProfile.for_params(p).to_json_dict())
+        assert WatermarkParams.from_json_dict(d) == p
 
     def test_json_rejects_unknown_and_missing_fields(self):
         d = WatermarkParams().to_json_dict()

@@ -9,6 +9,9 @@ from pdws.crypto import (
     KeyMaterialError,
     OracleSuite,
     SchnorrP1024,
+    _g_table,
+    _key_table,
+    _table_pow,
     available_schemes,
     get_scheme,
     h_bit,
@@ -176,12 +179,40 @@ _P = SchnorrP1024.P
         # order 2, so outside the order-q subgroup though 1 < y < P
         ("schnorr-p1024", (_P - 1).to_bytes(128, "big")),
         ("ed25519", bytes(31)),
+        # (y^2 - 1) / (d y^2 + 1) is not a square mod p for y = 2
+        ("ed25519", (2).to_bytes(32, "little")),
+        # y = p is a non-canonical encoding of y = 0
+        ("ed25519", (2**255 - 19).to_bytes(32, "little")),
         ("rsa", bytes(128)),
     ],
 )
 def test_key_envelope_rejects_keys_its_scheme_cannot_hold(scheme_id, public_key):
     with pytest.raises(KeyMaterialError):
         KeyMaterial.from_json_dict({"scheme_id": scheme_id, "public_key": public_key.hex()})
+
+
+@pytest.mark.parametrize("base", ["g", "y"])
+def test_table_pow_matches_pow(base):
+    P, Q = SchnorrP1024.P, SchnorrP1024.Q
+    if base == "g":
+        value, table = SchnorrP1024.G, _g_table()
+    else:
+        pub = KeyMaterial.from_json_dict(keygen(b"table").to_json_dict(include_secret=False))
+        value, table = int.from_bytes(pub.verify_key, "big"), _key_table(pub.verify_key)
+    rng = random.Random(5)
+    exponents = [0, 1, Q - 1, 2**164 - 1] + [rng.getrandbits(164) for _ in range(50)]
+    for x in exponents:
+        assert _table_pow(table, x, P) == pow(value, x, P)
+
+
+def test_verify_tables_follow_the_key():
+    a, b = keygen(b"key-a"), keygen(b"key-b")
+    digest = SUITE.h_sign(b"msg")
+    sig_a, sig_b = sign(a, digest), sign(b, digest)
+    for keys, own, other in ((a, sig_a, sig_b), (b, sig_b, sig_a), (a, sig_a, sig_b)):
+        pub = keys.public_only()
+        assert verify(pub, digest, own)
+        assert not verify(pub, digest, other)
 
 
 def test_registry():
