@@ -27,16 +27,18 @@ failed verify.
 A scan runs one verify at every offset whose decode succeeds, which is
 every offset under a bypass code such as ``gamma0-328``. Schnorr verify
 therefore evaluates both of its powers from fixed-base window tables: one
-for g, built on the first verify in the process, and one per public key y,
-built on the first verify under that key and kept for the last 8 keys.
-Each build costs about 11 ms; a power then takes about a fifth of
-``pow``. Signing and key checks run once per call and stay on ``pow``.
+for g and one per public key y, kept for the last 8 keys. Both are built
+on the second verify under a key, so a process that verifies once, such as
+``pdws detect --known-offset``, stays on ``pow``. Each build costs about
+11 ms; a power then takes about a fifth of ``pow``. Signing and key checks
+run once per call and stay on ``pow``.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -325,12 +327,19 @@ class SchnorrP1024:
         if s >= self.Q:
             return False
         # R' = g^s * y^(-e); y has order q so reduce the exponent mod q.
-        r_point = (
-            _table_pow(_g_table(), s, self.P)
-            * _table_pow(_key_table(verify_key), self.Q - e % self.Q, self.P)
-            % self.P
-        )
-        return self._challenge(r_point, y, digest) == e
+        t = self.Q - e % self.Q
+        if next(_verify_count(verify_key)):
+            g_s = _table_pow(_g_table(), s, self.P)
+            y_t = _table_pow(_key_table(verify_key), t, self.P)
+        else:
+            g_s, y_t = pow(self.G, s, self.P), pow(y, t, self.P)
+        return self._challenge(g_s * y_t % self.P, y, digest) == e
+
+
+@functools.lru_cache(maxsize=8)
+def _verify_count(verify_key: bytes) -> itertools.count:
+    """Counts a key's verifies from 0, so its tables wait for the second one."""
+    return itertools.count()
 
 
 @functools.cache

@@ -9,16 +9,26 @@ HTTP endpoint that serves top-k candidates with logprobs.
 
 Mock tokens are single characters so block boundaries land exactly;
 the embedder handles multi-character tokens from remote models.
+
+The remote adapter speaks HTTP through the standard library's http.client,
+imported on the first request: one plain connection per request, no proxy
+from the environment, no redirects, and the system CA store for https. A
+5xx reply is retried like a failed connection; any other status outside
+2xx is a protocol error. A span of n characters is sampled with n uniforms
+drawn in one call, which is enough because every token has at least one
+character.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import string
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
+from urllib.parse import urlsplit
 
 from .core import ParameterError
 from .rng import SamplerState
@@ -78,10 +88,10 @@ class TokenDistribution:
         return cached
 
 
-def sample_token(dist: TokenDistribution, rng: SamplerState) -> str:
-    """One multinomial draw."""
+def sample_token(dist: TokenDistribution, u: float) -> str:
+    """The token whose cumulative interval holds the uniform u in [0, 1)."""
     cum = dist.cumulative()
-    i = bisect_right(cum, rng.random())
+    i = bisect_right(cum, u)
     return dist.tokens[min(i, len(dist.tokens) - 1)]
 
 
@@ -111,8 +121,10 @@ class ModelHandle:
             raise ParameterError("mock models need a non-empty alphabet")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ParameterError("alphabet has duplicate characters")
-        if self.kind == "remote" and not self.endpoint:
-            raise ParameterError("remote model needs an endpoint")
+        if self.kind == "remote":
+            if not self.endpoint or not isinstance(self.endpoint, str):
+                raise ParameterError("remote model needs an endpoint URL")
+            _split_endpoint(self.endpoint)
         for seg in self.script:
             if len(seg) != 2 or seg[0] not in ("forced", "free"):
                 raise ParameterError("script segments are ('forced', text) or ('free', count)")
@@ -177,25 +189,57 @@ def next_distribution(model: ModelHandle, prompt: str, context: str) -> TokenDis
     return _remote_distribution(model, prompt, context)
 
 
-def _remote_distribution(model: ModelHandle, prompt: str, context: str) -> TokenDistribution:
-    import requests  # deferred: only the remote kind needs HTTP, and it is slow to import
+@lru_cache(maxsize=32)
+def _split_endpoint(endpoint: str) -> tuple[bool, str, int, str]:
+    """(https?, host, port, path) of an http or https URL; ParameterError otherwise."""
+    try:
+        parts = urlsplit(endpoint)
+        port = parts.port
+    except ValueError as exc:
+        raise ParameterError("bad model endpoint %r: %s" % (endpoint, exc)) from None
+    if parts.scheme not in ("http", "https") or not parts.hostname or port == 0:
+        raise ParameterError(
+            "model endpoint must be an http or https URL with a host, got %r" % endpoint
+        )
+    https = parts.scheme == "https"
+    path = (parts.path or "/") + ("?" + parts.query if parts.query else "")
+    if any(not "!" <= ch <= "~" for ch in path):
+        raise ParameterError("model endpoint path must be percent-encoded ASCII, got %r" % endpoint)
+    return https, parts.hostname, port or (443 if https else 80), path
 
-    payload = {"prompt": prompt, "context": context, "top_k": model.top_k}
-    last_exc: Optional[Exception] = None
+
+def _remote_distribution(model: ModelHandle, prompt: str, context: str) -> TokenDistribution:
+    import http.client  # deferred: only the remote kind speaks HTTP
+
+    https, host, port, path = _split_endpoint(model.endpoint)
+    connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
+    data = json.dumps({"prompt": prompt, "context": context, "top_k": model.top_k}).encode()
+    headers = {"Content-Type": "application/json"}
+    last_failure = ""
     for _ in range(model.retries + 1):
+        conn = connection(host, port, timeout=model.timeout_ms / 1000.0)
         try:
-            resp = requests.post(model.endpoint, json=payload, timeout=model.timeout_ms / 1000.0)
-            resp.raise_for_status()
-            body = resp.json()
+            conn.request("POST", path, data, headers)
+            resp = conn.getresponse()
+            raw = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            last_failure = str(exc) or type(exc).__name__
+            continue
+        finally:
+            conn.close()
+        if 200 <= resp.status < 300:
             break
-        except requests.exceptions.HTTPError as exc:
-            raise ProtocolError("endpoint returned HTTP %s" % exc.response.status_code) from exc
-        except ValueError as exc:
-            raise ProtocolError("endpoint response is not JSON") from exc
-        except requests.exceptions.RequestException as exc:
-            last_exc = exc
+        if resp.status < 500:
+            raise ProtocolError("endpoint returned HTTP %d" % resp.status)
+        last_failure = "HTTP %d" % resp.status
     else:
-        raise TransportError("endpoint unreachable after %d tries: %s" % (model.retries + 1, last_exc))
+        raise TransportError(
+            "endpoint unreachable after %d tries: %s" % (model.retries + 1, last_failure)
+        )
+    try:
+        body = json.loads(raw)
+    except ValueError as exc:
+        raise ProtocolError("endpoint response is not JSON") from exc
     try:
         candidates = body["candidates"]
         tokens = tuple(c["token"] for c in candidates)
@@ -218,13 +262,22 @@ def _remote_distribution(model: ModelHandle, prompt: str, context: str) -> Token
 def sample_min_chars(
     model: ModelHandle, min_chars: int, prompt: str, context: str, rng: SamplerState
 ) -> str:
-    """Sample whole tokens until at least min_chars characters accumulate."""
+    """Sample whole tokens until at least min_chars characters accumulate.
+
+    rng must be a fresh fork used for this call only: its first min_chars
+    uniforms are drawn at once, and those a multi-character token leaves
+    over are discarded.
+    """
+    if min_chars <= 0:
+        return ""
     parts: list[str] = []
     total = 0
-    while total < min_chars:
-        tok = sample_token(next_distribution(model, prompt, context), rng)
+    for u in rng.random(min_chars):
+        tok = sample_token(next_distribution(model, prompt, context), u)
         parts.append(tok)
         total += len(tok)
+        if total >= min_chars:
+            break
         context += tok
     return "".join(parts)
 

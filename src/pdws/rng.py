@@ -4,7 +4,9 @@ Philox is a counter-based generator, so a state is fully determined by its
 128-bit key, and independent streams come from independent keys. Child
 states are forked by hashing the parent key together with integer labels;
 the embedder forks once per (gadget, block, attempt), which makes every
-candidate attempt reproducible and order-independent.
+candidate attempt reproducible and order-independent. A fork's n uniforms
+come from one ``random(n)`` call; they are the values n scalar draws from
+the same stream would give.
 
 numpy is imported on the first draw, not with the package: detection never
 samples, and the import is most of the cost of ``import pdws``. Generator
@@ -66,5 +68,6 @@ class SamplerState:
         child._gen = None
         return child
 
-    def random(self) -> float:
-        return float(self.generator.random())
+    def random(self, n: int) -> list[float]:
+        """The stream's next n uniforms in [0, 1), from one draw call."""
+        return self.generator.random(n).tolist()

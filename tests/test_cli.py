@@ -277,6 +277,12 @@ class TestErrorPaths:
         )
         assert code == 0
 
+    def test_malformed_endpoint_env_exits_two(self, capsys, keypair, monkeypatch):
+        sk, _ = keypair
+        monkeypatch.setenv("PDWS_MODEL_ENDPOINT", "localhost:8000")
+        code, stdout, err = run(capsys, "watermark", "--key", str(sk), "--seed", "1")
+        assert code == 2 and stdout == "" and "endpoint" in err
+
 
 class TestShortOutput:
     def test_below_gadget_emits_plain_text(self, capsys, keypair):

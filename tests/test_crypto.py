@@ -12,6 +12,7 @@ from pdws.crypto import (
     _g_table,
     _key_table,
     _table_pow,
+    _verify_count,
     available_schemes,
     get_scheme,
     h_bit,
@@ -213,6 +214,21 @@ def test_verify_tables_follow_the_key():
         pub = keys.public_only()
         assert verify(pub, digest, own)
         assert not verify(pub, digest, other)
+
+
+def test_first_verify_under_a_key_builds_no_table():
+    # A one-shot verify pays two pows; tables come from a key's second verify.
+    secret = keygen(b"one-shot")
+    keys = secret.public_only()
+    digest = SUITE.h_sign(b"msg")
+    good, bad = sign(secret, digest), sign(keygen(b"other"), digest)
+    for sig, verdict in ((good, True), (bad, False)):
+        for cached in (_verify_count, _g_table, _key_table):
+            cached.cache_clear()
+        assert verify(keys, digest, sig) is verdict
+        assert _g_table.cache_info().currsize == _key_table.cache_info().currsize == 0
+        assert verify(keys, digest, sig) is verdict
+        assert _g_table.cache_info().currsize == _key_table.cache_info().currsize == 1
 
 
 def test_registry():

@@ -34,14 +34,31 @@ _BAD_LOGPROBS = {
 }
 
 
+# Routes that always answer with this HTTP error status.
+_ERROR_STATUS = {"/status-400": 400, "/status-500": 500}
+
+
 class _StubHandler(BaseHTTPRequestHandler):
-    """Serves multi-character candidates; /bad-* routes exercise failures."""
+    """Serves multi-character candidates; other routes exercise failures.
+
+    The server counts requests per path in server.hits.
+    """
 
     def do_POST(self):
+        self.server.hits[self.path] += 1
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
-        if self.path == "/bad-status":
-            self.send_error(500)
+        if self.path in _ERROR_STATUS:
+            self.send_error(_ERROR_STATUS[self.path])
+            return
+        if self.path == "/flaky-503" and self.server.hits[self.path] == 1:
+            self.send_error(503)
+            return
+        if self.path == "/redirect":
+            self.send_response(302)
+            self.send_header("Location", "/ok")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
             return
         if self.path == "/bad-json":
             self.send_response(200)
@@ -78,12 +95,19 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture(scope="module")
-def stub_server():
+def stub():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    server.hits = Counter()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield "http://127.0.0.1:%d" % server.server_port
+    yield server
     server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture()
+def stub_server(stub):
+    return "http://127.0.0.1:%d" % stub.server_port
 
 
 class TestTokenDistribution:
@@ -105,14 +129,17 @@ class TestTokenDistribution:
 
     def test_sample_deterministic(self):
         dist = TokenDistribution(("a", "b", "c"), (0.2, 0.3, 0.5))
-        first = [sample_token(dist, SamplerState(5).fork(i)) for i in range(20)]
-        second = [sample_token(dist, SamplerState(5).fork(i)) for i in range(20)]
+        first = [sample_token(dist, SamplerState(5).fork(i).random(1)[0]) for i in range(20)]
+        second = [sample_token(dist, SamplerState(5).fork(i).random(1)[0]) for i in range(20)]
         assert first == second
+        # Each token owns the interval [cum[i-1], cum[i]) of the uniform.
+        assert [sample_token(dist, u) for u in (0.0, 0.19, 0.2, 0.49, 0.5, 0.999)] == list(
+            "aabbcc"
+        )
 
     def test_sample_frequencies(self):
         dist = TokenDistribution(("a", "b"), (0.25, 0.75))
-        rng = SamplerState(6)
-        counts = Counter(sample_token(dist, rng) for _ in range(8000))
+        counts = Counter(sample_token(dist, u) for u in SamplerState(6).random(8000))
         # 5 sigma around 0.25 * 8000 = 2000, sigma ~ 38.7
         assert abs(counts["a"] - 2000) < 5 * 38.8
 
@@ -157,6 +184,13 @@ class TestMocks:
             ModelHandle(kind="remote")
         with pytest.raises(ParameterError):
             ModelHandle(kind="scripted-mock", script=(("maybe", "x"),))
+        for endpoint in (
+            "localhost:8000", "ftp://x/", "http://", "http://h:99999/", "http://h/a b", 5
+        ):
+            with pytest.raises(ParameterError, match="endpoint"):
+                ModelHandle(kind="remote", endpoint=endpoint)
+        for endpoint in ("http://127.0.0.1:9", "https://h.example/v1?k=1", "http://[::1]:80/"):
+            assert ModelHandle(kind="remote", endpoint=endpoint).endpoint == endpoint
 
     def test_json_roundtrip(self):
         model = ModelHandle(
@@ -190,9 +224,29 @@ class TestRemote:
         assert out[:7] == exact
 
     def test_http_error_is_protocol_error(self, stub_server):
-        model = ModelHandle(kind="remote", endpoint=stub_server + "/bad-status")
-        with pytest.raises(ProtocolError):
+        model = ModelHandle(kind="remote", endpoint=stub_server + "/status-400")
+        with pytest.raises(ProtocolError, match="HTTP 400"):
             next_distribution(model, "p", "")
+
+    def test_redirect_is_not_followed(self, stub, stub_server):
+        model = ModelHandle(kind="remote", endpoint=stub_server + "/redirect")
+        before = stub.hits["/ok"]
+        with pytest.raises(ProtocolError, match="HTTP 302"):
+            next_distribution(model, "p", "")
+        assert stub.hits["/ok"] == before
+
+    def test_server_error_is_retried_then_transport_error(self, stub, stub_server):
+        model = ModelHandle(kind="remote", endpoint=stub_server + "/status-500", retries=2)
+        before = stub.hits["/status-500"]
+        with pytest.raises(TransportError, match="HTTP 500"):
+            next_distribution(model, "p", "")
+        assert stub.hits["/status-500"] - before == model.retries + 1
+
+    def test_server_error_then_answer(self, stub, stub_server):
+        model = ModelHandle(kind="remote", endpoint=stub_server + "/flaky-503", retries=1)
+        dist = next_distribution(model, "p", "")
+        assert dist.tokens == ("ab", "c", "def", "gh")
+        assert stub.hits["/flaky-503"] == 2
 
     def test_non_json_is_protocol_error(self, stub_server):
         model = ModelHandle(kind="remote", endpoint=stub_server + "/bad-json")
@@ -223,5 +277,9 @@ def test_import_pdws_does_not_load_requests():
     # for importing the client.
     src = os.path.dirname(os.path.dirname(pdws.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, pdws; assert 'requests' not in sys.modules, 'requests loaded'"
+    code = (
+        "import sys, pdws; "
+        "assert 'requests' not in sys.modules, 'requests loaded'; "
+        "assert 'http.client' not in sys.modules, 'http.client loaded'"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -10,7 +10,7 @@ from pdws.rng import SamplerState
 
 
 def draws(state, k=8):
-    return [state.random() for _ in range(k)]
+    return state.random(k)
 
 
 def test_same_seed_same_stream():
@@ -34,9 +34,26 @@ def test_nested_fork_equals_flat_labels():
 def test_fork_independent_of_parent_draws():
     parent = SamplerState(5)
     child_before = draws(parent.fork(0))
-    parent.random()
-    parent.random()
+    parent.random(2)
     assert draws(parent.fork(0)) == child_before
+
+
+@pytest.mark.parametrize(
+    "seed, labels", [(0, ()), (7, (0,)), (42, (3, 1, 4)), (2**200, (1, 2**40))]
+)
+def test_random_n_is_a_prefix_of_the_stream(seed, labels):
+    # One random(n) call gives the first n values of any longer call and of
+    # n scalar draws on an equal fresh fork, so a span may draw all at once.
+    def fresh():
+        return SamplerState(seed).fork(*labels)
+
+    for n in (1, 2, 7, 40):
+        head = fresh().random(n)
+        for m in (n, n + 1, 64):
+            assert head == fresh().random(m)[:n]
+        gen = fresh().generator
+        assert head == [float(gen.random()) for _ in range(n)]
+        assert all(type(u) is float and 0 <= u < 1 for u in head)
 
 
 def test_large_seed_accepted():
@@ -54,7 +71,7 @@ def test_import_pdws_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, pdws; assert 'numpy' not in sys.modules, 'numpy loaded'; "
-        "pdws.rng.SamplerState(1).random(); assert 'numpy' in sys.modules"
+        "pdws.rng.SamplerState(1).random(1); assert 'numpy' in sys.modules"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
