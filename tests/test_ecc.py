@@ -106,6 +106,58 @@ def test_beyond_capacity_never_returns_original_quietly():
             assert count <= 2
 
 
+# -- bounded-distance decoding ------------------------------------------------
+# A bounded-distance decoder has exactly one correct answer for every word:
+# the unique codeword within t = nsym // 2 symbols, with its distance, or
+# None. On a code with one data byte the 256 codewords can be listed, so a
+# brute-force nearest-codeword search is the oracle.
+
+
+def hamming(a: bytes, b: bytes) -> int:
+    return sum(x != y for x, y in zip(a, b))
+
+
+def brute_force_decode(word: bytes, codewords: list):
+    t = (len(word) - 1) // 2  # one data byte: nsym = len(word) - 1
+    best = min(codewords, key=lambda cw: hamming(cw, word))
+    d = hamming(best, word)
+    return (best, d) if d <= t else None
+
+
+@pytest.mark.parametrize("nsym", [2, 4, 6])
+def test_short_codes_decode_to_the_unique_nearby_codeword(nsym):
+    codewords = [rs_encode_bytes(bytes([b]), nsym) for b in range(256)]
+    n = nsym + 1
+    rng = random.Random(40 + nsym)
+    words = [bytes(rng.randrange(256) for _ in range(n)) for _ in range(300)]
+    for _ in range(600):
+        cw = rng.choice(codewords)
+        k = rng.randrange(0, nsym // 2 + 3)
+        words.append(corrupt(cw, rng.sample(range(n), min(k, n)), rng))
+    outcomes = set()
+    for word in words:
+        expected = brute_force_decode(word, codewords)
+        assert rs_decode_bytes(word, nsym) == expected, word.hex()
+        outcomes.add(None if expected is None else expected[1])
+    # every outcome, from no error to beyond capacity, was exercised
+    assert outcomes == {None, *range(nsym // 2 + 1)}
+
+
+def test_real_code_decodes_within_capacity_and_never_beyond():
+    rng = random.Random(50)
+    for _ in range(300):
+        cw = rs_encode_bytes(bytes(rng.randrange(256) for _ in range(41)), 4)
+        k = rng.randrange(0, 5)
+        word = corrupt(cw, rng.sample(range(45), k), rng)
+        got = rs_decode_bytes(word, 4)
+        if k <= 2:
+            assert got == (cw, k)
+        elif got is not None:
+            corrected, count = got
+            assert rs_encode_bytes(corrected[:41], 4) == corrected
+            assert count == hamming(corrected, word) <= 2
+
+
 def test_rs_encode_rejects_oversized_blocks():
     with pytest.raises(ParameterError):
         rs_encode_bytes(bytes(252), 4)
