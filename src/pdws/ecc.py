@@ -6,6 +6,11 @@ bytes. Because the chunk width beta divides 8, one bad chunk touches exactly
 one symbol, so a planted-error budget of gamma_max <= t is always
 recoverable.
 
+The generator's roots are alpha^0 .. alpha^(2t-1). Decoding is one textbook
+pipeline: syndromes, Berlekamp-Massey, a Chien search for the error
+positions, Forney's formula for the error values, and a final syndrome check.
+It returns the unique codeword within t symbols of the word, or None.
+
 Decoding failure is a normal return value (None), never an exception: the
 caller treats any decode output as a candidate and relies on signature
 verification for the final word, so a miscorrection is harmless.
@@ -17,6 +22,7 @@ embedder's gamma_max must then be 0); encode is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .core import BitString, Layout, ParameterError, WatermarkParams
@@ -24,17 +30,15 @@ from .core import BitString, Layout, ParameterError, WatermarkParams
 _PRIM_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
 
 # log/antilog tables for the field generated by alpha = 2
-_EXP = [0] * 512
+_EXP = [0] * 510
 _LOG = [0] * 256
 _x = 1
 for _i in range(255):
-    _EXP[_i] = _x
+    _EXP[_i] = _EXP[_i + 255] = _x
     _LOG[_x] = _i
     _x <<= 1
     if _x & 0x100:
         _x ^= _PRIM_POLY
-for _i in range(255, 512):
-    _EXP[_i] = _EXP[_i - 255]
 
 
 def _mul(a: int, b: int) -> int:
@@ -49,46 +53,22 @@ def _inv(a: int) -> int:
     return _EXP[255 - _LOG[a]]
 
 
-def _poly_scale(p: list[int], s: int) -> list[int]:
-    return [_mul(c, s) for c in p]
-
-
-def _poly_add(p: list[int], q: list[int]) -> list[int]:
-    # coefficients ordered highest degree first; align on the right
-    out = [0] * max(len(p), len(q))
-    out[len(out) - len(p):] = p
-    for i, c in enumerate(q):
-        out[i + len(out) - len(q)] ^= c
-    return out
-
-
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] ^= _mul(a, b)
-    return out
-
-
-def _poly_eval(p: list[int], x: int) -> int:
-    y = p[0]
-    for c in p[1:]:
-        y = _mul(y, x) ^ c
+def _eval(poly: list[int], e: int) -> int:
+    """poly(alpha^e), coefficients lowest degree first."""
+    y = 0
+    for k, c in enumerate(poly):
+        if c:
+            y ^= _EXP[(_LOG[c] + k * e) % 255]
     return y
 
 
-_GEN_CACHE: dict[int, list[int]] = {}
-
-
+@cache
 def _generator_poly(nsym: int) -> list[int]:
-    """Product of (x - alpha^j) for j = 0..nsym-1."""
-    if nsym not in _GEN_CACHE:
-        g = [1]
-        for j in range(nsym):
-            g = _poly_mul(g, [1, _EXP[j]])
-        _GEN_CACHE[nsym] = g
-    return _GEN_CACHE[nsym]
+    """Product of (x - alpha^j) for j = 0..nsym-1, highest degree first."""
+    g = [1]
+    for j in range(nsym):
+        g = [a ^ _mul(b, _EXP[j]) for a, b in zip(g + [0], [0] + g)]
+    return g
 
 
 def rs_encode_bytes(data: bytes, nsym: int) -> bytes:
@@ -105,38 +85,43 @@ def rs_encode_bytes(data: bytes, nsym: int) -> bytes:
     return bytes(data) + bytes(buf[len(data):])
 
 
-def _syndromes(codeword: list[int], nsym: int) -> list[int]:
-    return [_poly_eval(codeword, _EXP[j]) for j in range(nsym)]
+def _syndromes(word: list[int], nsym: int) -> list[int]:
+    """word(alpha^j) for j = 0..nsym-1; word[0] is the highest coefficient."""
+    synd = []
+    for j in range(nsym):
+        s = 0
+        for c in word:
+            s = (_EXP[_LOG[s] + j] if s else 0) ^ c
+        synd.append(s)
+    return synd
 
 
-def _error_locator(synd: list[int], nsym: int) -> Optional[list[int]]:
-    """Berlekamp-Massey; returns the locator polynomial (highest degree first)."""
-    err_loc = [1]
-    old_loc = [1]
+def _berlekamp_massey(synd: list[int]) -> tuple[list[int], int]:
+    """Shortest LFSR generating synd: (locator lowest degree first, length)."""
+    nsym = len(synd)
+    loc = prev = [1] + [0] * nsym
+    length, shift, prev_delta = 0, 0, 1
     for i in range(nsym):
-        old_loc.append(0)
+        shift += 1
         delta = synd[i]
-        for j in range(1, len(err_loc)):
-            delta ^= _mul(err_loc[-(j + 1)], synd[i - j])
+        for k in range(1, length + 1):
+            delta ^= _mul(loc[k], synd[i - k])
         if delta:
-            if len(old_loc) > len(err_loc):
-                new_loc = _poly_scale(old_loc, delta)
-                old_loc = _poly_scale(err_loc, _inv(delta))
-                err_loc = new_loc
-            err_loc = _poly_add(err_loc, _poly_scale(old_loc, delta))
-    while err_loc and err_loc[0] == 0:
-        err_loc.pop(0)
-    if not err_loc or 2 * (len(err_loc) - 1) > nsym:
-        return None
-    return err_loc
+            scale = _mul(delta, _inv(prev_delta))
+            new = loc[:]
+            for k in range(nsym + 1 - shift):
+                new[k + shift] ^= _mul(scale, prev[k])
+            if 2 * length <= i:
+                prev, prev_delta, length, shift = loc, delta, i + 1 - length, 0
+            loc = new
+    return loc[: length + 1], length
 
 
 def rs_decode_bytes(received: bytes, nsym: int) -> Optional[tuple[bytes, int]]:
-    """Correct up to nsym/2 byte errors; (corrected codeword, #errors) or None.
+    """Correct up to nsym/2 byte errors: (corrected codeword, #errors) or None.
 
-    A received word too far from every codeword either fails one of the
-    internal consistency checks (None) or lands on a different codeword
-    (an undetectable miscorrection the caller must catch by verification).
+    A word beyond capacity gives None or the codeword nearest to it, which
+    was not the one sent (a miscorrection the caller must catch by verifying).
     """
     word = list(received)
     n = len(word)
@@ -145,52 +130,27 @@ def rs_decode_bytes(received: bytes, nsym: int) -> Optional[tuple[bytes, int]]:
     synd = _syndromes(word, nsym)
     if not any(synd):
         return bytes(received), 0
-    loc = _error_locator(synd, nsym)
-    if loc is None or len(loc) == 1:
+    loc, v = _berlekamp_massey(synd)
+    if 2 * v > nsym:
         return None
-    v = len(loc) - 1
-    # Chien search: a root at z = alpha^(-p) marks an error at degree p,
-    # i.e. byte index n-1-p.
-    positions = []
-    for p in range(n):
-        if _poly_eval(loc, _EXP[(255 - p % 255) % 255]) == 0:
-            positions.append(n - 1 - p)
-    if len(positions) != v:
+    # Chien search: byte index n-1-p holds the coefficient of x^p, and an
+    # error there is a root of the locator at alpha^(-p).
+    degrees = [p for p in range(n) if not _eval(loc, -p)]
+    if len(degrees) != v:
         return None
-    # Magnitudes from the first v syndrome equations:
-    #   S_j = sum_k Y_k * X_k^j  with  X_k = alpha^(n-1-i_k)
-    xs = [_EXP[(n - 1 - i) % 255] for i in positions]
-    mat = [[1] * v for _ in range(v)]
-    for j in range(1, v):
-        for k in range(v):
-            mat[j][k] = _mul(mat[j - 1][k], xs[k])
-    rhs = synd[:v]
-    mags = _solve_gf(mat, rhs)
-    if mags is None:
-        return None
-    for i, y in zip(positions, mags):
-        word[i] ^= y
+    # Forney with first consecutive root alpha^0: the error value at
+    # X = alpha^p is X * omega(1/X) / loc'(1/X), omega = synd * loc mod x^v.
+    omega = [0] * v
+    for i in range(v):
+        for k in range(i + 1):
+            omega[i] ^= _mul(loc[k], synd[i - k])
+    deriv = [loc[k] if k % 2 else 0 for k in range(1, v + 1)]
+    for p in degrees:
+        y = _mul(_mul(_EXP[p], _eval(omega, -p)), _inv(_eval(deriv, -p)))
+        word[n - 1 - p] ^= y
     if any(_syndromes(word, nsym)):
         return None
     return bytes(word), v
-
-
-def _solve_gf(mat: list[list[int]], rhs: list[int]) -> Optional[list[int]]:
-    """Gaussian elimination over GF(256) for a small square system."""
-    v = len(rhs)
-    aug = [row[:] + [b] for row, b in zip(mat, rhs)]
-    for col in range(v):
-        pivot = next((r for r in range(col, v) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = _inv(aug[col][col])
-        aug[col] = [_mul(c, inv_p) for c in aug[col]]
-        for r in range(v):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a ^ _mul(f, b) for a, b in zip(aug[r], aug[col])]
-    return [aug[r][v] for r in range(v)]
 
 
 @dataclass(frozen=True)
