@@ -218,6 +218,8 @@ def cmd_keygen(args) -> int:
 
     seed_bytes = None
     if args.seed is not None:
+        if not 0 <= args.seed < 1 << 64:
+            raise ParameterError("keygen --seed must be in [0, 2^64)")
         seed_bytes = args.seed.to_bytes(8, "big")
     keys = crypto.keygen(seed_bytes, scheme_id=args.scheme)
 

@@ -13,7 +13,7 @@ scalar values; all character counts index ``str`` positions, never bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 
@@ -22,19 +22,6 @@ class ParameterError(ValueError):
 
 
 FORMAT_VERSION = 1
-
-# JSON field names for a parameter profile. Anything else is rejected so a
-# typo'd knob can never silently fall back to a default.
-_PARAM_FIELDS = (
-    "ell",
-    "beta",
-    "gamma_max",
-    "a_max",
-    "n",
-    "lambda_sig",
-    "lambda_c",
-    "alpha",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,7 +179,7 @@ class WatermarkParams(Layout):
         return Layout(self.ell, self.beta, self.lambda_sig, self.lambda_c)
 
     def to_json_dict(self) -> dict:
-        d = {name: getattr(self, name) for name in _PARAM_FIELDS}
+        d = asdict(self)
         d["format_version"] = FORMAT_VERSION
         return d
 
@@ -203,15 +190,17 @@ class WatermarkParams(Layout):
     def from_json_dict(cls, d: dict) -> "WatermarkParams":
         if not isinstance(d, dict):
             raise ParameterError("parameter profile must be a JSON object")
-        known = set(_PARAM_FIELDS) | {"format_version", "ecc"}
-        unknown = set(d) - known
+        # Every field is required and nothing else is accepted, so a typo'd
+        # knob can never silently fall back to a default.
+        names = [f.name for f in fields(cls)]
+        unknown = set(d) - set(names) - {"format_version", "ecc"}
         if unknown:
             raise ParameterError("unknown parameter fields: %s" % ", ".join(sorted(unknown)))
-        missing = [name for name in _PARAM_FIELDS if name not in d]
+        missing = [name for name in names if name not in d]
         if missing:
             raise ParameterError("missing parameter fields: %s" % ", ".join(missing))
         try:
-            params = cls(**{name: d[name] for name in _PARAM_FIELDS})
+            params = cls(**{name: d[name] for name in names})
         except TypeError as exc:
             raise ParameterError(str(exc)) from exc
         if "ecc" in d:

@@ -25,7 +25,7 @@ import json
 import math
 import string
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Optional
 from urllib.parse import urlsplit
@@ -36,18 +36,6 @@ from .rng import SamplerState
 DEFAULT_ALPHABET = string.ascii_letters + string.digits + " ."  # 64 characters
 
 MODEL_KINDS = ("uniform-mock", "scripted-mock", "remote")
-
-_CONFIG_FIELDS = (
-    "kind",
-    "seed",
-    "alphabet",
-    "endpoint",
-    "script",
-    "script_cycle",
-    "top_k",
-    "timeout_ms",
-    "retries",
-)
 
 
 class TransportError(RuntimeError):
@@ -128,32 +116,30 @@ class ModelHandle:
         for seg in self.script:
             if len(seg) != 2 or seg[0] not in ("forced", "free"):
                 raise ParameterError("script segments are ('forced', text) or ('free', count)")
+        if self.top_k < 1 or self.timeout_ms < 1 or self.retries < 0:
+            raise ParameterError("need top_k >= 1, timeout_ms >= 1 and retries >= 0")
 
     def to_json_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "kind": self.kind,
-            "seed": self.seed,
-            "alphabet": self.alphabet,
-            "endpoint": self.endpoint,
-            "script": [list(seg) for seg in self.script],
-            "script_cycle": self.script_cycle,
-            "top_k": self.top_k,
-            "timeout_ms": self.timeout_ms,
-            "retries": self.retries,
-        }
+        d = asdict(self)
+        d["script"] = [list(seg) for seg in self.script]
+        d["format_version"] = 1
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelHandle":
-        unknown = set(d) - set(_CONFIG_FIELDS) - {"format_version"}
+        names = [f.name for f in fields(cls)]
+        unknown = set(d) - set(names) - {"format_version"}
         if unknown:
             raise ParameterError("unknown model config fields: %s" % ", ".join(sorted(unknown)))
         if "kind" not in d:
             raise ParameterError("model config needs a kind")
-        kwargs = {k: d[k] for k in _CONFIG_FIELDS if k in d and d[k] is not None}
-        if "script" in kwargs:
-            kwargs["script"] = tuple((seg[0], seg[1]) for seg in kwargs["script"])
-        return cls(**kwargs)
+        kwargs = {k: d[k] for k in names if k in d and d[k] is not None}
+        try:
+            if "script" in kwargs:
+                kwargs["script"] = tuple((seg[0], seg[1]) for seg in kwargs["script"])
+            return cls(**kwargs)
+        except (TypeError, IndexError) as exc:
+            raise ParameterError("malformed model config: %s" % exc) from exc
 
 
 @lru_cache(maxsize=32)

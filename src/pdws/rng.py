@@ -46,8 +46,8 @@ class SamplerState:
     __slots__ = ("seed", "_labels", "_gen")
 
     def __init__(self, seed: int, _labels: tuple[int, ...] = ()):
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= seed < 1 << 256:
+            raise ValueError("seed must be in [0, 2^256)")
         self.seed = seed
         self._labels = _labels
         self._gen = None

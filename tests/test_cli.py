@@ -1,14 +1,19 @@
+import ast
+import inspect
 import io
 import json
+import textwrap
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from pdws import cli
 from pdws.cli import PublicEnvelope, list_profiles, load_profile, main
 from pdws.core import Layout, ParameterError
-from pdws.crypto import OracleSuite, available_schemes, get_scheme, keygen
+from pdws.crypto import KeyMaterialError, OracleSuite, available_schemes, get_scheme, keygen
+from pdws.model import ProtocolError, TransportError
 
 from conftest import layouts
 
@@ -428,3 +433,93 @@ class TestUnverifiableInputExitsTwo:
         assert code == 2 and stdout == "" and "--known-offset" in err
         code, _, _ = run(capsys, "detect", "--public", str(pk), str(out), "--known-offset", "0")
         assert code == 0
+
+
+class TestOutOfRangeIntegersExitTwo:
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_keygen_seed_outside_64_bits(self, tmp_path, capsys, seed):
+        code, stdout, err = run(
+            capsys, "keygen", str(tmp_path / "s.json"), str(tmp_path / "p.json"),
+            "--seed", seed,
+        )
+        assert code == 2 and stdout == "" and "--seed" in err
+
+    def test_keygen_largest_seed(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "keygen", str(tmp_path / "s.json"), str(tmp_path / "p.json"),
+            "--seed", str(2**64 - 1),
+        )
+        assert code == 0, err
+
+    def test_watermark_seed_beyond_256_bits(self, capsys, keypair):
+        sk, _ = keypair
+        code, stdout, err = run(
+            capsys, "watermark", "--key", str(sk), "--n", "20", "--seed", str(2**256)
+        )
+        assert code == 2 and stdout == "" and "seed" in err
+
+    def test_zero_timeout(self, capsys, keypair):
+        sk, _ = keypair
+        code, stdout, err = run(
+            capsys, "watermark", "--key", str(sk), "--seed", "1", "--timeout-ms", "0"
+        )
+        assert code == 2 and stdout == "" and "timeout_ms" in err
+
+
+# Each exception class main catches, with the exit code the cli docstring
+# documents for it: 4 for the model endpoint, 2 for every other bad input.
+CAUGHT = [
+    (TransportError("x"), 4),
+    (ProtocolError("x"), 4),
+    (ParameterError("x"), 2),
+    (KeyMaterialError("x"), 2),
+    (OSError("x"), 2),
+    (json.JSONDecodeError("x", "{", 1), 2),
+    (KeyError("x"), 2),
+    (ValueError("x"), 2),
+]
+
+
+class TestExitCodes:
+    def test_table_lists_every_class_main_catches(self):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(main)))
+        caught = set()
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler):
+                names = getattr(handler.type, "elts", [handler.type])
+                caught |= {eval(ast.unparse(name), vars(cli)) for name in names}
+        assert caught == {type(exc) for exc, _ in CAUGHT}
+
+    @pytest.mark.parametrize("exc, code", CAUGHT, ids=[type(e).__name__ for e, _ in CAUGHT])
+    def test_caught_class_maps_to_documented_code(self, monkeypatch, capsys, exc, code):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_keygen", fail)
+        got, stdout, err = run(capsys, "keygen", "s.json", "p.json")
+        assert got == code and stdout == "" and err.startswith("error: ")
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """A key pair and a text whose gadget at 0 leaves 8 more offsets to probe."""
+        d = tmp_path_factory.mktemp("exit-codes")
+        sk, pk, marked = d / "sk.json", d / "pk.json", d / "marked.txt"
+        assert main(["keygen", str(sk), str(pk), "--seed", "1"]) == 0
+        wm = d / "wm.json"
+        assert main(["watermark", "--key", str(sk), "--seed", "8", "--out", str(wm)]) == 0
+        marked.write_text(json.loads(wm.read_text())["text"] + "x" * 8)
+        return d, sk, pk, marked
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(["keygen", "watermark", "detect"]), value=st.integers())
+    def test_integer_flags_exit_with_a_documented_code(self, files, command, value):
+        d, sk, pk, marked = files
+        argv = {
+            "keygen": ["keygen", str(d / "s.json"), str(d / "p.json"), "--seed"],
+            "watermark": ["watermark", "--key", str(sk), "--n", "20", "--out",
+                          str(d / "w.json"), "--seed"],
+            "detect": ["detect", "--public", str(pk), str(marked), "--known-offset"],
+        }[command]
+        code = main(argv + [str(value)])
+        assert code in (0, 1, 2, 3, 4)
+        assert code != 1 or command == "detect"

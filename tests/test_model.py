@@ -191,6 +191,10 @@ class TestMocks:
                 ModelHandle(kind="remote", endpoint=endpoint)
         for endpoint in ("http://127.0.0.1:9", "https://h.example/v1?k=1", "http://[::1]:80/"):
             assert ModelHandle(kind="remote", endpoint=endpoint).endpoint == endpoint
+        for bad in ({"top_k": 0}, {"top_k": -3}, {"timeout_ms": 0}, {"retries": -1}):
+            with pytest.raises(ParameterError):
+                ModelHandle(kind="remote", endpoint="http://127.0.0.1:9", **bad)
+        assert ModelHandle(kind="remote", endpoint="http://127.0.0.1:9", retries=0).retries == 0
 
     def test_json_roundtrip(self):
         model = ModelHandle(
@@ -201,6 +205,8 @@ class TestMocks:
             ModelHandle.from_json_dict({"kind": "uniform-mock", "temperature": 1.0})
         with pytest.raises(ParameterError):
             ModelHandle.from_json_dict({})
+        with pytest.raises(ParameterError):
+            ModelHandle.from_json_dict({"kind": "scripted-mock", "script": [[]]})
 
 
 class TestRemote:

@@ -65,6 +65,13 @@ def test_negative_seed_rejected():
         SamplerState(-1)
 
 
+def test_seed_beyond_256_bits_rejected():
+    # Forks pack the seed into 32 bytes.
+    draws(SamplerState(2**256 - 1).fork(1))
+    with pytest.raises(ValueError):
+        SamplerState(2**256)
+
+
 def test_import_pdws_does_not_load_numpy():
     # Detection never samples, so only the first draw pays for numpy.
     src = os.path.dirname(os.path.dirname(pdws.__file__))
