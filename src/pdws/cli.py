@@ -60,11 +60,19 @@ def list_profiles() -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
+def _read_json_object(path: str) -> dict:
+    """The JSON document in a file, which must be an object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ParameterError("%s holds JSON %s, not an object" % (path, type(d).__name__))
+    return d
+
+
 def load_profile(name_or_path: str) -> WatermarkParams:
     """Load parameters from a file path or a bundled profile name."""
     if os.path.exists(name_or_path):
-        with open(name_or_path, "r", encoding="utf-8") as fh:
-            return WatermarkParams.from_json_dict(json.load(fh))
+        return WatermarkParams.from_json_dict(_read_json_object(name_or_path))
     candidate = resources.files("pdws") / "profiles" / (name_or_path + ".json")
     if candidate.is_file():
         return WatermarkParams.from_json_dict(json.loads(candidate.read_text("utf-8")))
@@ -132,15 +140,16 @@ def _secret_envelope_dict(
 
 
 def _read_secret_envelope(path: str) -> tuple[KeyMaterial, WatermarkParams, OracleSuite]:
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+    d = _read_json_object(path)
     if d.get("kind") != SECRET_KIND:
         raise ParameterError("%s is not a secret key envelope" % path)
     keys = KeyMaterial.from_json_dict(d)
     if not keys.has_secret:
         raise KeyMaterialError("secret envelope lacks a signing key")
+    if "salts" not in d:
+        raise ParameterError("%s has no salts" % path)
     params = WatermarkParams.from_json_dict(d["params"])
-    suite = OracleSuite.from_json_dict(d.get("salts", {}))
+    suite = OracleSuite.from_json_dict(d["salts"])
     return keys, params, suite
 
 
@@ -167,8 +176,7 @@ def _load_model(args) -> ModelHandle:
         else:
             handle = ModelHandle(kind="uniform-mock")
     else:
-        with open(spec, "r", encoding="utf-8") as fh:
-            handle = ModelHandle.from_json_dict(json.load(fh))
+        handle = ModelHandle.from_json_dict(_read_json_object(spec))
         if endpoint_env and handle.kind == "remote":
             handle = dataclasses.replace(handle, endpoint=endpoint_env)
     if getattr(args, "top_k", None) is not None:
@@ -269,8 +277,7 @@ def cmd_watermark(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    with open(args.public, "r", encoding="utf-8") as fh:
-        envelope = PublicEnvelope.from_json_dict(json.load(fh))
+    envelope = PublicEnvelope.from_json_dict(_read_json_object(args.public))
     text = _read_input_text(args.input)
     gadget_chars = envelope.layout.gadget_chars
     if args.known_offset is not None and not 0 <= args.known_offset <= len(text) - gadget_chars:
@@ -362,15 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     dt = subs.add_parser("detect", help="scan text for a signature")
     dt.add_argument("--public", required=True, help="public envelope from keygen")
     dt.add_argument("input", help="text file, watermark output JSON, or '-'")
-    group = dt.add_mutually_exclusive_group()
-    group.add_argument(
-        "--scan", action="store_true", help="try every offset (the default)"
-    )
-    group.add_argument(
+    dt.add_argument(
         "--known-offset",
         type=int,
         default=None,
-        help="probe a single known gadget offset",
+        help="probe a single known gadget offset instead of scanning every offset",
     )
     dt.set_defaults(func=cmd_detect)
 

@@ -45,10 +45,6 @@ class BitString:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def empty(cls) -> "BitString":
-        return cls(0, 0)
-
-    @classmethod
     def from_bytes(cls, data: bytes, length: Optional[int] = None) -> "BitString":
         """First ``length`` bits of ``data``, MSB-first (default: all bits)."""
         nbits = 8 * len(data)

@@ -3,11 +3,12 @@
 Three domain-separated oracles stand in for the protocol's random oracles:
 ``OracleSuite.h_sign`` (256-bit signing digest), ``OracleSuite.h_mask``
 (extendable-output one-time pad for the codeword) and the beta-bit
-rejection hash, which the embedder and detector evaluate through
-``HashOracle.bit_value`` on a running state; the module-level ``h_bit`` is
-its one-shot form. Every oracle input is framed with its domain tag and an
-optional public salt, so distinct roles can never collide and experiments
-can draw fresh oracles by re-salting.
+rejection hash, which the embedder and detector evaluate only through a
+``BitChain``, one gadget's chain of ``HashOracle.bit_value`` calls on a
+running state; the module-level ``h_bit`` is its one-shot form. Every
+oracle input is framed with its domain tag and an optional public salt, so
+distinct roles can never collide and experiments can draw fresh oracles by
+re-salting.
 
 Signature schemes live behind a small registry keyed by scheme_id:
 
@@ -59,6 +60,7 @@ from .core import BitString, ParameterError
 
 __all__ = [
     "HashOracle",
+    "BitChain",
     "OracleSuite",
     "KeyMaterial",
     "KeyMaterialError",
@@ -116,6 +118,44 @@ class HashOracle:
         return h.digest()[0] >> (8 - beta)
 
 
+class BitChain:
+    """One gadget's chained rejection hash: block j hashes to h_bit(m || x || c_prev).
+
+    m is the blocks pushed so far, x the block and c_prev the chunk values
+    so far, packed MSB-first and zero-padded to a whole byte. One running
+    SHA-256 state absorbs the oracle frame and each pushed block once, and
+    a block's value hashes only the c_prev bytes on a copy of it, so a chain
+    of n blocks feeds SHA-256 about ell * n bytes plus the c_prev tails and
+    a detector scan costs time linear in the text length. The embedder
+    peeks at candidates and pushes the block it keeps; the detector pushes
+    every block it reads, so both compute the same values.
+    """
+
+    __slots__ = ("oracle", "beta", "value", "length", "_state", "_tail")
+
+    def __init__(self, oracle: HashOracle, beta: int):
+        self.oracle = oracle
+        self.beta = beta
+        self.value = 0  # the chunk values so far, length bits
+        self.length = 0
+        self._state = oracle.running()
+        self._tail = b""  # c_prev as bytes
+
+    def peek(self, window: bytes) -> int:
+        """The value window would take as the next block; the chain is unchanged."""
+        return self.oracle.bit_value(window + self._tail, self.beta, self._state)
+
+    def push(self, window: bytes) -> int:
+        """Absorb window as the next block, append its value and return it."""
+        self._state.update(window)
+        achieved = self.oracle.bit_value(self._tail, self.beta, self._state)
+        self.value = (self.value << self.beta) | achieved
+        self.length += self.beta
+        pad = -self.length % 8
+        self._tail = (self.value << pad).to_bytes((self.length + pad) // 8, "big")
+        return achieved
+
+
 def h_bit(data: bytes, beta: int, salt: bytes = b"") -> BitString:
     """beta-bit rejection hash, domain tag BIT."""
     if beta not in (1, 2, 4, 8):
@@ -159,6 +199,8 @@ class OracleSuite:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "OracleSuite":
+        if not isinstance(d, dict) or not all(isinstance(v, str) for v in d.values()):
+            raise ParameterError("salts must be a JSON object of hex strings")
         return cls(
             sign_salt=bytes.fromhex(d.get("sign", "")),
             mask_salt=bytes.fromhex(d.get("mask", "")),

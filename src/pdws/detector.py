@@ -9,13 +9,8 @@ recomputed; the concatenated values are unmasked with h_mask(msg),
 decoded by the error-correcting code, and the recovered signature is
 checked against h_sign(msg). Any planted block contributes a wrong
 chunk, which the code corrects up to its capacity t; the embedder's
-budget gamma_max never exceeds t.
-
-The chain keeps one running SHA-256 state over the oracle frame and the
-blocks read so far: each block is absorbed once and only the chunk
-accumulator is hashed, on a copy. An offset therefore feeds about
-ell * n_blocks bytes plus the accumulator tails to SHA-256, and a scan
-costs time linear in the text length.
+budget gamma_max never exceeds t. The chain is a crypto.BitChain, the
+same one the embedder sampled against.
 
 A forged text would need a valid signature on its own message block, so
 false positives reduce to signature forgery (or a hash collision on the
@@ -76,9 +71,6 @@ def _try_offset(
 ) -> Optional[DetectionResult]:
     """Attempt full recovery of a gadget starting at a character offset."""
     ell = layout.ell
-    beta = layout.beta
-    bit_oracle = suite.bit_oracle()
-
     msg_window = text[offset : offset + ell]
     try:
         msg_bytes = msg_window.encode("utf-8")
@@ -89,22 +81,10 @@ def _try_offset(
     except UnicodeEncodeError:
         # A lone surrogate: the embedder never emits one, so no gadget here.
         return None
-    m_state = bit_oracle.running()  # frame || the blocks read so far
-    c_val = 0
-    c_len = 0
+    chain = crypto.BitChain(suite.bit_oracle(), layout.beta)
     for window_bytes in blocks:
-        if c_len:
-            pad = (-c_len) % 8
-            c_bytes = (c_val << pad).to_bytes((c_len + pad) // 8, "big")
-        else:
-            c_bytes = b""
-        m_state.update(window_bytes)
-        achieved = bit_oracle.bit_value(c_bytes, beta, m_state)
-        c_val = (c_val << beta) | achieved
-        c_len += beta
-
-    received = BitString(c_val, c_len)
-    codeword = suite.h_mask(msg_bytes, layout.lambda_c) ^ received
+        chain.push(window_bytes)
+    codeword = suite.h_mask(msg_bytes, layout.lambda_c) ^ BitString(chain.value, chain.length)
     sigma = ecc.decode(codeword, profile)
     if sigma is None:
         return None

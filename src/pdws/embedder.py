@@ -9,11 +9,12 @@ the block until the chained hash h_bit(m || x || c_prev) equals the chunk.
 
 When a block refuses to match within a_max+1 fresh samples (low entropy,
 or plain bad luck), the best candidate by Hamming distance is planted
-instead and one unit of the per-gadget error budget gamma_max is spent;
-the decoder's error correction absorbs it. The accumulator c_prev always
-receives the hash value the planted block actually achieves, which is what
-a detector recomputing the chain will see, so a planted error stays
-confined to its own chunk instead of desynchronizing the rest.
+instead; the decoder's error correction absorbs it. The gadget loop owns
+the per-gadget error budget gamma_max: it counts the planted blocks and
+raises EmbedFailure past the budget. It also pushes every block it keeps
+into the gadget's crypto.BitChain, so c_prev carries what each block
+really hashes to, which is what a detector recomputing the chain will see,
+and a planted error stays confined to its own chunk.
 
 Blocks live at fixed character offsets. Multi-character tokens may overrun
 a block's window; the surplus is committed as the immutable prefix of the
@@ -57,40 +58,30 @@ class EmbedFailure(RuntimeError):
 def reject_sample_tokens(
     target_chunk: BitString,
     text: str,
-    m_acc: bytes,
-    c_prev: BitString,
+    chain: crypto.BitChain,
     params: WatermarkParams,
     model: ModelHandle,
     *,
-    suite: OracleSuite = OracleSuite(),
     prompt: str = "",
     window_start: int,
     rng: SamplerState,
-    gamma_available: bool = False,
-    gadget_index: int = 0,
-    block_index: int = 0,
-) -> tuple[str, bytes, BitString, BlockRecord]:
-    """Embed one chunk into the ell-char block at window_start.
+) -> tuple[str, bytes, int, BlockRecord]:
+    """Sample the ell-char block at window_start until it hashes to target_chunk.
 
-    Samples fresh candidate blocks (attempt a uses the forked stream
-    rng.fork(a), so evaluation order cannot change the outcome) until the
-    chained hash matches target_chunk. Characters of text already inside
-    the window are kept; only the rest is sampled. After a_max+1 misses the
-    minimal-Hamming candidate is planted if budget remains, preferring the
-    earliest attempt on ties. Returns the extended text, message
-    accumulator, chunk accumulator, and the block record.
+    Attempt a draws from the forked stream rng.fork(a), so evaluation order
+    cannot change the outcome. Characters of text already inside the window
+    are kept; only the rest is sampled. Candidates are only peeked, so the
+    chain is unchanged. After a_max+1 misses the minimal-Hamming candidate,
+    the earliest on ties, is returned marked planted. Returns the extended
+    text, the block's bytes, the value they hash to, and the block record.
     """
     if target_chunk.length != params.beta:
         raise ParameterError("chunk width %d != beta %d" % (target_chunk.length, params.beta))
     if window_start > len(text):
         raise ParameterError("block window starts beyond the text")
-    bit_oracle = suite.bit_oracle()
-    m_state = bit_oracle.running(m_acc)
-    c_prev_bytes = c_prev.to_bytes()
-    target = target_chunk.value
     window_end = window_start + params.ell
 
-    best = None  # (distance, attempt, full text, window bytes, achieved value)
+    best = None  # (distance, full text, window bytes, achieved value)
     for attempt in range(1, params.a_max + 2):
         cand = text
         if len(cand) < window_end:
@@ -98,26 +89,16 @@ def reject_sample_tokens(
                 model, window_end - len(cand), prompt, cand, rng.fork(attempt)
             )
         window_bytes = cand[window_start:window_end].encode("utf-8")
-        achieved = bit_oracle.bit_value(window_bytes + c_prev_bytes, params.beta, m_state)
-        if achieved == target:
-            record = BlockRecord(attempt, False, 0, cand[window_start:window_end])
-            return cand, m_acc + window_bytes, c_prev.concat(target_chunk), record
-        distance = (achieved ^ target).bit_count()
+        achieved = chain.peek(window_bytes)
+        distance = (achieved ^ target_chunk.value).bit_count()
         if best is None or distance < best[0]:
-            best = (distance, attempt, cand, window_bytes, achieved)
+            best = (distance, cand, window_bytes, achieved)
+        if not distance:
+            break
 
-    if not gamma_available:
-        raise EmbedFailure(gadget_index, block_index)
-    distance, _, cand, window_bytes, achieved = best
-    record = BlockRecord(params.a_max + 1, True, distance, cand[window_start:window_end])
-    return (
-        cand,
-        m_acc + window_bytes,
-        # The chain must carry what the block really hashes to, or every
-        # later block would inherit the mismatch.
-        c_prev.concat(BitString(achieved, params.beta)),
-        record,
-    )
+    distance, cand, window_bytes, achieved = best
+    record = BlockRecord(attempt, distance > 0, distance, cand[window_start:window_end])
+    return cand, window_bytes, achieved, record
 
 
 def generate_message_signature_pair(
@@ -131,14 +112,15 @@ def generate_message_signature_pair(
     rng: SamplerState,
     msg_start: int,
     gadget_index: int = 0,
-) -> tuple[str, list[BlockRecord], int]:
+) -> tuple[str, list[BlockRecord]]:
     """Extend the text by one complete gadget whose message block starts at msg_start.
 
     The ell-char message block is sampled natively unless the text already
     holds it, as it does for a tiled gadget. Then h_mask(msg) XOR
     encode(sign(sk, h_sign(msg))) is embedded chunk by chunk, signature
-    block j at msg_start + j*ell. Returns the extended text, all 1+n_blocks
-    block records, and gamma_used.
+    block j at msg_start + j*ell. Returns the extended text and all
+    1+n_blocks block records. Raises EmbedFailure(gadget_index, j) when
+    block j would plant more than gamma_max errors in this gadget.
     """
     crypto.check_signature_bits(keys.scheme_id, params.lambda_sig)
     msg_end = msg_start + params.ell
@@ -153,29 +135,25 @@ def generate_message_signature_pair(
     masked = suite.h_mask(msg_bytes, params.lambda_c) ^ ecc.encode(sigma, profile)
 
     records = [BlockRecord(1, False, 0, msg_window)]
-    m_acc = b""
-    c_prev = BitString.empty()
+    chain = crypto.BitChain(suite.bit_oracle(), params.beta)
     gamma_used = 0
     for j, target in enumerate(chunk(masked, params.beta), start=1):
-        text, m_acc, c_prev, rec = reject_sample_tokens(
+        text, window_bytes, _, rec = reject_sample_tokens(
             target,
             text,
-            m_acc,
-            c_prev,
+            chain,
             params,
             model,
-            suite=suite,
             prompt=prompt,
             window_start=msg_start + j * params.ell,
             rng=rng.fork(j),
-            gamma_available=gamma_used < params.gamma_max,
-            gadget_index=gadget_index,
-            block_index=j,
         )
+        gamma_used += rec.planted_error
+        if gamma_used > params.gamma_max:
+            raise EmbedFailure(gadget_index, j)
+        chain.push(window_bytes)
         records.append(rec)
-        if rec.planted_error:
-            gamma_used += 1
-    return text, records, gamma_used
+    return text, records
 
 
 def watermark(
@@ -209,9 +187,8 @@ def watermark(
 
     text = ""
     records: list[BlockRecord] = []
-    gamma_total = 0
     for g in range(k_fit):
-        text, recs, gamma_used = generate_message_signature_pair(
+        text, recs = generate_message_signature_pair(
             text,
             params,
             keys,
@@ -223,13 +200,13 @@ def watermark(
             gadget_index=g,
         )
         records.extend(recs)
-        gamma_total += gamma_used
 
     if len(text) < params.n:
         text += sample_min_chars(model, params.n - len(text), prompt, text, root.fork(k_fit))
     text = text[: params.n]
 
-    transcript = EmbedTranscript(params, seed, tuple(records), gamma_total)
+    gamma_used = sum(rec.planted_error for rec in records)
+    transcript = EmbedTranscript(params, seed, tuple(records), gamma_used)
     return text, transcript
 
 
@@ -260,7 +237,7 @@ def tile_compress(
     text = ""
     stride = params.gadget_chars - params.ell
     for j in range(k_pairs):
-        text, _, _ = generate_message_signature_pair(
+        text, _ = generate_message_signature_pair(
             text,
             params,
             keys,

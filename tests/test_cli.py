@@ -149,9 +149,7 @@ class TestDetectPaths:
         shifted = tmp_path / "shifted.txt"
         shifted.write_text("x" * 20 + text)
 
-        code, stdout, _ = run(
-            capsys, "detect", "--public", str(pk), str(shifted), "--scan"
-        )
+        code, stdout, _ = run(capsys, "detect", "--public", str(pk), str(shifted))
         assert code == 0 and json.loads(stdout)["offset"] == 20
 
         code, stdout, _ = run(
@@ -287,6 +285,38 @@ class TestErrorPaths:
         monkeypatch.setenv("PDWS_MODEL_ENDPOINT", "localhost:8000")
         code, stdout, err = run(capsys, "watermark", "--key", str(sk), "--seed", "1")
         assert code == 2 and stdout == "" and "endpoint" in err
+
+
+class TestMalformedDocumentsExitTwo:
+    """A JSON document, or its salts, that is not an object is bad input."""
+
+    @pytest.mark.parametrize(
+        "flag, document",
+        [
+            ("--model", lambda sk, pk: ["kind"]),
+            ("--key", lambda sk, pk: ["kind"]),
+            ("--public", lambda sk, pk: ["kind"]),
+            ("--key", lambda sk, pk: dict(sk, salts=[])),
+            ("--public", lambda sk, pk: dict(pk, params=dict(pk["params"], salts=[]))),
+            ("--key", lambda sk, pk: dict(sk, salts={"sign": 5})),
+            ("--key", lambda sk, pk: {k: v for k, v in sk.items() if k != "salts"}),
+        ],
+        ids=["model-list", "key-list", "public-list", "secret-salts-list",
+             "public-salts-list", "secret-salt-not-a-string", "secret-without-salts"],
+    )
+    def test_exits_two(self, tmp_path, capsys, keypair, flag, document):
+        sk, pk = keypair
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document(json.loads(sk.read_text()), json.loads(pk.read_text()))))
+        text = tmp_path / "text.txt"
+        text.write_text("irrelevant")
+        argv = {
+            "--model": ["watermark", "--key", str(sk), "--n", "20", "--model", str(bad)],
+            "--key": ["watermark", "--key", str(bad), "--n", "20"],
+            "--public": ["detect", "--public", str(bad), str(text)],
+        }[flag]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == "" and err.startswith("error: ")
 
 
 class TestShortOutput:

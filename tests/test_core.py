@@ -51,7 +51,7 @@ class TestBitString:
     def test_slicing(self):
         b = BitString(0b110010, 6)
         assert b[1:4] == BitString(0b100, 3)
-        assert b[:0] == BitString.empty()
+        assert b[:0] == BitString(0, 0)
         assert b[2:] == BitString(0b0010, 4)
         with pytest.raises(ParameterError):
             b[::2]
@@ -60,7 +60,7 @@ class TestBitString:
         a = BitString(0b11, 2)
         b = BitString(0b001, 3)
         assert a.concat(b) == BitString(0b11001, 5)
-        assert a.concat(BitString.empty()) == a
+        assert a.concat(BitString(0, 0)) == a
 
     def test_xor_requires_equal_length(self):
         with pytest.raises(ParameterError):
@@ -82,7 +82,7 @@ class TestBitString:
         else:
             parts = chunk(b, beta)
             assert all(p.length == beta for p in parts)
-            joined = BitString.empty()
+            joined = BitString(0, 0)
             for p in parts:
                 joined = joined.concat(p)
             assert joined == b

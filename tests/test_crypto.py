@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from pdws.core import BitString
+from pdws.core import BitString, ParameterError
 from pdws.crypto import (
     DEFAULT_SCHEME,
+    BitChain,
     KeyMaterial,
     KeyMaterialError,
     OracleSuite,
@@ -87,6 +88,24 @@ class TestOracles:
             assert oracle.bit_value(tail, beta, state) == whole
             assert h_bit(a + b + tail, beta, b"salt").value == whole
 
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
+    def test_bit_chain_matches_one_shot_h_bit(self, beta):
+        # Ten windows take c_prev past one byte even at beta 1.
+        windows = [b"", b"block", "äß中".encode(), "文😀".encode(), b"", b"x" * 40]
+        windows += [b"%d" % i for i in range(4)]
+        chain = BitChain(OracleSuite(bit_salt=b"salt").bit_oracle(), beta)
+        m, c_prev = b"", BitString(0, 0)
+        for window in windows:
+            value = h_bit(m + window + c_prev.to_bytes(), beta, b"salt")
+            other = "✅".encode() + window
+            assert chain.peek(other) == h_bit(m + other + c_prev.to_bytes(), beta, b"salt").value
+            assert chain.peek(window) == value.value
+            # peeking left the chain as it was
+            assert (chain.value, chain.length) == (c_prev.value, c_prev.length)
+            assert chain.push(window) == value.value
+            m, c_prev = m + window, c_prev.concat(value)
+            assert (chain.value, chain.length) == (c_prev.value, c_prev.length)
+
     def test_h_bit_balance(self):
         ones = sum(h_bit(b"%d" % i, 1).value for i in range(2000))
         assert abs(ones / 2000 - 0.5) < 0.05
@@ -96,6 +115,9 @@ class TestOracles:
         again = OracleSuite.from_json_dict(s.to_json_dict())
         assert again == s
         assert OracleSuite.from_json_dict({}) == OracleSuite()
+        for bad in (["00", "00", "00"], {"sign": 5}):
+            with pytest.raises(ParameterError):
+                OracleSuite.from_json_dict(bad)
 
 
 @pytest.mark.parametrize("scheme_id", ["schnorr-p1024", "ed25519"])
@@ -147,7 +169,7 @@ class TestSchemes:
         keys = keygen(b"seed-i", scheme_id=scheme_id)
         digest = SUITE.h_sign(b"msg")
         assert not verify(keys, digest, BitString(0, 8))
-        assert not verify(keys, digest, BitString.empty())
+        assert not verify(keys, digest, BitString(0, 0))
 
     def test_public_only_can_verify_but_not_sign(self, scheme_id):
         keys = keygen(b"seed-j", scheme_id=scheme_id)

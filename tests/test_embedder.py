@@ -8,7 +8,7 @@ from pdws.core import (
     WatermarkParams,
     chunk,
 )
-from pdws.crypto import h_bit, sign
+from pdws.crypto import BitChain, h_bit, sign
 from pdws.ecc import EccProfile, encode
 from pdws.embedder import (
     EmbedFailure,
@@ -23,34 +23,47 @@ from pdws.rng import SamplerState
 from conftest import make_blocked_script
 
 
-def replay_gadget(params, suite, keys, records):
-    """Recompute the chunk chain from a gadget's block records.
+def chain_replay(params, suite, keys, msg_text, block_texts):
+    """Hash blocks one-shot through h_bit(m || x || c_prev) against the gadget's targets.
 
-    Returns (mismatch_count, masked_codeword, reconstructed_chain) and
-    checks that mismatches happen exactly at planted blocks.
+    Returns (j, achieved, target) for every signature block j, 1-based.
     """
-    msg = records[0].text.encode("utf-8")
+    msg = msg_text.encode("utf-8")
     sigma = sign(keys, suite.h_sign(msg))
     profile = EccProfile.for_params(params)
     masked = suite.h_mask(msg, params.lambda_c) ^ encode(sigma, profile)
     targets = chunk(masked, params.beta)
-    assert len(records) == 1 + len(targets)
+    assert len(block_texts) == len(targets)
 
     m_acc = b""
-    c_prev = BitString.empty()
-    mismatches = 0
-    for rec, target in zip(records[1:], targets):
-        x = rec.text.encode("utf-8")
+    c_prev = BitString(0, 0)
+    out = []
+    for j, (text, target) in enumerate(zip(block_texts, targets), start=1):
+        x = text.encode("utf-8")
         achieved = h_bit(m_acc + x + c_prev.to_bytes(), params.beta, suite.bit_salt)
+        out.append((j, achieved, target))
+        m_acc += x
+        c_prev = c_prev.concat(achieved)
+    return out
+
+
+def replay_gadget(params, suite, keys, records):
+    """Recompute the chunk chain from a gadget's block records.
+
+    Returns the mismatch count and checks that mismatches happen exactly at
+    planted blocks.
+    """
+    blocks = records[1:]
+    replay = chain_replay(params, suite, keys, records[0].text, [b.text for b in blocks])
+    mismatches = 0
+    for rec, (_, achieved, target) in zip(blocks, replay):
         if achieved == target:
             assert not rec.planted_error
         else:
             mismatches += 1
             assert rec.planted_error
             assert rec.best_hamming >= 1
-        m_acc += x
-        c_prev = c_prev.concat(achieved)
-    return mismatches, masked, c_prev
+    return mismatches
 
 
 class TestWatermark:
@@ -82,7 +95,7 @@ class TestWatermark:
         self, params328, schnorr_keys, model64, suite
     ):
         text, tr = watermark(params328, schnorr_keys, model64, "p", seed=5, suite=suite)
-        mismatches, _, _ = replay_gadget(params328, suite, schnorr_keys, tr.blocks)
+        mismatches = replay_gadget(params328, suite, schnorr_keys, tr.blocks)
         assert mismatches == tr.gamma_used
         # transcript text is the gadget region of the output
         assert "".join(b.text for b in tr.blocks) == text[: params328.gadget_chars]
@@ -118,7 +131,7 @@ class TestWatermark:
         for seed in range(10):
             text, tr = watermark(params328, schnorr_keys, model, "p", seed=seed, suite=suite)
             assert tr.gamma_used <= 2
-            mismatches, _, _ = replay_gadget(params328, suite, schnorr_keys, tr.blocks)
+            mismatches = replay_gadget(params328, suite, schnorr_keys, tr.blocks)
             assert mismatches == tr.gamma_used
             result = detect(schnorr_keys, params328, text, suite=suite, known_offset=0)
             assert result.detected
@@ -177,53 +190,33 @@ class TestRejectSampleTokens:
     def test_accepted_block_satisfies_hash(self, params328, model64, suite):
         rng = SamplerState(11)
         target = BitString(0b10, 2)
-        text, m_acc, c_prev, rec = reject_sample_tokens(
-            target,
-            "",
-            b"",
-            BitString.empty(),
-            params328,
-            model64,
-            suite=suite,
-            window_start=0,
-            rng=rng,
-            gamma_available=True,
+        chain = BitChain(suite.bit_oracle(), params328.beta)
+        text, window, achieved, rec = reject_sample_tokens(
+            target, "", chain, params328, model64, window_start=0, rng=rng
         )
         assert text == rec.text
         assert len(text) == params328.ell
-        assert m_acc == rec.text.encode()
+        assert window == rec.text.encode()
         assert not rec.planted_error
         assert rec.attempts >= 1
-        assert c_prev == target
-        achieved = h_bit(rec.text.encode(), params328.beta, suite.bit_salt)
-        assert achieved == target
+        assert achieved == target.value
+        assert chain.length == 0  # candidates are only peeked
+        assert h_bit(window, params328.beta, suite.bit_salt) == target
 
     def test_wrong_chunk_width_rejected(self, params328, model64, suite):
+        chain = BitChain(suite.bit_oracle(), params328.beta)
         with pytest.raises(ParameterError):
             reject_sample_tokens(
-                BitString(0, 1),
-                "",
-                b"",
-                BitString.empty(),
-                params328,
-                model64,
-                suite=suite,
-                window_start=0,
-                rng=SamplerState(0),
+                BitString(0, 1), "", chain, params328, model64,
+                window_start=0, rng=SamplerState(0),
             )
 
     def test_window_beyond_text_rejected(self, params328, model64, suite):
+        chain = BitChain(suite.bit_oracle(), params328.beta)
         with pytest.raises(ParameterError):
             reject_sample_tokens(
-                BitString(0, 2),
-                "abc",
-                b"",
-                BitString.empty(),
-                params328,
-                model64,
-                suite=suite,
-                window_start=4,
-                rng=SamplerState(0),
+                BitString(0, 2), "abc", chain, params328, model64,
+                window_start=4, rng=SamplerState(0),
             )
 
     def test_forced_block_plants_with_achieved_chunk(self, params328, suite):
@@ -234,55 +227,23 @@ class TestRejectSampleTokens:
         )
         achieved = h_bit(("Z" * params328.ell).encode(), params328.beta, suite.bit_salt)
         bad_target = BitString(achieved.value ^ 0b01, 2)
-        text, m_acc, c_prev, rec = reject_sample_tokens(
-            bad_target,
-            "",
-            b"",
-            BitString.empty(),
-            params328,
-            model,
-            suite=suite,
-            window_start=0,
-            rng=SamplerState(12),
-            gamma_available=True,
+        chain = BitChain(suite.bit_oracle(), params328.beta)
+        text, window, value, rec = reject_sample_tokens(
+            bad_target, "", chain, params328, model, window_start=0, rng=SamplerState(12)
         )
         assert rec.planted_error
         assert rec.attempts == params328.a_max + 1
         assert rec.best_hamming == 1
         assert rec.text == "Z" * params328.ell
-        # the chain records what the block really hashes to
-        assert c_prev == achieved
-
-    def test_forced_block_without_budget_fails(self, params328, suite):
-        model = ModelHandle(
-            kind="scripted-mock",
-            script=(("forced", "Z" * params328.ell),),
-            script_cycle=True,
-        )
-        achieved = h_bit(("Z" * params328.ell).encode(), params328.beta, suite.bit_salt)
-        bad_target = BitString(achieved.value ^ 0b11, 2)
-        with pytest.raises(EmbedFailure) as info:
-            reject_sample_tokens(
-                bad_target,
-                "",
-                b"",
-                BitString.empty(),
-                params328,
-                model,
-                suite=suite,
-                window_start=0,
-                rng=SamplerState(13),
-                gamma_available=False,
-                gadget_index=4,
-                block_index=7,
-            )
-        assert (info.value.gadget_index, info.value.block_index) == (4, 7)
+        # the returned value is what the block really hashes to
+        assert value == achieved.value
+        assert chain.push(window) == achieved.value
 
 
 class TestGenerateMessageSignaturePair:
     def test_blocks_start_at_msg_start(self, params328, schnorr_keys, model64, suite):
         prefix = "x" * 32
-        text, records, gamma_used = generate_message_signature_pair(
+        text, records = generate_message_signature_pair(
             prefix,
             params328,
             schnorr_keys,
@@ -296,14 +257,14 @@ class TestGenerateMessageSignaturePair:
         assert len(text) == 32 + params328.gadget_chars
         assert len(records) == 1 + params328.n_blocks
         assert "".join(r.text for r in records) == text[32:]
-        mismatches, _, _ = replay_gadget(params328, suite, schnorr_keys, records)
-        assert mismatches == gamma_used
+        mismatches = replay_gadget(params328, suite, schnorr_keys, records)
+        assert mismatches == sum(r.planted_error for r in records)
 
     def test_message_block_already_present_is_kept(
         self, params328, schnorr_keys, model64, suite
     ):
         held = "m" * (params328.ell + 3)  # message block plus surplus characters
-        text, records, _ = generate_message_signature_pair(
+        text, records = generate_message_signature_pair(
             held,
             params328,
             schnorr_keys,
@@ -316,6 +277,32 @@ class TestGenerateMessageSignaturePair:
         assert records[0] == BlockRecord(1, False, 0, "m" * params328.ell)
         assert text.startswith(held)
         assert records[1].text.startswith("mmm")
+
+    def test_budget_exhausted_names_gadget_and_block(self, params328, schnorr_keys, suite):
+        forced = "Z" * params328.ell
+        model = ModelHandle(kind="scripted-mock", script=(("forced", forced),), script_cycle=True)
+        # Every block is forced, so the one-shot replay knows each miss in
+        # advance; the budget runs out at miss number gamma_max + 1.
+        replay = chain_replay(
+            params328, suite, schnorr_keys, forced, [forced] * params328.n_blocks
+        )
+        misses = [j for j, achieved, target in replay if achieved != target]
+        with pytest.raises(EmbedFailure) as info:
+            generate_message_signature_pair(
+                "",
+                params328,
+                schnorr_keys,
+                model,
+                suite=suite,
+                prompt="p",
+                rng=SamplerState(19),
+                msg_start=0,
+                gadget_index=4,
+            )
+        assert (info.value.gadget_index, info.value.block_index) == (
+            4,
+            misses[params328.gamma_max],
+        )
 
 
 class TestTiling:
@@ -352,8 +339,7 @@ class TestMultiCharTokens:
     def test_surplus_commits_into_next_block(self, params328, suite, multichar_endpoint):
         model = ModelHandle(kind="remote", endpoint=multichar_endpoint)
         text = ""
-        m_acc = b""
-        c_prev = BitString.empty()
+        chain = BitChain(suite.bit_oracle(), params328.beta)
         rng = SamplerState(16)
         targets = []
         for j in range(3):
@@ -362,19 +348,17 @@ class TestMultiCharTokens:
             target = BitString(j % 4, 2)
             window_start = j * params328.ell
             prefix_before = text
-            text, m_acc, c_prev, rec = reject_sample_tokens(
+            text, window, _, rec = reject_sample_tokens(
                 target,
                 text,
-                m_acc,
-                c_prev,
+                chain,
                 params328,
                 model,
-                suite=suite,
                 prompt="p",
                 window_start=window_start,
                 rng=rng.fork(j),
-                gamma_available=False,
             )
+            chain.push(window)
             targets.append(target)
             assert not rec.planted_error
             assert len(text) >= window_start + params328.ell
@@ -383,7 +367,7 @@ class TestMultiCharTokens:
 
         # detector-style replay over fixed character windows agrees
         m_replay = b""
-        c_replay = BitString.empty()
+        c_replay = BitString(0, 0)
         for j, target in enumerate(targets):
             window = text[j * params328.ell : (j + 1) * params328.ell]
             achieved = h_bit(
