@@ -2,8 +2,8 @@
 
 Every case runs the public pipeline on fixed keys, salts, seeds and models
 and compares a SHA-256 of the exact output (text, plus the transcript JSON
-where there is one) with a value recorded before the embedder and detector
-were restructured. A change that keeps the protocol's outputs passes these
+where there is one, or the key envelopes keygen writes) with a value
+recorded before the code that produces it was restructured. A change that keeps the protocol's outputs passes these
 unchanged; any change to a sampled character, a planted block, a transcript
 field or a detection offset fails here first.
 """
@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from pdws.cli import load_profile
+from pdws.cli import load_profile, main
 from pdws.core import Layout, WatermarkParams
 from pdws.detector import detect, detect_all
 from pdws.embedder import tile_compress, watermark
@@ -123,3 +123,42 @@ def test_multibyte_gadget_detected_after_surrogate(schnorr_keys, suite):
     doc = "ñ€😀" * 5 + "\ud800" + text + "中ü🔏" * 4
     hits = detect_all(schnorr_keys.public_only(), params, doc, suite=suite)
     assert [(h.offset, h.corrected_errors) for h in hits] == [(16, 0)]
+
+
+# (profile, salt seed) -> SHA-256 of the secret and public envelope bytes
+# that `pdws keygen --seed 9` writes; the public one carries the ecc block.
+KEYGEN_DIGESTS = {
+    ("compact-328", "aabb"): (
+        "61b130c0eef05712c580096eaf8520e7f7b5557875dfbcd6788d5156f3ca9a98",
+        "f1752c2d9da69bc6d3ad45fa9d200fdffc1648fbe553da9741abbb36c28ab7e5",
+    ),
+    ("ed25519-544", "aabb"): (
+        "1a3c7eb68483c7aac6a48a668dc3307f982714d5143b7df598b78ed593818f8d",
+        "357da11f98add5d3fb42ff360b23ab151e9bda86db73dfc391c117b700ed63c8",
+    ),
+    ("gamma0-328", "aabb"): (
+        "d85d6d6bf177260ed76051ee498a0d6cf6a36c36b1a5c49e7c33a003186325e9",
+        "310acb909609bb7a31174ea58e3e600a73ad4f56eb1e11faa2dafb4c7e47c52d",
+    ),
+    ("wide-32", "aabb"): (
+        "731f997e73947a40a16db214012dc00e9ec46d4d890b26bf4312b0897dd90e5d",
+        "26b768ce0adf933ab5793926b9f716796ad1261cfedab91beac082b5991b8720",
+    ),
+    ("wide-32", None): (
+        "8ae81f46e2bbd0fd403657061cafec3696b8e22fbd796c011209fca943cc3459",
+        "a30bb5f1d7e8f1dc6053791ccf51edc93940fbca12262cac9001481392d559fd",
+    ),
+}
+
+
+@pytest.mark.parametrize("profile, salt_seed", sorted(KEYGEN_DIGESTS, key=str))
+def test_keygen_envelopes(tmp_path, profile, salt_seed):
+    sk, pk = tmp_path / "sk.json", tmp_path / "pk.json"
+    argv = ["keygen", str(sk), str(pk), "--seed", "9", "--params", profile]
+    if profile.startswith("ed25519"):
+        argv += ["--scheme", "ed25519"]
+    if salt_seed is not None:
+        argv += ["--salt-seed", salt_seed]
+    assert main(argv) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (sk, pk))
+    assert digests == KEYGEN_DIGESTS[profile, salt_seed]
