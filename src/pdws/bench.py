@@ -80,21 +80,70 @@ def _p95(values: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class BenchReport:
-    params: WatermarkParams
-    runs: int
-    failures: int
-    mean_chars: float
-    mean_attempts_per_block: float
-    gen_seconds_mean: float
-    gen_seconds_p95: float
-    detect_seconds_mean: float
-    detect_seconds_p95: float
-    gamma_histogram: dict
-    rows: tuple
+    """The runs of one benchmark; every aggregate is computed from its rows.
 
-    def __post_init__(self):
-        if self.runs != sum(self.gamma_histogram.values()):
-            raise ParameterError("gamma histogram does not account for every run")
+    Failed runs count only in failures: the timings, mean_chars, the
+    attempt estimate and gamma_histogram cover the successful runs.
+    """
+
+    params: WatermarkParams
+    rows: tuple[BenchRun, ...]
+
+    @property
+    def _ok(self) -> list[BenchRun]:
+        return [run for run in self.rows if not run.failed]
+
+    @property
+    def runs(self) -> int:
+        return len(self._ok)
+
+    @property
+    def failures(self) -> int:
+        return len(self.rows) - self.runs
+
+    @property
+    def mean_chars(self) -> float:
+        return _mean([float(run.chars_sampled) for run in self._ok])
+
+    @property
+    def mean_attempts_per_block(self) -> float:
+        """Mean attempts over signature blocks only; message blocks always cost 1."""
+        params = self.params
+        k_fit = params.n // params.gadget_chars
+        sig_blocks = max(1, k_fit * params.n_blocks)
+        tail_chars = max(0, params.n - k_fit * params.gadget_chars)
+        return _mean(
+            [
+                (run.chars_sampled - tail_chars - k_fit * params.ell)
+                / params.ell
+                / sig_blocks
+                for run in self._ok
+            ]
+        )
+
+    @property
+    def gen_seconds_mean(self) -> float:
+        return _mean([run.gen_seconds for run in self._ok])
+
+    @property
+    def gen_seconds_p95(self) -> float:
+        return _p95([run.gen_seconds for run in self._ok])
+
+    @property
+    def detect_seconds_mean(self) -> float:
+        return _mean([run.detect_seconds for run in self._ok])
+
+    @property
+    def detect_seconds_p95(self) -> float:
+        return _p95([run.detect_seconds for run in self._ok])
+
+    @property
+    def gamma_histogram(self) -> dict[int, int]:
+        """Successful runs per planted-error count."""
+        histogram: dict[int, int] = {}
+        for run in self._ok:
+            histogram[run.gamma_used] = histogram.get(run.gamma_used, 0) + 1
+        return histogram
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,34 +241,4 @@ def run_bench(
                 )
             )
 
-    ok = [run for run in runs if not run.failed]
-    histogram: dict[int, int] = {}
-    for run in ok:
-        histogram[run.gamma_used] = histogram.get(run.gamma_used, 0) + 1
-
-    # mean attempts over signature blocks only; message blocks always cost 1
-    k_fit = params.n // params.gadget_chars
-    sig_blocks = max(1, k_fit * params.n_blocks)
-    tail_chars = max(0, params.n - k_fit * params.gadget_chars)
-    attempts_mean = _mean(
-        [
-            (run.chars_sampled - tail_chars - k_fit * params.ell)
-            / params.ell
-            / sig_blocks
-            for run in ok
-        ]
-    )
-
-    return BenchReport(
-        params=params,
-        runs=len(ok),
-        failures=len(runs) - len(ok),
-        mean_chars=_mean([float(run.chars_sampled) for run in ok]),
-        mean_attempts_per_block=attempts_mean,
-        gen_seconds_mean=_mean([run.gen_seconds for run in ok]),
-        gen_seconds_p95=_p95([run.gen_seconds for run in ok]),
-        detect_seconds_mean=_mean([run.detect_seconds for run in ok]),
-        detect_seconds_p95=_p95([run.detect_seconds for run in ok]),
-        gamma_histogram=histogram,
-        rows=tuple(runs),
-    )
+    return BenchReport(params=params, rows=tuple(runs))

@@ -117,7 +117,7 @@ class PublicEnvelope:
         keys = KeyMaterial.from_json_dict(d)
         try:
             p = d["params"]
-            layout = Layout(**{f.name: int(p[f.name]) for f in dataclasses.fields(Layout)})
+            layout = Layout(**{f.name: p[f.name] for f in dataclasses.fields(Layout)})
             ecc.EccProfile.for_layout(layout).check_stated(p["ecc"])
             suite = OracleSuite.from_json_dict(p["salts"])
         except (KeyError, TypeError, ValueError) as exc:

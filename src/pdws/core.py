@@ -3,7 +3,10 @@
 Everything here is an immutable value: fixed-length bit strings (the
 signature, codeword and chunk carriers), the gadget layout a verifier
 needs, the full parameter profile the embedder reads its knobs from, and
-the per-block transcript of an embedding run.
+the per-block transcript of an embedding run. Each stores only its
+independent fields; what follows from them (n_blocks, gadget_chars,
+gamma_used) is computed. Layout and parameter fields other than alpha must
+be ints, so a JSON 2.0 or true is rejected rather than read as 2 or 1.
 
 Bit order convention: bit 0 of a BitString is the most significant bit of
 byte 0, and serialization is big-endian throughout. Characters are unicode
@@ -103,6 +106,14 @@ def chunk(c: BitString, beta: int) -> tuple[BitString, ...]:
     return tuple(c[i : i + beta] for i in range(0, c.length, beta))
 
 
+def _require_ints(obj, *names: str) -> None:
+    """Reject a field that is not an int; bool, float and numeric strings too."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParameterError("%s must be an integer, got %r" % (name, value))
+
+
 @dataclass(frozen=True, slots=True)
 class Layout:
     """Gadget geometry: everything detection reads besides the key and salts.
@@ -120,6 +131,7 @@ class Layout:
     lambda_c: int = 360
 
     def __post_init__(self) -> None:
+        _require_ints(self, "ell", "beta", "lambda_sig", "lambda_c")
         if self.ell < 1:
             raise ParameterError("ell must be positive")
         if self.beta not in (1, 2, 4, 8):
@@ -160,6 +172,7 @@ class WatermarkParams(Layout):
     def __post_init__(self) -> None:
         # Zero-argument super() fails in slots dataclasses on Python 3.11.
         Layout.__post_init__(self)
+        _require_ints(self, "gamma_max", "a_max", "n")
         if self.gamma_max < 0:
             raise ParameterError("gamma_max must be non-negative")
         if self.a_max < 1:
@@ -223,65 +236,36 @@ class BlockRecord:
     best_hamming: int
     text: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "attempts": self.attempts,
-            "planted_error": self.planted_error,
-            "best_hamming": self.best_hamming,
-            "text": self.text,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BlockRecord":
-        return cls(
-            attempts=d["attempts"],
-            planted_error=d["planted_error"],
-            best_hamming=d["best_hamming"],
-            text=d["text"],
-        )
-
 
 @dataclass(frozen=True)
 class EmbedTranscript:
     """Complete record of an embedding run.
 
     blocks holds every gadget's message block followed by its signature
-    blocks, in output order. gamma_used is the total planted-error count
-    (the per-gadget budget gamma_max is enforced during embedding).
+    blocks, in output order. The per-gadget budget gamma_max is enforced
+    during embedding.
     """
 
     params: WatermarkParams
     seed: int
     blocks: tuple[BlockRecord, ...]
-    gamma_used: int
 
     def __post_init__(self) -> None:
-        planted = sum(1 for b in self.blocks if b.planted_error)
-        if planted != self.gamma_used:
-            raise ParameterError("gamma_used disagrees with planted block count")
         if any(b.attempts > self.params.a_max + 1 for b in self.blocks):
             raise ParameterError("block exceeds a_max+1 attempts")
+
+    @property
+    def gamma_used(self) -> int:
+        """Total planted-error count: the blocks marked planted_error."""
+        return sum(b.planted_error for b in self.blocks)
 
     def to_json_dict(self) -> dict:
         return {
             "params": self.params.to_json_dict(),
             "seed": self.seed,
-            "blocks": [b.to_json_dict() for b in self.blocks],
+            "blocks": [asdict(b) for b in self.blocks],
             "gamma_used": self.gamma_used,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EmbedTranscript":
-        return cls(
-            params=WatermarkParams.from_json_dict(d["params"]),
-            seed=d["seed"],
-            blocks=tuple(BlockRecord.from_json_dict(b) for b in d["blocks"]),
-            gamma_used=d["gamma_used"],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EmbedTranscript":
-        return cls.from_json_dict(json.loads(text))

@@ -269,10 +269,10 @@ class KeyMaterial:
             scheme_id = d["scheme_id"]
             public_key = bytes.fromhex(d["public_key"])
             get_scheme(scheme_id).check_verify_key(public_key)
+            secret = d.get("secret_key")
+            signing_key = bytes.fromhex(secret) if secret is not None else None
         except (KeyError, TypeError, ValueError) as exc:
             raise KeyMaterialError("malformed key envelope: %s" % exc) from exc
-        secret = d.get("secret_key")
-        signing_key = bytes.fromhex(secret) if secret is not None else None
         return cls(scheme_id, public_key, signing_key)
 
 

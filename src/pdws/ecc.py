@@ -17,6 +17,11 @@ verification for the final word, so a miscorrection is harmless.
 
 A layout with lambda_c == lambda_sig bypasses the code entirely (the
 embedder's gamma_max must then be 0); encode is the identity.
+
+The code follows from (lambda_sig, lambda_c) alone, so EccProfile stores
+only data_bits and parity_symbols. The ecc block that profiles and public
+envelopes carry is written from it and accepted only when it equals the
+derived one.
 """
 
 from __future__ import annotations
@@ -155,28 +160,32 @@ def rs_decode_bytes(received: bytes, nsym: int) -> Optional[tuple[bytes, int]]:
 
 @dataclass(frozen=True)
 class EccProfile:
-    """Shape of the codeword: data/parity symbol counts and capacity.
+    """Shape of the codeword: the signature length and the parity symbol count.
 
     data_bits records the true signature length; the final data byte is
     zero-padded when data_bits is not byte-aligned. parity_symbols == 0 is
-    the bypass profile (no code at all).
+    the bypass profile (no code at all). Everything else is derived, and
+    to_json_dict writes the derived values too, for readers of the ecc block.
     """
 
-    data_symbols: int
-    parity_symbols: int
-    symbol_bits: int
-    t_correctable: int
     data_bits: int
+    parity_symbols: int
 
     def __post_init__(self) -> None:
-        if self.symbol_bits != 8:
-            raise ParameterError("only 8-bit symbols are supported")
         if self.parity_symbols % 2 or self.parity_symbols < 0:
             raise ParameterError("parity_symbols must be even and non-negative")
-        if self.t_correctable != self.parity_symbols // 2:
-            raise ParameterError("t_correctable must equal parity_symbols / 2")
-        if self.data_symbols * self.symbol_bits < self.data_bits:
-            raise ParameterError("data symbols cannot hold data_bits")
+
+    @property
+    def data_symbols(self) -> int:
+        return (self.data_bits + 7) // 8
+
+    @property
+    def symbol_bits(self) -> int:
+        return 8
+
+    @property
+    def t_correctable(self) -> int:
+        return self.parity_symbols // 2
 
     @property
     def is_bypass(self) -> bool:
@@ -191,23 +200,16 @@ class EccProfile:
     @classmethod
     def for_layout(cls, layout: Layout) -> "EccProfile":
         """Derive the code from (lambda_sig, lambda_c): none when they are equal."""
-        data_symbols = (layout.lambda_sig + 7) // 8
         parity = 0
         if layout.lambda_c != layout.lambda_sig:
             if layout.lambda_c % 8:
                 raise ParameterError("lambda_c must be byte-aligned when it exceeds lambda_sig")
-            parity = layout.lambda_c // 8 - data_symbols
+            parity = layout.lambda_c // 8 - (layout.lambda_sig + 7) // 8
             if parity < 2 or parity % 2:
                 raise ParameterError(
                     "lambda_c leaves %d parity symbols; need a positive even count" % parity
                 )
-        return cls(
-            data_symbols=data_symbols,
-            parity_symbols=parity,
-            symbol_bits=8,
-            t_correctable=parity // 2,
-            data_bits=layout.lambda_sig,
-        )
+        return cls(data_bits=layout.lambda_sig, parity_symbols=parity)
 
     @classmethod
     def for_params(cls, params: WatermarkParams) -> "EccProfile":
@@ -223,8 +225,8 @@ class EccProfile:
         return profile
 
     def check_stated(self, stated: dict) -> None:
-        """Reject a document whose redundant ecc block disagrees with this code."""
-        if EccProfile.from_json_dict(stated) != self:
+        """Reject a document whose ecc block does not equal this code's to_json_dict()."""
+        if stated != self.to_json_dict():
             raise ParameterError(
                 "ecc block disagrees with the code derived from lambda_sig/lambda_c"
             )
@@ -237,19 +239,6 @@ class EccProfile:
             "t_correctable": self.t_correctable,
             "data_bits": self.data_bits,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EccProfile":
-        try:
-            return cls(
-                data_symbols=d["data_symbols"],
-                parity_symbols=d["parity_symbols"],
-                symbol_bits=d["symbol_bits"],
-                t_correctable=d["t_correctable"],
-                data_bits=d["data_bits"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParameterError("malformed ecc profile: %s" % exc) from exc
 
 
 def encode(sigma: BitString, profile: EccProfile) -> BitString:

@@ -205,9 +205,7 @@ def watermark(
         text += sample_min_chars(model, params.n - len(text), prompt, text, root.fork(k_fit))
     text = text[: params.n]
 
-    gamma_used = sum(rec.planted_error for rec in records)
-    transcript = EmbedTranscript(params, seed, tuple(records), gamma_used)
-    return text, transcript
+    return text, EmbedTranscript(params, seed, tuple(records))
 
 
 def tile_compress(

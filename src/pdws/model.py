@@ -27,6 +27,7 @@ import string
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 from urllib.parse import urlsplit
 
@@ -61,25 +62,15 @@ class TokenDistribution:
         # Written so that NaN fails both checks.
         if any(not 0 <= p <= 1 for p in self.probs):
             raise ParameterError("probabilities outside [0, 1]")
-        if not abs(sum(self.probs) - 1.0) <= 1e-9:
+        cum = tuple(accumulate(self.probs))  # left-to-right running sums
+        if not abs(cum[-1] - 1.0) <= 1e-9:
             raise ParameterError("probabilities must sum to 1")
-
-    def cumulative(self) -> tuple[float, ...]:
-        cached = getattr(self, "_cum", None)
-        if cached is None:
-            total, out = 0.0, []
-            for p in self.probs:
-                total += p
-                out.append(total)
-            cached = tuple(out)
-            object.__setattr__(self, "_cum", cached)
-        return cached
+        object.__setattr__(self, "_cum", cum)
 
 
 def sample_token(dist: TokenDistribution, u: float) -> str:
     """The token whose cumulative interval holds the uniform u in [0, 1)."""
-    cum = dist.cumulative()
-    i = bisect_right(cum, u)
+    i = bisect_right(dist._cum, u)
     return dist.tokens[min(i, len(dist.tokens) - 1)]
 
 

@@ -3,8 +3,8 @@ import io
 
 import pytest
 
-from pdws.bench import BenchReport, expected_chars, run_bench
-from pdws.core import ParameterError
+from pdws.bench import BenchReport, BenchRun, expected_chars, run_bench
+from pdws.core import ParameterError, WatermarkParams
 from pdws.model import ModelHandle
 
 
@@ -129,19 +129,24 @@ class TestRunBench:
             )
 
 
-class TestReportInvariant:
-    def test_histogram_must_cover_runs(self, params328):
-        with pytest.raises(ParameterError):
-            BenchReport(
-                params=params328,
-                runs=3,
-                failures=0,
-                mean_chars=0.0,
-                mean_attempts_per_block=0.0,
-                gen_seconds_mean=0.0,
-                gen_seconds_p95=0.0,
-                detect_seconds_mean=0.0,
-                detect_seconds_p95=0.0,
-                gamma_histogram={0: 2},
-                rows=(),
-            )
+class TestReportAggregates:
+    def test_aggregates_follow_rows(self):
+        # one gadget per 2896-char output: 16 message chars, 180 signature blocks
+        rows = (
+            BenchRun(0, 0, 11, False, 2.0, 0.5, 10000, 1, True),
+            BenchRun(0, 1, 12, True, 0.0, 0.0, 0, 0, False),
+            BenchRun(1, 0, 13, False, 4.0, 1.5, 11000, 0, True),
+        )
+        doc = BenchReport(WatermarkParams(), rows).to_json_dict()
+        del doc["host"]
+        assert doc == {
+            "format_version": 1,
+            "params": WatermarkParams().to_json_dict(),
+            "runs": 2,
+            "failures": 1,
+            "mean_chars": 10500.0,
+            "mean_attempts_per_block": ((10000 - 16) / 16 / 180 + (11000 - 16) / 16 / 180) / 2,
+            "gen_seconds": {"mean": 3.0, "p95": 4.0},
+            "detect_seconds": {"mean": 1.0, "p95": 1.5},
+            "gamma_histogram": {"0": 1, "1": 1},
+        }

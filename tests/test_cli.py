@@ -287,8 +287,17 @@ class TestErrorPaths:
         assert code == 2 and stdout == "" and "endpoint" in err
 
 
+def _public_params(**fields):
+    return lambda sk, pk: dict(pk, params=dict(pk["params"], **fields))
+
+
+def _secret_params(**fields):
+    return lambda sk, pk: dict(sk, params=dict(sk["params"], **fields))
+
+
 class TestMalformedDocumentsExitTwo:
-    """A JSON document, or its salts, that is not an object is bad input."""
+    """A JSON document, or its salts, that is not an object is bad input, and
+    so is a key or an integer field of another JSON type."""
 
     @pytest.mark.parametrize(
         "flag, document",
@@ -297,12 +306,22 @@ class TestMalformedDocumentsExitTwo:
             ("--key", lambda sk, pk: ["kind"]),
             ("--public", lambda sk, pk: ["kind"]),
             ("--key", lambda sk, pk: dict(sk, salts=[])),
-            ("--public", lambda sk, pk: dict(pk, params=dict(pk["params"], salts=[]))),
+            ("--public", _public_params(salts=[])),
             ("--key", lambda sk, pk: dict(sk, salts={"sign": 5})),
             ("--key", lambda sk, pk: {k: v for k, v in sk.items() if k != "salts"}),
+            ("--public", _public_params(ell=16.7)),
+            ("--public", _public_params(beta=True)),
+            ("--key", _secret_params(beta=2.0)),
+            ("--key", _secret_params(ell=16.0)),
+            ("--key", _secret_params(n=100.5)),
+            ("--key", _secret_params(a_max=True)),
+            ("--key", lambda sk, pk: dict(sk, secret_key=5)),
         ],
         ids=["model-list", "key-list", "public-list", "secret-salts-list",
-             "public-salts-list", "secret-salt-not-a-string", "secret-without-salts"],
+             "public-salts-list", "secret-salt-not-a-string", "secret-without-salts",
+             "public-ell-float", "public-beta-bool", "secret-beta-float",
+             "secret-ell-float", "secret-n-float", "secret-a_max-bool",
+             "secret-key-not-a-string"],
     )
     def test_exits_two(self, tmp_path, capsys, keypair, flag, document):
         sk, pk = keypair

@@ -191,7 +191,9 @@ class TestWatermarkParams:
 class TestTranscript:
     def test_block_record_roundtrip(self):
         r = BlockRecord(attempts=3, planted_error=False, best_hamming=0, text="abcd")
-        assert BlockRecord.from_json_dict(r.to_json_dict()) == r
+        d = {"attempts": 3, "planted_error": False, "best_hamming": 0, "text": "abcd"}
+        assert dataclasses.asdict(r) == d
+        assert BlockRecord(**json.loads(json.dumps(d))) == r
 
     def test_transcript_roundtrip(self):
         p = WatermarkParams()
@@ -199,16 +201,20 @@ class TestTranscript:
             BlockRecord(1, False, 0, "m" * 16),
             BlockRecord(17, True, 1, "x" * 16),
         )
-        t = EmbedTranscript(p, 7, blocks, 1)
-        again = EmbedTranscript.from_json(t.to_json())
-        assert again == t
-        assert json.loads(t.to_json())["blocks"][1]["planted_error"] is True
+        t = EmbedTranscript(p, 7, blocks)
+        assert t.gamma_used == 1
+        assert json.loads(t.to_json()) == {
+            "params": p.to_json_dict(),
+            "seed": 7,
+            "blocks": [
+                {"attempts": 1, "planted_error": False, "best_hamming": 0, "text": "m" * 16},
+                {"attempts": 17, "planted_error": True, "best_hamming": 1, "text": "x" * 16},
+            ],
+            "gamma_used": 1,
+        }
 
-    def test_transcript_validates_gamma_and_attempts(self):
+    def test_transcript_validates_attempts(self):
         p = WatermarkParams()
-        good = (BlockRecord(1, False, 0, "m" * 16),)
-        with pytest.raises(ParameterError):
-            EmbedTranscript(p, 0, good, 1)
         too_many = (BlockRecord(p.a_max + 2, False, 0, "m" * 16),)
         with pytest.raises(ParameterError):
-            EmbedTranscript(p, 0, too_many, 0)
+            EmbedTranscript(p, 0, too_many)

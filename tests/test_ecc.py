@@ -14,6 +14,8 @@ from pdws.ecc import (
 )
 from pdws.ecc import _generator_poly, _inv, _mul
 
+from conftest import layouts
+
 
 # -- independent field arithmetic oracle ------------------------------------
 # Slow bitwise carry-less multiply reduced mod x^8+x^4+x^3+x^2+1, written
@@ -67,9 +69,7 @@ def test_parity_matches_schoolbook_division():
 
 # -- encode / decode ---------------------------------------------------------
 
-PROFILE = EccProfile(
-    data_symbols=41, parity_symbols=4, symbol_bits=8, t_correctable=2, data_bits=328
-)
+PROFILE = EccProfile(data_bits=328, parity_symbols=4)
 
 
 def corrupt(word: bytes, positions, rng) -> bytes:
@@ -178,6 +178,13 @@ class TestProfile:
         assert p == PROFILE
         assert p.codeword_bits == 360
         assert not p.is_bypass
+        assert p.to_json_dict() == {
+            "data_symbols": 41,
+            "parity_symbols": 4,
+            "symbol_bits": 8,
+            "t_correctable": 2,
+            "data_bits": 328,
+        }
 
     def test_for_params_bypass(self):
         params = WatermarkParams(gamma_max=0, lambda_c=328, n=2640)
@@ -193,16 +200,32 @@ class TestProfile:
         with pytest.raises(ParameterError):
             EccProfile.for_params(WatermarkParams(gamma_max=3))
 
-    def test_json_roundtrip(self):
-        assert EccProfile.from_json_dict(PROFILE.to_json_dict()) == PROFILE
+    @given(layout=layouts(), data=st.data())
+    def test_check_stated_accepts_only_the_derived_block(self, layout, data):
+        profile = EccProfile.for_layout(layout)
+        block = profile.to_json_dict()
+        profile.check_stated(block)
+        key = data.draw(st.sampled_from(sorted(block)))
+        json_values = st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+            st.lists(st.integers(), max_size=2),
+        )
+        changed = dict(block, **{key: data.draw(json_values.filter(lambda v: v != block[key]))})
+        dropped = {k: v for k, v in block.items() if k != key}
+        added_key = data.draw(st.text(max_size=12).filter(lambda k: k not in block))
+        added = dict(block, **{added_key: data.draw(json_values)})
+        not_an_object = data.draw(
+            st.one_of(json_values, st.just(list(block.items())), st.just(sorted(block)))
+        )
+        for stated in (changed, dropped, added, not_an_object):
+            with pytest.raises(ParameterError):
+                profile.check_stated(stated)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            EccProfile(41, 3, 8, 1, 328)  # odd parity count
+            EccProfile(328, 3)  # odd parity count
         with pytest.raises(ParameterError):
-            EccProfile(41, 4, 8, 1, 328)  # t != parity/2
-        with pytest.raises(ParameterError):
-            EccProfile(1, 4, 8, 2, 328)  # data does not fit
+            EccProfile(328, -2)
 
 
 class TestBitLevel:
@@ -229,7 +252,7 @@ class TestBitLevel:
         assert decode(BitString.from_bytes(bad, 360), PROFILE) == sig
 
     def test_bypass_identity(self):
-        profile = EccProfile(41, 0, 8, 0, 328)
+        profile = EccProfile(328, 0)
         sig = BitString.from_bytes(bytes(range(41)), 328)
         assert encode(sig, profile) == sig
         assert decode(sig, profile) == sig

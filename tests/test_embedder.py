@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from pdws.core import (
@@ -119,7 +121,10 @@ class TestWatermark:
 
     def test_transcript_json_roundtrip(self, params328, schnorr_keys, model64, suite):
         _, tr = watermark(params328, schnorr_keys, model64, "p", seed=8, suite=suite)
-        assert EmbedTranscript.from_json(tr.to_json()) == tr
+        doc = json.loads(tr.to_json())
+        assert doc == tr.to_json_dict()
+        blocks = tuple(BlockRecord(**b) for b in doc["blocks"])
+        assert EmbedTranscript(tr.params, doc["seed"], blocks) == tr
 
     def test_planted_errors_are_corrected_downstream(
         self, params328, schnorr_keys, suite

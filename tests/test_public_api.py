@@ -45,3 +45,57 @@ def test_demos_and_readme_import_only_public_names():
         seen[name] = _top_level_imports(source)
         assert set(seen[name]) <= set(pdws.__all__), name
     assert all(seen.values()), seen
+
+
+PARSERS = ("from_json", "from_json_dict")
+
+
+def _parser_calls(path):
+    """(class, parser) defined in path, and (callee, caller) for each parser call.
+
+    A callee is keyed by the name it is called through (`cls` resolves to the
+    enclosing class); a caller is the (class, function) the call sits in.
+    """
+    defined, calls = set(), set()
+
+    def visit(node, cls=None, func=None):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.FunctionDef):
+            func = node.name
+            if cls and func in PARSERS and any(
+                getattr(d, "id", None) == "classmethod" for d in node.decorator_list
+            ):
+                defined.add((cls, func))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in PARSERS
+        ):
+            receiver = node.func.value
+            name = getattr(receiver, "attr", None) or getattr(receiver, "id", None)
+            calls.add(((cls if name == "cls" else name, node.func.attr), (cls, func)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")))
+    return defined, calls
+
+
+def test_every_json_parser_has_a_caller_outside_tests():
+    defined, calls = set(), set()
+    for path in [*(ROOT / "src" / "pdws").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        d, c = _parser_calls(path)
+        defined |= d
+        calls |= c
+    # A parser counts as used when code other than an unused parser calls it.
+    used = set()
+    while True:
+        more = {
+            callee for callee, (cls, func) in calls
+            if func not in PARSERS or (cls, func) in used
+        } & defined
+        if more <= used:
+            break
+        used |= more
+    assert sorted(defined - used) == []
