@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import json
 import platform
 import time
 from dataclasses import dataclass, fields
@@ -165,9 +164,6 @@ class BenchReport:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
     def rows_csv(self) -> str:
         """Per-run rows for plotting, one line per (prompt, repeat)."""
         import csv
@@ -180,6 +176,38 @@ class BenchReport:
         return buf.getvalue()
 
 
+def _run_once(
+    params: WatermarkParams,
+    keys: KeyMaterial,
+    model: ModelHandle,
+    prompt: str,
+    prompt_index: int,
+    repeat: int,
+    seed: int,
+    suite: OracleSuite,
+) -> BenchRun:
+    """Watermark one prompt on its derived seed, then time a full-scan detect."""
+    run_seed = _run_seed(seed, prompt_index, repeat)
+    t0 = time.perf_counter()
+    try:
+        text, transcript = watermark(params, keys, model, prompt, seed=run_seed, suite=suite)
+    except EmbedFailure:
+        return BenchRun(prompt_index, repeat, run_seed, True, 0.0, 0.0, 0, 0, False)
+    gen_s = time.perf_counter() - t0
+
+    # every attempt consumed one ell-char block; the tail is plain
+    chars = sum(b.attempts for b in transcript.blocks) * params.ell
+    chars += max(0, params.n - len(transcript.blocks) * params.ell)
+
+    t0 = time.perf_counter()
+    result = detect(keys, params, text, suite=suite)
+    det_s = time.perf_counter() - t0
+    return BenchRun(
+        prompt_index, repeat, run_seed, False, gen_s, det_s, chars,
+        transcript.gamma_used, result.detected,
+    )
+
+
 def run_bench(
     params: WatermarkParams,
     keys: KeyMaterial,
@@ -189,56 +217,25 @@ def run_bench(
     *,
     seed: int = 0,
     suite: OracleSuite = OracleSuite(),
-    warmup: int = 1,
 ) -> BenchReport:
     """Time watermark and a full-scan detect over a prompt set.
 
-    Each (prompt, repeat) gets a derived seed recorded in its row. Warmup
-    iterations run first and are discarded. Runs that end in EmbedFailure
-    are counted as failures and excluded from timing and the histogram
-    (their time is censored: the failure aborts generation early, so it
-    would only flatter the numbers).
+    Each (prompt, repeat) gets a derived seed recorded in its row. One
+    warm-up runs the same watermark-plus-detect body on the first prompt
+    and is discarded. Runs that end in EmbedFailure are counted as
+    failures and excluded from timing and the histogram (their time is
+    censored: the failure aborts generation early, so it would only
+    flatter the numbers).
     """
     if not prompts:
         raise ParameterError("at least one prompt required")
     if repeats < 1:
         raise ParameterError("repeats must be >= 1")
 
-    for w in range(max(0, warmup)):
-        try:
-            watermark(params, keys, model, prompts[0],
-                      seed=_run_seed(seed, -1, w), suite=suite)
-        except EmbedFailure:
-            pass
-
-    runs: list[BenchRun] = []
-    for pi, prompt in enumerate(prompts):
-        for r in range(repeats):
-            run_seed = _run_seed(seed, pi, r)
-            t0 = time.perf_counter()
-            try:
-                text, transcript = watermark(
-                    params, keys, model, prompt, seed=run_seed, suite=suite
-                )
-            except EmbedFailure:
-                runs.append(
-                    BenchRun(pi, r, run_seed, True, 0.0, 0.0, 0, 0, False)
-                )
-                continue
-            gen_s = time.perf_counter() - t0
-
-            # every attempt consumed one ell-char block; the tail is plain
-            chars = sum(b.attempts for b in transcript.blocks) * params.ell
-            chars += max(0, params.n - len(transcript.blocks) * params.ell)
-
-            t0 = time.perf_counter()
-            result = detect(keys, params, text, suite=suite)
-            det_s = time.perf_counter() - t0
-            runs.append(
-                BenchRun(
-                    pi, r, run_seed, False, gen_s, det_s, chars,
-                    transcript.gamma_used, result.detected,
-                )
-            )
-
+    _run_once(params, keys, model, prompts[0], -1, 0, seed, suite)
+    runs = [
+        _run_once(params, keys, model, prompt, pi, r, seed, suite)
+        for pi, prompt in enumerate(prompts)
+        for r in range(repeats)
+    ]
     return BenchReport(params=params, rows=tuple(runs))

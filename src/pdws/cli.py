@@ -5,7 +5,9 @@ signing key plus the full embedding parameters. The public envelope holds
 only what detection needs: scheme id, verification key, the Layout (ell,
 beta, lambda_sig, lambda_c) and the hash salts, plus the code profile the
 layout implies, which is checked on load. Secrets and embedding knobs
-never enter the public file.
+never enter the public file. watermark and bench embed with the secret
+envelope's parameters, and only watermark --n overrides one of them;
+--params is a keygen flag.
 
 Exit codes:
     0  success / signature detected
@@ -249,17 +251,14 @@ def cmd_keygen(args) -> int:
 
 def cmd_watermark(args) -> int:
     keys, params, suite = _read_secret_envelope(args.key)
-    if args.params:
-        params = load_profile(args.params)
     if args.n is not None:
         params = dataclasses.replace(params, n=args.n)
     model = _load_model(args)
     prompt = _read_prompt(args)
-    seed = args.seed if args.seed is not None else model.seed
 
     try:
         text, transcript = watermark(
-            params, keys, model, prompt, seed=seed, suite=suite
+            params, keys, model, prompt, seed=args.seed, suite=suite
         )
     except EmbedFailure as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -292,14 +291,12 @@ def cmd_detect(args) -> int:
         suite=envelope.suite,
         known_offset=args.known_offset,
     )
-    sys.stdout.write(result.to_json())
+    _dump_json(result.to_json_dict(), None)
     return 0 if result.detected else 1
 
 
 def cmd_bench(args) -> int:
     keys, params, suite = _read_secret_envelope(args.key)
-    if args.params:
-        params = load_profile(args.params)
     model = _load_model(args)
     if args.prompts:
         with open(args.prompts, "r", encoding="utf-8") as fh:
@@ -314,7 +311,7 @@ def cmd_bench(args) -> int:
         model,
         prompts,
         repeats=args.repeats,
-        seed=args.seed or 0,
+        seed=args.seed,
         suite=suite,
     )
     _dump_json(report.to_json_dict(), args.out)
@@ -361,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     wm.add_argument("--prompt-file", help="read the prompt from a file")
     wm.add_argument("--n", type=int, default=None, help="output length in characters")
     wm.add_argument("--seed", type=int, default=None, help="sampling seed")
-    wm.add_argument("--params", help="override embedded params (profile or path)")
     wm.add_argument("--out", help="output JSON path (default stdout)")
     _add_model_flags(wm)
     wm.set_defaults(func=cmd_watermark)
@@ -379,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bn = subs.add_parser("bench", help="time embedding and detection")
     bn.add_argument("--key", required=True, help="secret envelope from keygen")
-    bn.add_argument("--params", help="override embedded params (profile or path)")
     bn.add_argument("--prompts", help="file with one prompt per line")
     bn.add_argument("--repeats", type=int, default=3)
     bn.add_argument("--seed", type=int, default=0)

@@ -192,9 +192,6 @@ class WatermarkParams(Layout):
         d["format_version"] = FORMAT_VERSION
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "WatermarkParams":
         if not isinstance(d, dict):

@@ -22,8 +22,8 @@ Signature schemes live behind a small registry keyed by scheme_id:
 
 Both schemes sign deterministically; embedding relies on equal message,
 equal signature. A key envelope is checked against its scheme on load, so
-a truncated, out-of-group or off-curve public key is bad input, not a
-failed verify.
+a truncated, out-of-group or off-curve public key, or a secret key that
+does not derive it, is bad input, not a failed verify.
 
 A scan runs one verify at every offset whose decode succeeds, which is
 every offset under a bypass code such as ``gamma0-328``. Schnorr verify
@@ -49,31 +49,9 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    NoEncryption,
-    PrivateFormat,
-    PublicFormat,
-)
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .core import BitString, ParameterError
-
-__all__ = [
-    "HashOracle",
-    "BitChain",
-    "OracleSuite",
-    "KeyMaterial",
-    "KeyMaterialError",
-    "keygen",
-    "sign",
-    "verify",
-    "h_bit",
-    "get_scheme",
-    "check_signature_bits",
-    "available_schemes",
-    "DEFAULT_SCHEME",
-]
-
 
 class KeyMaterialError(ValueError):
     """Raised for malformed or incomplete key material."""
@@ -268,9 +246,12 @@ class KeyMaterial:
         try:
             scheme_id = d["scheme_id"]
             public_key = bytes.fromhex(d["public_key"])
-            get_scheme(scheme_id).check_verify_key(public_key)
+            scheme = get_scheme(scheme_id)
+            scheme.check_verify_key(public_key)
             secret = d.get("secret_key")
             signing_key = bytes.fromhex(secret) if secret is not None else None
+            if signing_key is not None and scheme.derive_verify_key(signing_key) != public_key:
+                raise KeyMaterialError("secret_key does not derive public_key")
         except (KeyError, TypeError, ValueError) as exc:
             raise KeyMaterialError("malformed key envelope: %s" % exc) from exc
         return cls(scheme_id, public_key, signing_key)
@@ -315,12 +296,15 @@ class SchnorrP1024:
         x = int.from_bytes(
             hashlib.shake_256(b"pdws-schnorr-keygen|" + seed).digest(42), "big"
         ) % (self.Q - 1) + 1
-        y = pow(self.G, x, self.P)
-        return KeyMaterial(
-            self.scheme_id,
-            y.to_bytes(self._PK_LEN, "big"),
-            x.to_bytes(self._SK_LEN, "big"),
-        )
+        signing_key = x.to_bytes(self._SK_LEN, "big")
+        return KeyMaterial(self.scheme_id, self.derive_verify_key(signing_key), signing_key)
+
+    def derive_verify_key(self, signing_key: bytes) -> bytes:
+        """y = g^x; KeyMaterialError unless x is a 21-byte exponent in [1, q)."""
+        x = int.from_bytes(signing_key, "big")
+        if len(signing_key) != self._SK_LEN or not 1 <= x < self.Q:
+            raise KeyMaterialError("schnorr signing key out of range")
+        return pow(self.G, x, self.P).to_bytes(self._PK_LEN, "big")
 
     def check_verify_key(self, verify_key: bytes) -> None:
         """Raise KeyMaterialError unless y is an element of the order-q subgroup."""
@@ -406,12 +390,15 @@ class Ed25519Scheme:
             seed = os.urandom(32)
         if len(seed) != 32:
             seed = hashlib.sha256(seed).digest()
-        key = Ed25519PrivateKey.from_private_bytes(seed)
-        return KeyMaterial(
-            self.scheme_id,
-            key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw),
-            key.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption()),
-        )
+        # The raw RFC 8032 private key is the 32-byte seed itself.
+        return KeyMaterial(self.scheme_id, self.derive_verify_key(seed), seed)
+
+    def derive_verify_key(self, signing_key: bytes) -> bytes:
+        try:
+            key = Ed25519PrivateKey.from_private_bytes(signing_key)
+        except (ValueError, TypeError) as exc:
+            raise KeyMaterialError("malformed ed25519 signing key") from exc
+        return key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
 
     _P = 2**255 - 19
     _D = -121665 * pow(121666, -1, _P) % _P

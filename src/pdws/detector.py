@@ -19,7 +19,6 @@ decode side, bounded by the code's minimum distance).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -53,9 +52,6 @@ class DetectionResult:
             "recovered_sig": sig,
             "message_block": self.message_block,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 _NOT_DETECTED = DetectionResult(detected=False)

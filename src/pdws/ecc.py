@@ -199,7 +199,7 @@ class EccProfile:
 
     @classmethod
     def for_layout(cls, layout: Layout) -> "EccProfile":
-        """Derive the code from (lambda_sig, lambda_c): none when they are equal."""
+        """Derive the code from (lambda_sig, lambda_c): none when equal, else <= 255 symbols."""
         parity = 0
         if layout.lambda_c != layout.lambda_sig:
             if layout.lambda_c % 8:
@@ -209,6 +209,8 @@ class EccProfile:
                 raise ParameterError(
                     "lambda_c leaves %d parity symbols; need a positive even count" % parity
                 )
+            if layout.lambda_c > 8 * 255:
+                raise ParameterError("lambda_c exceeds the 255 symbols of a byte code")
         return cls(data_bits=layout.lambda_sig, parity_symbols=parity)
 
     @classmethod

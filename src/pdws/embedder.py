@@ -9,8 +9,8 @@ the block until the chained hash h_bit(m || x || c_prev) equals the chunk.
 
 When a block refuses to match within a_max+1 fresh samples (low entropy,
 or plain bad luck), the best candidate by Hamming distance is planted
-instead; the decoder's error correction absorbs it. The gadget loop owns
-the per-gadget error budget gamma_max: it counts the planted blocks and
+instead; the decoder's error correction absorbs it. Each gadget's block loop
+owns its error budget gamma_max: it counts the planted blocks and
 raises EmbedFailure past the budget. It also pushes every block it keeps
 into the gadget's crypto.BitChain, so c_prev carries what each block
 really hashes to, which is what a detector recomputing the chain will see,
@@ -122,7 +122,6 @@ def generate_message_signature_pair(
     1+n_blocks block records. Raises EmbedFailure(gadget_index, j) when
     block j would plant more than gamma_max errors in this gadget.
     """
-    crypto.check_signature_bits(keys.scheme_id, params.lambda_sig)
     msg_end = msg_start + params.ell
     if len(text) < msg_end:
         text += sample_min_chars(
@@ -156,6 +155,41 @@ def generate_message_signature_pair(
     return text, records
 
 
+def _embed_gadgets(
+    params: WatermarkParams,
+    keys: KeyMaterial,
+    model: ModelHandle,
+    prompt: str,
+    count: int,
+    stride: int,
+    seed: int | None,
+    suite: OracleSuite,
+) -> tuple[str, list[BlockRecord], SamplerState]:
+    """Embed count gadgets, gadget g's message block at g * stride.
+
+    Gadget g samples from root.fork(g) of the root state on seed (default:
+    model.seed). Returns the text, every block record and the root state.
+    """
+    crypto.check_signature_bits(keys.scheme_id, params.lambda_sig)
+    root = SamplerState(model.seed if seed is None else seed)
+    text = ""
+    records: list[BlockRecord] = []
+    for g in range(count):
+        text, recs = generate_message_signature_pair(
+            text,
+            params,
+            keys,
+            model,
+            suite=suite,
+            prompt=prompt,
+            rng=root.fork(g),
+            msg_start=g * stride,
+            gadget_index=g,
+        )
+        records.extend(recs)
+    return text, records, root
+
+
 def watermark(
     params: WatermarkParams,
     keys: KeyMaterial,
@@ -171,41 +205,20 @@ def watermark(
     are plain model output. Raises EmbedFailure when a gadget exhausts its
     planted-error budget.
     """
-    crypto.check_signature_bits(keys.scheme_id, params.lambda_sig)
-    if seed is None:
-        seed = model.seed
-    root = SamplerState(seed)
-
     gadget_len = params.gadget_chars
     k_fit = params.n // gadget_len
+    text, records, root = _embed_gadgets(
+        params, keys, model, prompt, k_fit, gadget_len, seed, suite
+    )
     if k_fit == 0:
         logger.warning(
             "n=%d is below one gadget (%d chars); emitting plain text only",
             params.n,
             gadget_len,
         )
-
-    text = ""
-    records: list[BlockRecord] = []
-    for g in range(k_fit):
-        text, recs = generate_message_signature_pair(
-            text,
-            params,
-            keys,
-            model,
-            suite=suite,
-            prompt=prompt,
-            rng=root.fork(g),
-            msg_start=g * gadget_len,
-            gadget_index=g,
-        )
-        records.extend(recs)
-
     if len(text) < params.n:
         text += sample_min_chars(model, params.n - len(text), prompt, text, root.fork(k_fit))
-    text = text[: params.n]
-
-    return text, EmbedTranscript(params, seed, tuple(records))
+    return text[: params.n], EmbedTranscript(params, root.seed, tuple(records))
 
 
 def tile_compress(
@@ -228,22 +241,6 @@ def tile_compress(
         raise ParameterError("k_pairs must be >= 1")
     if params.lambda_sig < params.ell:
         raise ParameterError("tiling needs lambda_sig >= ell")
-    if seed is None:
-        seed = model.seed
-    root = SamplerState(seed)
-
-    text = ""
     stride = params.gadget_chars - params.ell
-    for j in range(k_pairs):
-        text, _ = generate_message_signature_pair(
-            text,
-            params,
-            keys,
-            model,
-            suite=suite,
-            prompt=prompt,
-            rng=root.fork(j),
-            msg_start=j * stride,
-            gadget_index=j,
-        )
-    return text[: k_pairs * params.gadget_chars - (k_pairs - 1) * params.ell]
+    text, _, _ = _embed_gadgets(params, keys, model, prompt, k_pairs, stride, seed, suite)
+    return text[: k_pairs * stride + params.ell]

@@ -25,7 +25,7 @@ import json
 import math
 import string
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate
 from typing import Optional
@@ -109,12 +109,6 @@ class ModelHandle:
                 raise ParameterError("script segments are ('forced', text) or ('free', count)")
         if self.top_k < 1 or self.timeout_ms < 1 or self.retries < 0:
             raise ParameterError("need top_k >= 1, timeout_ms >= 1 and retries >= 0")
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["script"] = [list(seg) for seg in self.script]
-        d["format_version"] = 1
-        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelHandle":

@@ -90,7 +90,7 @@ class TestRunBench:
     def test_seed_changes_runs(self, params328, schnorr_keys, model64, suite):
         other = run_bench(
             params328, schnorr_keys, model64, ["first prompt"], repeats=1,
-            seed=8, suite=suite, warmup=0,
+            seed=8, suite=suite,
         )
         assert other.rows[0].seed != 0
         assert other.runs == 1
@@ -100,7 +100,7 @@ class TestRunBench:
     ):
         rep = run_bench(
             params_gamma0, schnorr_keys, model64, ["p"], repeats=2,
-            seed=9, suite=suite, warmup=0,
+            seed=9, suite=suite,
         )
         assert rep.gamma_histogram == {0: 2}
 
@@ -112,7 +112,7 @@ class TestRunBench:
         )
         rep = run_bench(
             params328, schnorr_keys, model, ["p"], repeats=3,
-            seed=10, suite=suite, warmup=1,
+            seed=10, suite=suite,
         )
         assert rep.runs == 0
         assert rep.failures == 3

@@ -338,6 +338,25 @@ class TestMalformedDocumentsExitTwo:
         assert code == 2 and stdout == "" and err.startswith("error: ")
 
 
+class TestSecretEnvelopeKeyPair:
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_secret_key_of_another_pair_exits_two(self, tmp_path, capsys, scheme):
+        # Embedding with it would exit 0, and its own public envelope would
+        # never detect the text.
+        docs = []
+        for seed in ("1", "2"):
+            sk, pk = tmp_path / ("s%s.json" % seed), tmp_path / ("p%s.json" % seed)
+            code, _, err = run(
+                capsys, "keygen", str(sk), str(pk), "--seed", seed, "--scheme", scheme
+            )
+            assert code == 0, err
+            docs.append(json.loads(sk.read_text()))
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps(dict(docs[0], secret_key=docs[1]["secret_key"])))
+        code, stdout, err = run(capsys, "watermark", "--key", str(mixed), "--n", "20")
+        assert code == 2 and stdout == "" and "secret_key" in err
+
+
 class TestShortOutput:
     def test_below_gadget_emits_plain_text(self, capsys, keypair):
         sk, _ = keypair
@@ -446,6 +465,15 @@ def _other_signature_length(doc):
     doc.update(PublicEnvelope(env.keys, layout, env.suite).to_json_dict())
 
 
+def _oversize_codeword(doc):
+    # 41 data and 216 parity symbols: 257, two more than a byte code holds.
+    # The ecc block is written by hand, as no code can be derived for it.
+    doc["params"].update(ell=1, beta=8, lambda_sig=328, lambda_c=2056, ecc={
+        "data_symbols": 41, "parity_symbols": 216, "symbol_bits": 8,
+        "t_correctable": 108, "data_bits": 328,
+    })
+
+
 class TestUnverifiableInputExitsTwo:
     """Input that can never verify is bad input (2), not "not detected" (1)."""
 
@@ -462,7 +490,7 @@ class TestUnverifiableInputExitsTwo:
         return pk, out
 
     @pytest.mark.parametrize(
-        "breakage", [_unknown_scheme, _short_key, _other_signature_length]
+        "breakage", [_unknown_scheme, _short_key, _other_signature_length, _oversize_codeword]
     )
     def test_public_envelope(self, tmp_path, capsys, marked, breakage):
         pk, out = marked

@@ -157,7 +157,7 @@ class TestWatermarkParams:
             alpha=data.draw(st.floats(1e-3, 1e3)),
         )
         assert WatermarkParams.from_json_dict(p.to_json_dict()) == p
-        assert WatermarkParams.from_json(p.to_json()) == p
+        assert WatermarkParams.from_json(json.dumps(p.to_json_dict())) == p
         # as a bundled profile writes it, with the redundant ecc block
         d = dict(p.to_json_dict(), ecc=EccProfile.for_params(p).to_json_dict())
         assert WatermarkParams.from_json_dict(d) == p

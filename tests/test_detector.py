@@ -161,7 +161,7 @@ class TestDetectAll:
 class TestDetectionResultJson:
     def test_positive_result_roundtrips(self, marked, params328, schnorr_keys, suite):
         result = detect(schnorr_keys, params328, marked, suite=suite, known_offset=0)
-        doc = json.loads(result.to_json())
+        doc = json.loads(json.dumps(result.to_json_dict()))
         assert doc["detected"] is True
         assert doc["offset"] == 0
         assert doc["recovered_sig"]["bits"] == params328.lambda_sig

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdws.core import BitString, ParameterError, WatermarkParams
+from pdws.core import BitString, Layout, ParameterError, WatermarkParams
 from pdws.ecc import (
     EccProfile,
     decode,
@@ -195,6 +195,14 @@ class TestProfile:
     def test_bypass_requires_matching_lengths(self):
         with pytest.raises(ParameterError):
             EccProfile.for_params(WatermarkParams(gamma_max=0))
+
+    def test_codeword_fits_255_symbols(self):
+        # 41 data and 214 parity symbols fill a byte code; two more do not fit.
+        assert EccProfile.for_layout(Layout(1, 8, 328, 2040)).parity_symbols == 214
+        with pytest.raises(ParameterError, match="255"):
+            EccProfile.for_layout(Layout(1, 8, 328, 2056))
+        # the bypass profile has no code, so no symbol limit
+        assert EccProfile.for_layout(Layout(1, 8, 4096, 4096)).is_bypass
 
     def test_budget_cannot_exceed_capacity(self):
         with pytest.raises(ParameterError):

@@ -200,7 +200,11 @@ class TestMocks:
         model = ModelHandle(
             kind="scripted-mock", script=(("forced", "ab"), ("free", 4)), script_cycle=True
         )
-        assert ModelHandle.from_json_dict(model.to_json_dict()) == model
+        doc = (
+            '{"kind": "scripted-mock", "script": [["forced", "ab"], ["free", 4]],'
+            ' "script_cycle": true}'
+        )
+        assert ModelHandle.from_json_dict(json.loads(doc)) == model
         with pytest.raises(ParameterError):
             ModelHandle.from_json_dict({"kind": "uniform-mock", "temperature": 1.0})
         with pytest.raises(ParameterError):

@@ -1,10 +1,12 @@
 """The top-level surface: the names pdws exports, and that its users import only those."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import pdws
+from pdws.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +47,38 @@ def test_demos_and_readme_import_only_public_names():
         seen[name] = _top_level_imports(source)
         assert set(seen[name]) <= set(pdws.__all__), name
     assert all(seen.values()), seen
+
+
+# Each subcommand's options. watermark and bench embed with the secret
+# envelope's parameters; --params picks them once, at keygen.
+CLI_OPTIONS = {
+    "keygen": ["--params", "--salt-seed", "--scheme", "--seed"],
+    "watermark": [
+        "--key", "--model", "--n", "--out", "--prompt", "--prompt-file", "--seed",
+        "--timeout-ms", "--top-k",
+    ],
+    "detect": ["--known-offset", "--public"],
+    "bench": [
+        "--key", "--model", "--out", "--plot-data", "--prompts", "--repeats", "--seed",
+        "--timeout-ms", "--top-k",
+    ],
+}
+
+
+def test_cli_options_are_pinned():
+    (subcommands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    seen = {
+        name: sorted(
+            option
+            for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        )
+        for name, sub in subcommands.choices.items()
+    }
+    assert seen == CLI_OPTIONS
 
 
 PARSERS = ("from_json", "from_json_dict")
