@@ -7,7 +7,9 @@ beta, lambda_sig, lambda_c) and the hash salts, plus the code profile the
 layout implies, which is checked on load. Secrets and embedding knobs
 never enter the public file. watermark and bench embed with the secret
 envelope's parameters, and only watermark --n overrides one of them;
---params is a keygen flag.
+--params is a keygen flag. Model settings come only from the --model file.
+Every JSON document is read with exact keys (core.json_fields): an
+unknown or missing key is bad input, and salts need all three roles.
 
 Exit codes:
     0  success / signature detected
@@ -34,7 +36,7 @@ from typing import Optional
 
 from . import crypto, ecc
 from .bench import run_bench
-from .core import FORMAT_VERSION, Layout, ParameterError, WatermarkParams
+from .core import FORMAT_VERSION, Layout, ParameterError, WatermarkParams, json_fields
 from .crypto import KeyMaterial, KeyMaterialError, OracleSuite
 from .detector import detect
 from .embedder import EmbedFailure, watermark
@@ -42,6 +44,8 @@ from .model import ModelHandle, ProtocolError, TransportError
 
 SECRET_KIND = "pdws-secret-key"
 PUBLIC_KIND = "pdws-public-key"
+_PUBLIC_KEYS = ["kind", "scheme_id", "public_key", "params"]
+_SECRET_KEYS = _PUBLIC_KEYS + ["secret_key", "salts"]
 
 _ENDPOINT_ENV = "PDWS_MODEL_ENDPOINT"
 
@@ -62,19 +66,15 @@ def list_profiles() -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def _read_json_object(path: str) -> dict:
-    """The JSON document in a file, which must be an object."""
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    if not isinstance(d, dict):
-        raise ParameterError("%s holds JSON %s, not an object" % (path, type(d).__name__))
-    return d
+        return json.load(fh)
 
 
 def load_profile(name_or_path: str) -> WatermarkParams:
     """Load parameters from a file path or a bundled profile name."""
     if os.path.exists(name_or_path):
-        return WatermarkParams.from_json_dict(_read_json_object(name_or_path))
+        return WatermarkParams.from_json_dict(_read_json(name_or_path))
     candidate = resources.files("pdws") / "profiles" / (name_or_path + ".json")
     if candidate.is_file():
         return WatermarkParams.from_json_dict(json.loads(candidate.read_text("utf-8")))
@@ -112,28 +112,22 @@ class PublicEnvelope:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PublicEnvelope":
-        if d.get("kind") != PUBLIC_KIND:
+        json_fields(d, _PUBLIC_KEYS, ["format_version"], "public envelope")
+        if d["kind"] != PUBLIC_KIND:
             raise ParameterError("not a public key envelope")
-        if "secret_key" in d:
-            raise ParameterError("public envelope contains secret material")
         keys = KeyMaterial.from_json_dict(d)
-        try:
-            p = d["params"]
-            layout = Layout(**{f.name: p[f.name] for f in dataclasses.fields(Layout)})
-            ecc.EccProfile.for_layout(layout).check_stated(p["ecc"])
-            suite = OracleSuite.from_json_dict(p["salts"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParameterError("malformed public envelope: %s" % exc) from exc
+        names = [f.name for f in dataclasses.fields(Layout)]
+        p = json_fields(d["params"], names + ["ecc", "salts"], [], "public params")
+        layout = Layout(**{name: p[name] for name in names})
+        ecc.EccProfile.for_layout(layout).check_stated(p["ecc"])
         crypto.check_signature_bits(keys.scheme_id, layout.lambda_sig)
-        return cls(keys, layout, suite)
+        return cls(keys, layout, OracleSuite.from_json_dict(p["salts"]))
 
 
 def _secret_envelope_dict(
     keys: KeyMaterial, params: WatermarkParams, suite: OracleSuite
 ) -> dict:
     d = keys.to_json_dict(include_secret=True)
-    if "secret_key" not in d:
-        raise KeyMaterialError("keygen produced no signing key")
     d["format_version"] = FORMAT_VERSION
     d["kind"] = SECRET_KIND
     d["params"] = params.to_json_dict()
@@ -142,14 +136,12 @@ def _secret_envelope_dict(
 
 
 def _read_secret_envelope(path: str) -> tuple[KeyMaterial, WatermarkParams, OracleSuite]:
-    d = _read_json_object(path)
-    if d.get("kind") != SECRET_KIND:
+    d = json_fields(_read_json(path), _SECRET_KEYS, ["format_version"], "secret envelope")
+    if d["kind"] != SECRET_KIND:
         raise ParameterError("%s is not a secret key envelope" % path)
     keys = KeyMaterial.from_json_dict(d)
-    if not keys.has_secret:
+    if keys.signing_key is None:
         raise KeyMaterialError("secret envelope lacks a signing key")
-    if "salts" not in d:
-        raise ParameterError("%s has no salts" % path)
     params = WatermarkParams.from_json_dict(d["params"])
     suite = OracleSuite.from_json_dict(d["salts"])
     return keys, params, suite
@@ -170,7 +162,7 @@ def _dump_json(d: dict, path: Optional[str]) -> None:
 
 
 def _load_model(args) -> ModelHandle:
-    spec = getattr(args, "model", None)
+    spec = args.model
     endpoint_env = os.environ.get(_ENDPOINT_ENV)
     if spec is None or spec == "uniform-mock":
         if endpoint_env and spec is None:
@@ -178,13 +170,9 @@ def _load_model(args) -> ModelHandle:
         else:
             handle = ModelHandle(kind="uniform-mock")
     else:
-        handle = ModelHandle.from_json_dict(_read_json_object(spec))
+        handle = ModelHandle.from_json_dict(_read_json(spec))
         if endpoint_env and handle.kind == "remote":
             handle = dataclasses.replace(handle, endpoint=endpoint_env)
-    if getattr(args, "top_k", None) is not None:
-        handle = dataclasses.replace(handle, top_k=args.top_k)
-    if getattr(args, "timeout_ms", None) is not None:
-        handle = dataclasses.replace(handle, timeout_ms=args.timeout_ms)
     return handle
 
 
@@ -276,7 +264,7 @@ def cmd_watermark(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    envelope = PublicEnvelope.from_json_dict(_read_json_object(args.public))
+    envelope = PublicEnvelope.from_json_dict(_read_json(args.public))
     text = _read_input_text(args.input)
     gadget_chars = envelope.layout.gadget_chars
     if args.known_offset is not None and not 0 <= args.known_offset <= len(text) - gadget_chars:
@@ -326,14 +314,6 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_model_flags(sub) -> None:
-    sub.add_argument("--model", help="model config JSON, or 'uniform-mock'")
-    sub.add_argument("--top-k", type=int, default=None, help="remote top-k override")
-    sub.add_argument(
-        "--timeout-ms", type=int, default=None, help="remote request timeout override"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdws",
@@ -357,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     wm.add_argument("--prompt", help="prompt text")
     wm.add_argument("--prompt-file", help="read the prompt from a file")
     wm.add_argument("--n", type=int, default=None, help="output length in characters")
-    wm.add_argument("--seed", type=int, default=None, help="sampling seed")
+    wm.add_argument("--seed", type=int, default=0, help="sampling seed")
     wm.add_argument("--out", help="output JSON path (default stdout)")
-    _add_model_flags(wm)
+    wm.add_argument("--model", help="model config JSON, or 'uniform-mock'")
     wm.set_defaults(func=cmd_watermark)
 
     dt = subs.add_parser("detect", help="scan text for a signature")
@@ -380,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--seed", type=int, default=0)
     bn.add_argument("--out", help="report JSON path (default stdout)")
     bn.add_argument("--plot-data", help="write per-run CSV rows here")
-    _add_model_flags(bn)
+    bn.add_argument("--model", help="model config JSON, or 'uniform-mock'")
     bn.set_defaults(func=cmd_bench)
 
     return parser
@@ -394,10 +374,7 @@ def main(argv=None) -> int:
     except (TransportError, ProtocolError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
-    except (ParameterError, KeyMaterialError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -27,6 +27,28 @@ class ParameterError(ValueError):
 FORMAT_VERSION = 1
 
 
+def json_fields(d, required, optional, what: str) -> dict:
+    """Return the JSON object d once it holds every required key and no other.
+
+    Keys in optional may be absent. A format_version, where optional allows
+    one, must equal FORMAT_VERSION. Anything else raises ParameterError, so
+    a misspelled or smuggled key is refused rather than ignored.
+    """
+    if not isinstance(d, dict):
+        raise ParameterError("%s must be a JSON object" % what)
+    unknown = set(d) - set(required) - set(optional)
+    if unknown:
+        raise ParameterError("unknown %s fields: %s" % (what, ", ".join(sorted(unknown))))
+    missing = [name for name in required if name not in d]
+    if missing:
+        raise ParameterError("missing %s fields: %s" % (what, ", ".join(missing)))
+    if d.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
+        raise ParameterError(
+            "%s has format_version %r, not %d" % (what, d["format_version"], FORMAT_VERSION)
+        )
+    return d
+
+
 @dataclass(frozen=True, slots=True)
 class BitString:
     """An immutable sequence of bits with explicit length.
@@ -194,17 +216,9 @@ class WatermarkParams(Layout):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WatermarkParams":
-        if not isinstance(d, dict):
-            raise ParameterError("parameter profile must be a JSON object")
-        # Every field is required and nothing else is accepted, so a typo'd
-        # knob can never silently fall back to a default.
+        # Every field is required, so a typo'd knob can never fall back to a default.
         names = [f.name for f in fields(cls)]
-        unknown = set(d) - set(names) - {"format_version", "ecc"}
-        if unknown:
-            raise ParameterError("unknown parameter fields: %s" % ", ".join(sorted(unknown)))
-        missing = [name for name in names if name not in d]
-        if missing:
-            raise ParameterError("missing parameter fields: %s" % ", ".join(missing))
+        json_fields(d, names, ("format_version", "ecc"), "params")
         try:
             params = cls(**{name: d[name] for name in names})
         except TypeError as exc:

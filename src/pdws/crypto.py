@@ -51,7 +51,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .core import BitString, ParameterError
+from .core import BitString, ParameterError, json_fields
 
 class KeyMaterialError(ValueError):
     """Raised for malformed or incomplete key material."""
@@ -177,13 +177,11 @@ class OracleSuite:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "OracleSuite":
-        if not isinstance(d, dict) or not all(isinstance(v, str) for v in d.values()):
-            raise ParameterError("salts must be a JSON object of hex strings")
-        return cls(
-            sign_salt=bytes.fromhex(d.get("sign", "")),
-            mask_salt=bytes.fromhex(d.get("mask", "")),
-            bit_salt=bytes.fromhex(d.get("bit", "")),
-        )
+        """Salts from an object holding exactly the sign, mask and bit roles, as hex."""
+        json_fields(d, ["sign", "mask", "bit"], [], "salts")
+        if not all(isinstance(v, str) for v in d.values()):
+            raise ParameterError("salts must be hex strings")
+        return cls(bytes.fromhex(d["sign"]), bytes.fromhex(d["mask"]), bytes.fromhex(d["bit"]))
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +225,6 @@ class KeyMaterial:
     scheme_id: str
     verify_key: bytes
     signing_key: Optional[bytes] = None
-
-    @property
-    def has_secret(self) -> bool:
-        return self.signing_key is not None
 
     def public_only(self) -> "KeyMaterial":
         return KeyMaterial(self.scheme_id, self.verify_key)

@@ -162,16 +162,16 @@ def _embed_gadgets(
     prompt: str,
     count: int,
     stride: int,
-    seed: int | None,
+    seed: int,
     suite: OracleSuite,
 ) -> tuple[str, list[BlockRecord], SamplerState]:
     """Embed count gadgets, gadget g's message block at g * stride.
 
-    Gadget g samples from root.fork(g) of the root state on seed (default:
-    model.seed). Returns the text, every block record and the root state.
+    Gadget g samples from root.fork(g) of the root state on seed. Returns
+    the text, every block record and the root state.
     """
     crypto.check_signature_bits(keys.scheme_id, params.lambda_sig)
-    root = SamplerState(model.seed if seed is None else seed)
+    root = SamplerState(seed)
     text = ""
     records: list[BlockRecord] = []
     for g in range(count):
@@ -196,7 +196,7 @@ def watermark(
     model: ModelHandle,
     prompt: str = "",
     *,
-    seed: int | None = None,
+    seed: int = 0,
     suite: OracleSuite = OracleSuite(),
 ) -> tuple[str, EmbedTranscript]:
     """Generate exactly n characters carrying as many whole gadgets as fit.
@@ -218,7 +218,7 @@ def watermark(
         )
     if len(text) < params.n:
         text += sample_min_chars(model, params.n - len(text), prompt, text, root.fork(k_fit))
-    return text[: params.n], EmbedTranscript(params, root.seed, tuple(records))
+    return text[: params.n], EmbedTranscript(params, seed, tuple(records))
 
 
 def tile_compress(
@@ -228,7 +228,7 @@ def tile_compress(
     prompt: str = "",
     k_pairs: int = 2,
     *,
-    seed: int | None = None,
+    seed: int = 0,
     suite: OracleSuite = OracleSuite(),
 ) -> str:
     """Pack k_pairs gadgets into k*(ell + ell*n_blocks) - (k-1)*ell chars.

@@ -31,7 +31,7 @@ from itertools import accumulate
 from typing import Optional
 from urllib.parse import urlsplit
 
-from .core import ParameterError
+from .core import ParameterError, _require_ints, json_fields
 from .rng import SamplerState
 
 DEFAULT_ALPHABET = string.ascii_letters + string.digits + " ."  # 64 characters
@@ -80,11 +80,12 @@ class ModelHandle:
 
     script segments are ("forced", text) or ("free", char_count); free
     positions draw uniformly from the alphabet. With script_cycle the
-    schedule repeats; otherwise positions past its end are free.
+    schedule repeats; otherwise positions past its end are free. A model
+    config file holds these fields and no others, kind required; the
+    sampling seed is an argument of watermark, not part of the model.
     """
 
     kind: str
-    seed: int = 0
     alphabet: str = DEFAULT_ALPHABET
     endpoint: Optional[str] = None
     script: tuple = ()
@@ -96,8 +97,8 @@ class ModelHandle:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ParameterError("unknown model kind %r" % self.kind)
-        if self.kind != "remote" and not self.alphabet:
-            raise ParameterError("mock models need a non-empty alphabet")
+        if not isinstance(self.alphabet, str) or (self.kind != "remote" and not self.alphabet):
+            raise ParameterError("alphabet must be a string, and non-empty for mock models")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ParameterError("alphabet has duplicate characters")
         if self.kind == "remote":
@@ -105,25 +106,24 @@ class ModelHandle:
                 raise ParameterError("remote model needs an endpoint URL")
             _split_endpoint(self.endpoint)
         for seg in self.script:
-            if len(seg) != 2 or seg[0] not in ("forced", "free"):
+            if len(seg) != 2 or (seg[0], type(seg[1])) not in (("forced", str), ("free", int)):
                 raise ParameterError("script segments are ('forced', text) or ('free', count)")
+        if not isinstance(self.script_cycle, bool):
+            raise ParameterError("script_cycle must be true or false")
+        _require_ints(self, "top_k", "timeout_ms", "retries")
         if self.top_k < 1 or self.timeout_ms < 1 or self.retries < 0:
             raise ParameterError("need top_k >= 1, timeout_ms >= 1 and retries >= 0")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelHandle":
         names = [f.name for f in fields(cls)]
-        unknown = set(d) - set(names) - {"format_version"}
-        if unknown:
-            raise ParameterError("unknown model config fields: %s" % ", ".join(sorted(unknown)))
-        if "kind" not in d:
-            raise ParameterError("model config needs a kind")
-        kwargs = {k: d[k] for k in names if k in d and d[k] is not None}
+        kwargs = dict(json_fields(d, ["kind"], names + ["format_version"], "model config"))
+        kwargs.pop("format_version", None)
         try:
             if "script" in kwargs:
-                kwargs["script"] = tuple((seg[0], seg[1]) for seg in kwargs["script"])
+                kwargs["script"] = tuple(map(tuple, kwargs["script"]))
             return cls(**kwargs)
-        except (TypeError, IndexError) as exc:
+        except TypeError as exc:
             raise ParameterError("malformed model config: %s" % exc) from exc
 
 
@@ -141,7 +141,7 @@ def _script_forced_map(script: tuple) -> tuple:
         if seg_kind == "forced":
             out.extend(payload)
         else:
-            out.extend([None] * int(payload))
+            out.extend([None] * payload)
     return tuple(out)
 
 

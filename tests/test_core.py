@@ -171,6 +171,8 @@ class TestWatermarkParams:
         del d2["ell"]
         with pytest.raises(ParameterError):
             WatermarkParams.from_json_dict(d2)
+        with pytest.raises(ParameterError, match="format_version"):
+            WatermarkParams.from_json_dict(dict(WatermarkParams().to_json_dict(), format_version=2))
 
     def test_json_checks_embedded_ecc_consistency(self):
         d = WatermarkParams().to_json_dict()

@@ -114,8 +114,11 @@ class TestOracles:
         s = OracleSuite(b"a", b"bb", b"ccc")
         again = OracleSuite.from_json_dict(s.to_json_dict())
         assert again == s
-        assert OracleSuite.from_json_dict({}) == OracleSuite()
-        for bad in (["00", "00", "00"], {"sign": 5}):
+        # every role is required, an empty salt too, and no other key is read
+        assert OracleSuite.from_json_dict({"sign": "", "mask": "", "bit": ""}) == OracleSuite()
+        wrong_keys = ({}, {"sign": "", "mask": ""}, {"sgn": "", "mask": "", "bit": ""},
+                      dict(s.to_json_dict(), extra="00"))
+        for bad in (["00", "00", "00"], {"sign": 5, "mask": "", "bit": ""}, *wrong_keys):
             with pytest.raises(ParameterError):
                 OracleSuite.from_json_dict(bad)
 
@@ -176,7 +179,7 @@ class TestSchemes:
         digest = SUITE.h_sign(b"msg")
         sig = sign(keys, digest)
         pub = keys.public_only()
-        assert not pub.has_secret
+        assert pub.signing_key is None
         assert verify(pub, digest, sig)
         with pytest.raises(KeyMaterialError):
             sign(pub, digest)
@@ -268,5 +271,5 @@ def test_schnorr_is_328_bits_ed25519_512():
 def test_fresh_keygen_without_seed():
     a = keygen()
     b = keygen()
-    assert a.has_secret and b.has_secret
+    assert a.signing_key is not None and b.signing_key is not None
     assert a != b

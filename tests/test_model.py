@@ -181,9 +181,14 @@ class TestMocks:
         with pytest.raises(ParameterError):
             ModelHandle(kind="uniform-mock", alphabet="aa")
         with pytest.raises(ParameterError):
-            ModelHandle(kind="remote")
+            ModelHandle(kind="uniform-mock", alphabet=["a", "b"])
         with pytest.raises(ParameterError):
-            ModelHandle(kind="scripted-mock", script=(("maybe", "x"),))
+            ModelHandle(kind="remote")
+        for script in ((("maybe", "x"),), (("forced", 5),), (("free", "5"),), (("free", True),)):
+            with pytest.raises(ParameterError):
+                ModelHandle(kind="scripted-mock", script=script)
+        with pytest.raises(ParameterError):  # a string "false" would read as true
+            ModelHandle(kind="scripted-mock", script=(("free", 1),), script_cycle="false")
         for endpoint in (
             "localhost:8000", "ftp://x/", "http://", "http://h:99999/", "http://h/a b", 5
         ):
@@ -191,7 +196,8 @@ class TestMocks:
                 ModelHandle(kind="remote", endpoint=endpoint)
         for endpoint in ("http://127.0.0.1:9", "https://h.example/v1?k=1", "http://[::1]:80/"):
             assert ModelHandle(kind="remote", endpoint=endpoint).endpoint == endpoint
-        for bad in ({"top_k": 0}, {"top_k": -3}, {"timeout_ms": 0}, {"retries": -1}):
+        for bad in ({"top_k": 0}, {"top_k": -3}, {"timeout_ms": 0}, {"retries": -1},
+                    {"retries": 1.5}, {"top_k": True}, {"timeout_ms": "2000"}):
             with pytest.raises(ParameterError):
                 ModelHandle(kind="remote", endpoint="http://127.0.0.1:9", **bad)
         assert ModelHandle(kind="remote", endpoint="http://127.0.0.1:9", retries=0).retries == 0
@@ -211,6 +217,9 @@ class TestMocks:
             ModelHandle.from_json_dict({})
         with pytest.raises(ParameterError):
             ModelHandle.from_json_dict({"kind": "scripted-mock", "script": [[]]})
+        # the sampling seed is watermark's argument, not a model field
+        with pytest.raises(ParameterError, match="seed"):
+            ModelHandle.from_json_dict({"kind": "uniform-mock", "seed": 0})
 
 
 class TestRemote:

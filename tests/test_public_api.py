@@ -50,18 +50,13 @@ def test_demos_and_readme_import_only_public_names():
 
 
 # Each subcommand's options. watermark and bench embed with the secret
-# envelope's parameters; --params picks them once, at keygen.
+# envelope's parameters; --params picks them once, at keygen. Model settings
+# come only from the --model file.
 CLI_OPTIONS = {
     "keygen": ["--params", "--salt-seed", "--scheme", "--seed"],
-    "watermark": [
-        "--key", "--model", "--n", "--out", "--prompt", "--prompt-file", "--seed",
-        "--timeout-ms", "--top-k",
-    ],
+    "watermark": ["--key", "--model", "--n", "--out", "--prompt", "--prompt-file", "--seed"],
     "detect": ["--known-offset", "--public"],
-    "bench": [
-        "--key", "--model", "--out", "--plot-data", "--prompts", "--repeats", "--seed",
-        "--timeout-ms", "--top-k",
-    ],
+    "bench": ["--key", "--model", "--out", "--plot-data", "--prompts", "--repeats", "--seed"],
 }
 
 
