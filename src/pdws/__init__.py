@@ -7,7 +7,8 @@ the layout parameters can scan a string and verify the claim; nobody can
 forge a positive without the signing key.
 
 The top level holds the protocol, the types it takes and returns, and the
-errors the command line maps to exit codes. Internals (the code profile,
+errors the command line maps to exit codes. The error-correcting code is
+read off the Layout (parity_symbols, ecc_block). Internals (the byte code,
 sampling, raw sign/verify) are imported from their submodules.
 """
 

@@ -3,13 +3,15 @@
 Key material travels in two JSON envelopes. The secret envelope holds the
 signing key plus the full embedding parameters. The public envelope holds
 only what detection needs: scheme id, verification key, the Layout (ell,
-beta, lambda_sig, lambda_c) and the hash salts, plus the code profile the
-layout implies, which is checked on load. Secrets and embedding knobs
-never enter the public file. watermark and bench embed with the secret
-envelope's parameters, and only watermark --n overrides one of them;
---params is a keygen flag. Model settings come only from the --model file.
-Every JSON document is read with exact keys (core.json_fields): an
-unknown or missing key is bad input, and salts need all three roles.
+beta, lambda_sig, lambda_c) and the hash salts, plus the layout's
+ecc_block(), which must match it exactly, ints as ints, on load. Secrets
+and embedding knobs never enter the public file. watermark and bench embed
+with the secret envelope's parameters, and only watermark --n overrides
+one of them; --params is a keygen flag, and a profile whose code cannot
+carry its gamma_max is refused there. Model settings come only from the
+--model file. Every JSON document is read with exact keys
+(core.json_fields): an unknown or missing key is bad input, and salts need
+all three roles.
 
 Exit codes:
     0  success / signature detected
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from . import crypto, ecc
+from . import crypto
 from .bench import run_bench
 from .core import FORMAT_VERSION, Layout, ParameterError, WatermarkParams, json_fields
 from .crypto import KeyMaterial, KeyMaterialError, OracleSuite
@@ -105,7 +107,7 @@ class PublicEnvelope:
         # readers and checked on load.
         d["params"] = dict(
             dataclasses.asdict(self.layout),
-            ecc=ecc.EccProfile.for_layout(self.layout).to_json_dict(),
+            ecc=self.layout.ecc_block(),
             salts=self.suite.to_json_dict(),
         )
         return d
@@ -119,7 +121,7 @@ class PublicEnvelope:
         names = [f.name for f in dataclasses.fields(Layout)]
         p = json_fields(d["params"], names + ["ecc", "salts"], [], "public params")
         layout = Layout(**{name: p[name] for name in names})
-        ecc.EccProfile.for_layout(layout).check_stated(p["ecc"])
+        layout.check_ecc_block(p["ecc"])
         crypto.check_signature_bits(keys.scheme_id, layout.lambda_sig)
         return cls(keys, layout, OracleSuite.from_json_dict(p["salts"]))
 

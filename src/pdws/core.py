@@ -4,9 +4,13 @@ Everything here is an immutable value: fixed-length bit strings (the
 signature, codeword and chunk carriers), the gadget layout a verifier
 needs, the full parameter profile the embedder reads its knobs from, and
 the per-block transcript of an embedding run. Each stores only its
-independent fields; what follows from them (n_blocks, gadget_chars,
-gamma_used) is computed. Layout and parameter fields other than alpha must
-be ints, so a JSON 2.0 or true is rejected rather than read as 2 or 1.
+independent fields; what follows from them (n_blocks, gadget_chars, the
+error-correcting code, gamma_used) is computed. A Layout that constructs
+has a code: none when lambda_c == lambda_sig, else Reed-Solomon over bytes
+with an even, positive parity count and at most 255 symbols. Layout and
+parameter fields other than alpha must be ints, and alpha a finite
+positive number, so a JSON 2.0 or true is rejected rather than read as 2
+or 1.
 
 Bit order convention: bit 0 of a BitString is the most significant bit of
 byte 0, and serialization is big-endian throughout. Characters are unicode
@@ -16,6 +20,7 @@ scalar values; all character counts index ``str`` positions, never bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -31,8 +36,9 @@ def json_fields(d, required, optional, what: str) -> dict:
     """Return the JSON object d once it holds every required key and no other.
 
     Keys in optional may be absent. A format_version, where optional allows
-    one, must equal FORMAT_VERSION. Anything else raises ParameterError, so
-    a misspelled or smuggled key is refused rather than ignored.
+    one, must be the int FORMAT_VERSION (not 1.0 or true). Anything else
+    raises ParameterError, so a misspelled or smuggled key is refused rather
+    than ignored.
     """
     if not isinstance(d, dict):
         raise ParameterError("%s must be a JSON object" % what)
@@ -42,10 +48,9 @@ def json_fields(d, required, optional, what: str) -> dict:
     missing = [name for name in required if name not in d]
     if missing:
         raise ParameterError("missing %s fields: %s" % (what, ", ".join(missing)))
-    if d.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
-        raise ParameterError(
-            "%s has format_version %r, not %d" % (what, d["format_version"], FORMAT_VERSION)
-        )
+    version = d.get("format_version", FORMAT_VERSION)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ParameterError("%s has format_version %r, not %d" % (what, version, FORMAT_VERSION))
     return d
 
 
@@ -145,6 +150,9 @@ class Layout:
     lambda_sig raw signature length in bits
     lambda_c   codeword length in bits after error-correction encoding
                (equal to lambda_sig when there is no code)
+
+    The code is a function of (lambda_sig, lambda_c): the signature's bytes,
+    the last zero-padded, followed by parity_symbols parity bytes.
     """
 
     ell: int = 16
@@ -162,6 +170,40 @@ class Layout:
             raise ParameterError("need lambda_c >= lambda_sig >= 1")
         if self.lambda_c % self.beta:
             raise ParameterError("beta must divide lambda_c (whole chunks only)")
+        if self.lambda_c != self.lambda_sig:
+            if self.lambda_c % 8:
+                raise ParameterError("lambda_c must be byte-aligned when it exceeds lambda_sig")
+            if self.parity_symbols < 2 or self.parity_symbols % 2:
+                raise ParameterError(
+                    "lambda_c leaves %d parity symbols; need a positive even count"
+                    % self.parity_symbols
+                )
+            if self.lambda_c > 8 * 255:
+                raise ParameterError("lambda_c exceeds the 255 symbols of a byte code")
+
+    @property
+    def parity_symbols(self) -> int:
+        """RS parity bytes after the signature's data bytes; 0 means no code."""
+        if self.lambda_c == self.lambda_sig:
+            return 0
+        return self.lambda_c // 8 - (self.lambda_sig + 7) // 8
+
+    def ecc_block(self) -> dict:
+        """The code's shape, as profiles and public envelopes write it for readers."""
+        return {
+            "data_symbols": (self.lambda_sig + 7) // 8,
+            "parity_symbols": self.parity_symbols,
+            "symbol_bits": 8,
+            "t_correctable": self.parity_symbols // 2,
+            "data_bits": self.lambda_sig,
+        }
+
+    def check_ecc_block(self, stated) -> None:
+        """Reject a stated ecc block unless it is ecc_block(), every value an int."""
+        if stated != self.ecc_block() or any(type(v) is not int for v in stated.values()):
+            raise ParameterError(
+                "ecc block disagrees with the code derived from lambda_sig/lambda_c"
+            )
 
     @property
     def n_blocks(self) -> int:
@@ -201,8 +243,15 @@ class WatermarkParams(Layout):
             raise ParameterError("a_max must be positive")
         if self.n < 1:
             raise ParameterError("n must be positive")
-        if self.alpha <= 0:
-            raise ParameterError("alpha must be positive")
+        if isinstance(self.alpha, bool) or not 0 < self.alpha < math.inf:
+            raise ParameterError("alpha must be a finite positive number, got %r" % self.alpha)
+        if self.gamma_max == 0 and self.parity_symbols:
+            raise ParameterError("gamma_max=0 requires lambda_c == lambda_sig")
+        if self.gamma_max > self.parity_symbols // 2:
+            raise ParameterError(
+                "gamma_max %d exceeds correction capacity t=%d"
+                % (self.gamma_max, self.parity_symbols // 2)
+            )
 
     @property
     def layout(self) -> Layout:
@@ -224,9 +273,7 @@ class WatermarkParams(Layout):
         except TypeError as exc:
             raise ParameterError(str(exc)) from exc
         if "ecc" in d:
-            from .ecc import EccProfile
-
-            EccProfile.for_params(params).check_stated(d["ecc"])
+            params.check_ecc_block(d["ecc"])
         return params
 
     @classmethod

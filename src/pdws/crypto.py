@@ -21,9 +21,9 @@ Signature schemes live behind a small registry keyed by scheme_id:
   for deployments that prefer a standard scheme over the compact one.
 
 Both schemes sign deterministically; embedding relies on equal message,
-equal signature. A key envelope is checked against its scheme on load, so
-a truncated, out-of-group or off-curve public key, or a secret key that
-does not derive it, is bad input, not a failed verify.
+equal signature. A truncated, out-of-group or off-curve public key in an
+envelope is bad input, not a failed verify, and a ``KeyMaterial`` whose
+secret key does not derive its public key cannot be built.
 
 A scan runs one verify at every offset whose decode succeeds, which is
 every offset under a bypass code such as ``gamma0-328``. Schnorr verify
@@ -220,11 +220,16 @@ def _table_pow(table: tuple[tuple[int, ...], ...], exponent: int, modulus: int) 
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """A key pair (or public half) tagged with its scheme."""
+    """A key pair (or public half) tagged with its scheme; a pair must match."""
 
     scheme_id: str
     verify_key: bytes
     signing_key: Optional[bytes] = None
+
+    def __post_init__(self) -> None:
+        sk = self.signing_key
+        if sk is not None and get_scheme(self.scheme_id).derive_verify_key(sk) != self.verify_key:
+            raise KeyMaterialError("secret_key does not derive public_key")
 
     def public_only(self) -> "KeyMaterial":
         return KeyMaterial(self.scheme_id, self.verify_key)
@@ -240,15 +245,11 @@ class KeyMaterial:
         try:
             scheme_id = d["scheme_id"]
             public_key = bytes.fromhex(d["public_key"])
-            scheme = get_scheme(scheme_id)
-            scheme.check_verify_key(public_key)
+            get_scheme(scheme_id).check_verify_key(public_key)
             secret = d.get("secret_key")
-            signing_key = bytes.fromhex(secret) if secret is not None else None
-            if signing_key is not None and scheme.derive_verify_key(signing_key) != public_key:
-                raise KeyMaterialError("secret_key does not derive public_key")
+            return cls(scheme_id, public_key, secret if secret is None else bytes.fromhex(secret))
         except (KeyError, TypeError, ValueError) as exc:
             raise KeyMaterialError("malformed key envelope: %s" % exc) from exc
-        return cls(scheme_id, public_key, signing_key)
 
 
 class SchnorrP1024:
@@ -308,16 +309,14 @@ class SchnorrP1024:
         if not 1 < y < self.P or pow(y, self.Q, self.P) != 1:
             raise KeyMaterialError("schnorr public key is not in the order-q subgroup")
 
-    def _challenge(self, r_point: int, y: int, digest: bytes) -> int:
+    def _challenge(self, r_point: int, verify_key: bytes, digest: bytes) -> int:
         raw = hashlib.shake_256(
-            b"pdws-schnorr-chal|"
-            + r_point.to_bytes(self._PK_LEN, "big")
-            + y.to_bytes(self._PK_LEN, "big")
-            + digest
+            b"pdws-schnorr-chal|" + r_point.to_bytes(self._PK_LEN, "big") + verify_key + digest
         ).digest(self._SK_LEN)
         return int.from_bytes(raw, "big") >> (8 * self._SK_LEN - self._HALF_BITS)
 
-    def sign(self, signing_key: bytes, digest: bytes) -> BitString:
+    def sign(self, signing_key: bytes, verify_key: bytes, digest: bytes) -> BitString:
+        """Sign under the pair (x, y); y must be g^x, as KeyMaterial checks on construction."""
         if len(signing_key) != self._SK_LEN:
             raise KeyMaterialError("schnorr signing key must be %d bytes" % self._SK_LEN)
         x = int.from_bytes(signing_key, "big")
@@ -330,9 +329,8 @@ class SchnorrP1024:
         ) % self.Q
         if k == 0:
             k = 1
-        y = pow(self.G, x, self.P)
         r_point = pow(self.G, k, self.P)
-        e = self._challenge(r_point, y, digest)
+        e = self._challenge(r_point, verify_key, digest)
         s = (k + e * x) % self.Q
         return BitString(e, self._HALF_BITS).concat(BitString(s, self._HALF_BITS))
 
@@ -353,7 +351,7 @@ class SchnorrP1024:
             y_t = _table_pow(_key_table(verify_key), t, self.P)
         else:
             g_s, y_t = pow(self.G, s, self.P), pow(y, t, self.P)
-        return self._challenge(g_s * y_t % self.P, y, digest) == e
+        return self._challenge(g_s * y_t % self.P, verify_key, digest) == e
 
 
 @functools.lru_cache(maxsize=8)
@@ -411,7 +409,7 @@ class Ed25519Scheme:
         if not x2 and x_sign:
             raise KeyMaterialError("ed25519 public key has x = 0 with the sign bit set")
 
-    def sign(self, signing_key: bytes, digest: bytes) -> BitString:
+    def sign(self, signing_key: bytes, verify_key: bytes, digest: bytes) -> BitString:
         try:
             key = Ed25519PrivateKey.from_private_bytes(signing_key)
         except (ValueError, TypeError) as exc:
@@ -462,7 +460,8 @@ def sign(keys: KeyMaterial, msg_digest: BitString) -> BitString:
     """Deterministic signature over a digest, exactly sig_bits long."""
     if keys.signing_key is None:
         raise KeyMaterialError("signing requires the secret key")
-    return get_scheme(keys.scheme_id).sign(keys.signing_key, msg_digest.to_bytes())
+    scheme = get_scheme(keys.scheme_id)
+    return scheme.sign(keys.signing_key, keys.verify_key, msg_digest.to_bytes())
 
 
 def verify(keys: KeyMaterial, msg_digest: BitString, sig: BitString) -> bool:

@@ -1,10 +1,11 @@
 """Detection: recompute the chunk chain at each offset and verify.
 
 Detection needs only the public key, the hash salts and a Layout (ell,
-beta, lambda_sig, lambda_c); the error-correcting code follows from the
-layout, and no embedding knob (gamma_max, a_max, n) is read. At a
-candidate offset the first ell chars are read as the message block and
-each following block's chained hash h_bit(m || x || c_prev) is
+beta, lambda_sig, lambda_c); the error-correcting code is the layout's
+own, and no embedding knob (gamma_max, a_max, n) is read. Every Layout
+that constructs has a code, so detect and detect_all never raise on one.
+At a candidate offset the first ell chars are read as the message block
+and each following block's chained hash h_bit(m || x || c_prev) is
 recomputed; the concatenated values are unmasked with h_mask(msg),
 decoded by the error-correcting code, and the recovered signature is
 checked against h_sign(msg). Any planted block contributes a wrong
@@ -61,7 +62,6 @@ def _try_offset(
     text: str,
     offset: int,
     layout: Layout,
-    profile: ecc.EccProfile,
     keys: KeyMaterial,
     suite: OracleSuite,
 ) -> Optional[DetectionResult]:
@@ -81,12 +81,12 @@ def _try_offset(
     for window_bytes in blocks:
         chain.push(window_bytes)
     codeword = suite.h_mask(msg_bytes, layout.lambda_c) ^ BitString(chain.value, chain.length)
-    sigma = ecc.decode(codeword, profile)
+    sigma = ecc.decode(codeword, layout)
     if sigma is None:
         return None
     if not crypto.verify(keys, suite.h_sign(msg_bytes), sigma):
         return None
-    corrected = ecc.symbol_distance(codeword, ecc.encode(sigma, profile))
+    corrected = ecc.symbol_distance(codeword, ecc.encode(sigma, layout))
     return DetectionResult(
         detected=True,
         offset=offset,
@@ -108,11 +108,10 @@ def _scan(
     following gadget whose message block is the previous gadget's final
     window is still seen; non-overlapping gadgets are a fortiori covered.
     """
-    profile = ecc.EccProfile.for_layout(layout)
     gadget_len = layout.gadget_chars
     offset = 0
     while offset <= len(text) - gadget_len:
-        result = _try_offset(text, offset, layout, profile, keys, suite)
+        result = _try_offset(text, offset, layout, keys, suite)
         if result is not None:
             yield result
             offset += gadget_len - layout.ell
@@ -139,8 +138,7 @@ def detect(
         return next(_scan(keys, layout, text, suite), _NOT_DETECTED)
     if not 0 <= known_offset <= len(text) - layout.gadget_chars:
         return _NOT_DETECTED
-    profile = ecc.EccProfile.for_layout(layout)
-    result = _try_offset(text, known_offset, layout, profile, keys, suite)
+    result = _try_offset(text, known_offset, layout, keys, suite)
     return _NOT_DETECTED if result is None else result
 
 

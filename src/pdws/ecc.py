@@ -15,18 +15,16 @@ Decoding failure is a normal return value (None), never an exception: the
 caller treats any decode output as a candidate and relies on signature
 verification for the final word, so a miscorrection is harmless.
 
-A layout with lambda_c == lambda_sig bypasses the code entirely (the
-embedder's gamma_max must then be 0); encode is the identity.
-
-The code follows from (lambda_sig, lambda_c) alone, so EccProfile stores
-only data_bits and parity_symbols. The ecc block that profiles and public
-envelopes carry is written from it and accepted only when it equals the
-derived one.
+The code follows from (lambda_sig, lambda_c) alone, so encode and decode
+take the Layout itself: the data is lambda_sig bits, the codeword lambda_c
+bits, and Layout.parity_symbols the parity count. Layout accepts only
+shapes that have a code. A layout with lambda_c == lambda_sig bypasses the
+code entirely (the embedder's gamma_max must then be 0); encode is the
+identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
@@ -158,120 +156,42 @@ def rs_decode_bytes(received: bytes, nsym: int) -> Optional[tuple[bytes, int]]:
     return bytes(word), v
 
 
-@dataclass(frozen=True)
 class EccProfile:
-    """Shape of the codeword: the signature length and the parity symbol count.
+    """A name kept for callers of for_params: the code is the Layout's own."""
 
-    data_bits records the true signature length; the final data byte is
-    zero-padded when data_bits is not byte-aligned. parity_symbols == 0 is
-    the bypass profile (no code at all). Everything else is derived, and
-    to_json_dict writes the derived values too, for readers of the ecc block.
-    """
-
-    data_bits: int
-    parity_symbols: int
-
-    def __post_init__(self) -> None:
-        if self.parity_symbols % 2 or self.parity_symbols < 0:
-            raise ParameterError("parity_symbols must be even and non-negative")
-
-    @property
-    def data_symbols(self) -> int:
-        return (self.data_bits + 7) // 8
-
-    @property
-    def symbol_bits(self) -> int:
-        return 8
-
-    @property
-    def t_correctable(self) -> int:
-        return self.parity_symbols // 2
-
-    @property
-    def is_bypass(self) -> bool:
-        return self.parity_symbols == 0
-
-    @property
-    def codeword_bits(self) -> int:
-        if self.is_bypass:
-            return self.data_bits
-        return (self.data_symbols + self.parity_symbols) * self.symbol_bits
-
-    @classmethod
-    def for_layout(cls, layout: Layout) -> "EccProfile":
-        """Derive the code from (lambda_sig, lambda_c): none when equal, else <= 255 symbols."""
-        parity = 0
-        if layout.lambda_c != layout.lambda_sig:
-            if layout.lambda_c % 8:
-                raise ParameterError("lambda_c must be byte-aligned when it exceeds lambda_sig")
-            parity = layout.lambda_c // 8 - (layout.lambda_sig + 7) // 8
-            if parity < 2 or parity % 2:
-                raise ParameterError(
-                    "lambda_c leaves %d parity symbols; need a positive even count" % parity
-                )
-            if layout.lambda_c > 8 * 255:
-                raise ParameterError("lambda_c exceeds the 255 symbols of a byte code")
-        return cls(data_bits=layout.lambda_sig, parity_symbols=parity)
-
-    @classmethod
-    def for_params(cls, params: WatermarkParams) -> "EccProfile":
-        """for_layout, checking that the code fits the planted-error budget gamma_max."""
-        profile = cls.for_layout(params)
-        if params.gamma_max == 0 and not profile.is_bypass:
-            raise ParameterError("gamma_max=0 requires lambda_c == lambda_sig")
-        if params.gamma_max > profile.t_correctable:
-            raise ParameterError(
-                "gamma_max %d exceeds correction capacity t=%d"
-                % (params.gamma_max, profile.t_correctable)
-            )
-        return profile
-
-    def check_stated(self, stated: dict) -> None:
-        """Reject a document whose ecc block does not equal this code's to_json_dict()."""
-        if stated != self.to_json_dict():
-            raise ParameterError(
-                "ecc block disagrees with the code derived from lambda_sig/lambda_c"
-            )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "data_symbols": self.data_symbols,
-            "parity_symbols": self.parity_symbols,
-            "symbol_bits": self.symbol_bits,
-            "t_correctable": self.t_correctable,
-            "data_bits": self.data_bits,
-        }
+    @staticmethod
+    def for_params(params: WatermarkParams) -> WatermarkParams:
+        return params
 
 
-def encode(sigma: BitString, profile: EccProfile) -> BitString:
+def encode(sigma: BitString, layout: Layout) -> BitString:
     """Systematic codeword: sigma's bits, then pad and parity."""
-    if sigma.length != profile.data_bits:
+    if sigma.length != layout.lambda_sig:
         raise ParameterError(
-            "signature is %d bits, profile expects %d" % (sigma.length, profile.data_bits)
+            "signature is %d bits, layout expects %d" % (sigma.length, layout.lambda_sig)
         )
-    if profile.is_bypass:
+    if not layout.parity_symbols:
         return sigma
-    codeword = rs_encode_bytes(sigma.to_bytes(), profile.parity_symbols)
-    return BitString.from_bytes(codeword)
+    return BitString.from_bytes(rs_encode_bytes(sigma.to_bytes(), layout.parity_symbols))
 
 
-def decode(c: BitString, profile: EccProfile) -> Optional[BitString]:
-    """Recover sigma from a codeword with at most t_correctable bad symbols.
+def decode(c: BitString, layout: Layout) -> Optional[BitString]:
+    """Recover sigma from a codeword with at most parity_symbols/2 bad symbols.
 
     Returns None on decode failure. May return a wrong signature when the
     error weight exceeds capacity; the caller must verify.
     """
-    if c.length != profile.codeword_bits:
+    if c.length != layout.lambda_c:
         raise ParameterError(
-            "codeword is %d bits, profile expects %d" % (c.length, profile.codeword_bits)
+            "codeword is %d bits, layout expects %d" % (c.length, layout.lambda_c)
         )
-    if profile.is_bypass:
+    if not layout.parity_symbols:
         return c
-    result = rs_decode_bytes(c.to_bytes(), profile.parity_symbols)
+    result = rs_decode_bytes(c.to_bytes(), layout.parity_symbols)
     if result is None:
         return None
     corrected, _ = result
-    return BitString.from_bytes(corrected[: profile.data_symbols], profile.data_bits)
+    return BitString.from_bytes(corrected, layout.lambda_sig)
 
 
 def symbol_distance(a: BitString, b: BitString) -> int:

@@ -130,8 +130,7 @@ def generate_message_signature_pair(
     msg_window = text[msg_start:msg_end]
     msg_bytes = msg_window.encode("utf-8")
     sigma = crypto.sign(keys, suite.h_sign(msg_bytes))
-    profile = ecc.EccProfile.for_params(params)
-    masked = suite.h_mask(msg_bytes, params.lambda_c) ^ ecc.encode(sigma, profile)
+    masked = suite.h_mask(msg_bytes, params.lambda_c) ^ ecc.encode(sigma, params)
 
     records = [BlockRecord(1, False, 0, msg_window)]
     chain = crypto.BitChain(suite.bit_oracle(), params.beta)

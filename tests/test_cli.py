@@ -334,6 +334,13 @@ class TestMalformedDocumentsExitTwo:
             ("--model", lambda sk, pk: {"kind": "uniform-mock", "retries": 1.5}),
             ("--model", lambda sk, pk: {"kind": "scripted-mock", "script": [["forced", 5]]}),
             ("--model", lambda sk, pk: {"kind": "uniform-mock", "seed": "x"}),
+            # Scalars equal to what keygen writes under ==, but not ints.
+            ("--public", lambda sk, pk: dict(pk, format_version=True, params=dict(
+                pk["params"], ecc=dict(pk["params"]["ecc"], t_correctable=2.0)))),
+            ("--key", lambda sk, pk: dict(sk, format_version=1.0)),
+            ("--params", lambda sk, pk: dict(sk["params"], alpha=float("nan"))),
+            # compact-328 corrects t=2 symbols, so a budget of 3 has no code.
+            ("--params", lambda sk, pk: dict(sk["params"], gamma_max=3)),
         ],
         ids=["model-list", "key-list", "public-list", "secret-salts-list",
              "public-salts-list", "secret-salt-not-a-string", "secret-without-salts",
@@ -342,7 +349,8 @@ class TestMalformedDocumentsExitTwo:
              "secret-key-not-a-string", "secret-salt-misspelled", "public-salt-misspelled",
              "public-salt-missing", "public-params-extra-field",
              "public-params-smuggled-secret", "model-retries-float",
-             "model-script-forced-int", "model-seed"],
+             "model-script-forced-int", "model-seed", "public-version-bool-ecc-float",
+             "secret-version-float", "params-alpha-nan", "params-gamma-beyond-code"],
     )
     def test_exits_two(self, tmp_path, capsys, keypair, flag, document):
         sk, pk = keypair
@@ -354,6 +362,8 @@ class TestMalformedDocumentsExitTwo:
             "--model": ["watermark", "--key", str(sk), "--n", "20", "--model", str(bad)],
             "--key": ["watermark", "--key", str(bad), "--n", "20"],
             "--public": ["detect", "--public", str(bad), str(text)],
+            "--params": ["keygen", str(tmp_path / "s.json"), str(tmp_path / "p.json"),
+                         "--params", str(bad)],
         }[flag]
         code, stdout, err = run(capsys, *argv)
         assert code == 2 and stdout == "" and err.startswith("error: ")

@@ -13,8 +13,6 @@ from pdws.core import (
     WatermarkParams,
     chunk,
 )
-from pdws.ecc import EccProfile
-
 from conftest import layouts
 
 bitstrings = st.integers(min_value=0, max_value=512).flatmap(
@@ -140,6 +138,9 @@ class TestWatermarkParams:
             {"a_max": 0},
             {"gamma_max": -1},
             {"alpha": 0.0},
+            {"alpha": True},
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -148,7 +149,7 @@ class TestWatermarkParams:
 
     @given(data=st.data(), layout=layouts())
     def test_json_roundtrip(self, data, layout):
-        t = EccProfile.for_layout(layout).t_correctable
+        t = layout.parity_symbols // 2
         p = WatermarkParams(
             *dataclasses.astuple(layout),
             gamma_max=data.draw(st.integers(min(t, 1), t)),
@@ -159,7 +160,7 @@ class TestWatermarkParams:
         assert WatermarkParams.from_json_dict(p.to_json_dict()) == p
         assert WatermarkParams.from_json(json.dumps(p.to_json_dict())) == p
         # as a bundled profile writes it, with the redundant ecc block
-        d = dict(p.to_json_dict(), ecc=EccProfile.for_params(p).to_json_dict())
+        d = dict(p.to_json_dict(), ecc=p.ecc_block())
         assert WatermarkParams.from_json_dict(d) == p
 
     def test_json_rejects_unknown_and_missing_fields(self):
@@ -171,8 +172,11 @@ class TestWatermarkParams:
         del d2["ell"]
         with pytest.raises(ParameterError):
             WatermarkParams.from_json_dict(d2)
-        with pytest.raises(ParameterError, match="format_version"):
-            WatermarkParams.from_json_dict(dict(WatermarkParams().to_json_dict(), format_version=2))
+        for version in (2, 1.0, True):
+            with pytest.raises(ParameterError, match="format_version"):
+                WatermarkParams.from_json_dict(
+                    dict(WatermarkParams().to_json_dict(), format_version=version)
+                )
 
     def test_json_checks_embedded_ecc_consistency(self):
         d = WatermarkParams().to_json_dict()
@@ -187,6 +191,9 @@ class TestWatermarkParams:
         d["ecc"]["parity_symbols"] = 8
         d["ecc"]["t_correctable"] = 4
         with pytest.raises(ParameterError):
+            WatermarkParams.from_json_dict(d)
+        d["ecc"].update(parity_symbols=4, t_correctable=2.0)
+        with pytest.raises(ParameterError, match="ecc"):
             WatermarkParams.from_json_dict(d)
 
 

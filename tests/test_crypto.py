@@ -184,6 +184,15 @@ class TestSchemes:
         with pytest.raises(KeyMaterialError):
             sign(pub, digest)
 
+    def test_mismatched_pair_cannot_be_built(self, scheme_id):
+        # Signing one digest under two public keys with one nonce would
+        # reveal a Schnorr secret key, so a mixed pair must never exist.
+        a, b = keygen(b"seed-l", scheme_id=scheme_id), keygen(b"seed-m", scheme_id=scheme_id)
+        with pytest.raises(KeyMaterialError):
+            sign(KeyMaterial(scheme_id, b.verify_key, a.signing_key), SUITE.h_sign(b"msg"))
+        with pytest.raises(KeyMaterialError):
+            KeyMaterial.from_json_dict(dict(a.to_json_dict(), public_key=b.verify_key.hex()))
+
     def test_key_material_json(self, scheme_id):
         keys = keygen(b"seed-k", scheme_id=scheme_id)
         full = KeyMaterial.from_json_dict(keys.to_json_dict(include_secret=True))

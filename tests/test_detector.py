@@ -1,9 +1,9 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from pdws.core import WatermarkParams
+from pdws.core import Layout, ParameterError, WatermarkParams
 from pdws.crypto import OracleSuite, keygen, sign
 from pdws.detector import DetectionResult, detect, detect_all
 from pdws.embedder import tile_compress, watermark
@@ -213,3 +213,42 @@ class TestLoneSurrogates:
             schnorr_keys, TINY_PARAMS, text, suite=suite, known_offset=offset
         ).detected
         assert detect_all(schnorr_keys, TINY_PARAMS, text, suite=suite) == []
+
+
+class TestEveryLayoutScans:
+    """A Layout that constructs has a code, so scanning it never raises."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        ell=st.integers(1, 8),
+        beta=st.sampled_from((1, 2, 3, 4, 8)),
+        lambda_sig=st.integers(1, 400),
+        # Any length, or a whole number of bytes up to past 255 symbols.
+        lambda_c=st.one_of(st.integers(1, 2100), st.integers(1, 263).map(lambda n: 8 * n)),
+        pattern=st.text(ANY_CHAR, max_size=12),
+        extra=st.integers(-1, 3),
+        cut=st.integers(0, 2**20),
+        offset=st.integers(-1, 4),
+    )
+    # 3 parity symbols, a codeword that is not whole bytes, and 257 symbols.
+    @example(16, 2, 328, 352, "", 0, 0, 0)
+    @example(16, 2, 328, 340, "", 0, 0, 0)
+    @example(1, 8, 328, 2056, "", 0, 0, 0)
+    def test_detect_and_detect_all_are_total(
+        self, schnorr_keys, suite, ell, beta, lambda_sig, lambda_c, pattern, extra, cut, offset
+    ):
+        # Most raw shapes are refused here; those that construct must scan.
+        try:
+            layout = Layout(ell, beta, lambda_sig, lambda_c)
+        except ParameterError:
+            return
+        # Repeat a short pattern, always with multi-byte characters, to about
+        # one gadget, then put a lone surrogate somewhere in it.
+        pattern += "\u00e9\u20ac\U0001f600"
+        length = layout.gadget_chars + extra
+        text = (pattern * (length // len(pattern) + 1))[:length]
+        cut %= len(text) + 1
+        text = text[:cut] + "\ud800" + text[cut:]
+        assert not detect(schnorr_keys, layout, text, suite=suite).detected
+        assert not detect(schnorr_keys, layout, text, suite=suite, known_offset=offset).detected
+        assert detect_all(schnorr_keys, layout, text, suite=suite) == []

@@ -69,7 +69,8 @@ def test_parity_matches_schoolbook_division():
 
 # -- encode / decode ---------------------------------------------------------
 
-PROFILE = EccProfile(data_bits=328, parity_symbols=4)
+# The default layout's code: 41 data and 4 parity symbols, t = 2.
+LAYOUT = Layout()
 
 
 def corrupt(word: bytes, positions, rng) -> bytes:
@@ -173,12 +174,13 @@ def test_roundtrip_property(data, n_errors, pyrandom):
 
 
 class TestProfile:
+    """The code is the Layout's: parity_symbols, ecc_block and its checks."""
+
     def test_for_params_default(self):
-        p = EccProfile.for_params(WatermarkParams())
-        assert p == PROFILE
-        assert p.codeword_bits == 360
-        assert not p.is_bypass
-        assert p.to_json_dict() == {
+        p = WatermarkParams()
+        assert EccProfile.for_params(p) is p
+        assert p.parity_symbols == 4
+        assert p.ecc_block() == {
             "data_symbols": 41,
             "parity_symbols": 4,
             "symbol_bits": 8,
@@ -188,82 +190,85 @@ class TestProfile:
 
     def test_for_params_bypass(self):
         params = WatermarkParams(gamma_max=0, lambda_c=328, n=2640)
-        p = EccProfile.for_params(params)
-        assert p.is_bypass
-        assert p.codeword_bits == 328
+        assert EccProfile.for_params(params) is params
+        assert params.parity_symbols == 0
+        assert params.ecc_block()["t_correctable"] == 0
 
     def test_bypass_requires_matching_lengths(self):
-        with pytest.raises(ParameterError):
-            EccProfile.for_params(WatermarkParams(gamma_max=0))
+        with pytest.raises(ParameterError, match="gamma_max=0"):
+            WatermarkParams(gamma_max=0)
 
     def test_codeword_fits_255_symbols(self):
         # 41 data and 214 parity symbols fill a byte code; two more do not fit.
-        assert EccProfile.for_layout(Layout(1, 8, 328, 2040)).parity_symbols == 214
+        assert Layout(1, 8, 328, 2040).parity_symbols == 214
         with pytest.raises(ParameterError, match="255"):
-            EccProfile.for_layout(Layout(1, 8, 328, 2056))
-        # the bypass profile has no code, so no symbol limit
-        assert EccProfile.for_layout(Layout(1, 8, 4096, 4096)).is_bypass
+            Layout(1, 8, 328, 2056)
+        # the bypass layout has no code, so no symbol limit
+        assert Layout(1, 8, 4096, 4096).parity_symbols == 0
 
     def test_budget_cannot_exceed_capacity(self):
-        with pytest.raises(ParameterError):
-            EccProfile.for_params(WatermarkParams(gamma_max=3))
+        with pytest.raises(ParameterError, match="capacity"):
+            WatermarkParams(gamma_max=3)
 
     @given(layout=layouts(), data=st.data())
-    def test_check_stated_accepts_only_the_derived_block(self, layout, data):
-        profile = EccProfile.for_layout(layout)
-        block = profile.to_json_dict()
-        profile.check_stated(block)
+    def test_check_ecc_block_accepts_only_the_derived_block(self, layout, data):
+        block = layout.ecc_block()
+        layout.check_ecc_block(block)
         key = data.draw(st.sampled_from(sorted(block)))
         json_values = st.one_of(
             st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
             st.lists(st.integers(), max_size=2),
         )
         changed = dict(block, **{key: data.draw(json_values.filter(lambda v: v != block[key]))})
+        # equal under ==, but not the int keygen writes
+        inexact = dict(block, **{key: data.draw(st.sampled_from(
+            [float(block[key])] + [bool(block[key])] * (block[key] in (0, 1))
+        ))})
         dropped = {k: v for k, v in block.items() if k != key}
         added_key = data.draw(st.text(max_size=12).filter(lambda k: k not in block))
         added = dict(block, **{added_key: data.draw(json_values)})
         not_an_object = data.draw(
             st.one_of(json_values, st.just(list(block.items())), st.just(sorted(block)))
         )
-        for stated in (changed, dropped, added, not_an_object):
+        for stated in (changed, inexact, dropped, added, not_an_object):
             with pytest.raises(ParameterError):
-                profile.check_stated(stated)
+                layout.check_ecc_block(stated)
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            EccProfile(328, 3)  # odd parity count
-        with pytest.raises(ParameterError):
-            EccProfile(328, -2)
+        # A layout with a code needs whole, even, positive parity bytes.
+        for lambda_c, match in ((340, "byte-aligned"), (336, "parity"), (352, "parity")):
+            with pytest.raises(ParameterError, match=match):
+                Layout(lambda_c=lambda_c)
 
 
 class TestBitLevel:
     def test_encode_shape_and_systematic_prefix(self):
         sig = BitString.from_bytes(bytes(range(41)), 328)
-        cw = encode(sig, PROFILE)
+        cw = encode(sig, LAYOUT)
         assert cw.length == 360
         assert cw[:328] == sig
 
     def test_encode_rejects_wrong_length(self):
         with pytest.raises(ParameterError):
-            encode(BitString(0, 327), PROFILE)
+            encode(BitString(0, 327), LAYOUT)
 
     def test_decode_inverts_encode(self):
         rng = random.Random(30)
         sig = BitString.from_bytes(bytes(rng.randrange(256) for _ in range(41)), 328)
-        assert decode(encode(sig, PROFILE), PROFILE) == sig
+        assert decode(encode(sig, LAYOUT), LAYOUT) == sig
 
     def test_decode_with_symbol_errors(self):
         rng = random.Random(31)
         sig = BitString.from_bytes(bytes(rng.randrange(256) for _ in range(41)), 328)
-        cw = encode(sig, PROFILE).to_bytes()
+        cw = encode(sig, LAYOUT).to_bytes()
         bad = corrupt(cw, rng.sample(range(45), 2), rng)
-        assert decode(BitString.from_bytes(bad, 360), PROFILE) == sig
+        assert decode(BitString.from_bytes(bad, 360), LAYOUT) == sig
 
     def test_bypass_identity(self):
-        profile = EccProfile(328, 0)
+        bypass = Layout(lambda_c=328)
         sig = BitString.from_bytes(bytes(range(41)), 328)
-        assert encode(sig, profile) == sig
-        assert decode(sig, profile) == sig
+        assert encode(sig, bypass) == sig
+        assert decode(sig, bypass) == sig
 
     def test_symbol_distance(self):
         a = BitString.from_bytes(b"\x00\x00\x00", 24)

@@ -11,7 +11,7 @@ from pdws.core import (
     chunk,
 )
 from pdws.crypto import BitChain, h_bit, sign
-from pdws.ecc import EccProfile, encode
+from pdws.ecc import encode
 from pdws.embedder import (
     EmbedFailure,
     generate_message_signature_pair,
@@ -32,8 +32,7 @@ def chain_replay(params, suite, keys, msg_text, block_texts):
     """
     msg = msg_text.encode("utf-8")
     sigma = sign(keys, suite.h_sign(msg))
-    profile = EccProfile.for_params(params)
-    masked = suite.h_mask(msg, params.lambda_c) ^ encode(sigma, profile)
+    masked = suite.h_mask(msg, params.lambda_c) ^ encode(sigma, params)
     targets = chunk(masked, params.beta)
     assert len(block_texts) == len(targets)
 

@@ -128,3 +128,14 @@ def test_every_json_parser_has_a_caller_outside_tests():
             break
         used |= more
     assert sorted(defined - used) == []
+
+
+def test_only_ecc_defines_the_former_code_profile():
+    # The Layout owns its code; EccProfile survives only as the for_params
+    # name that the acceptance tests call, and no module uses it.
+    named = {
+        path.name: path.read_text(encoding="utf-8").count("EccProfile")
+        for path in (ROOT / "src" / "pdws").glob("*.py")
+    }
+    assert {name: n for name, n in named.items() if n} == {"ecc.py": 1}
+    assert "\nclass EccProfile:" in (ROOT / "src" / "pdws" / "ecc.py").read_text(encoding="utf-8")
