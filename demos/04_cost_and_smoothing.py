@@ -30,7 +30,7 @@ for ell, beta, lam in ((16, 1, 360), (16, 2, 360), (32, 2, 360)):
     predicted = expected_chars(ell, beta, lam) + ell
     print(
         "ell=%2d beta=%d: measured %8.0f chars, model %8d, attempts/block %.2f"
-        % (ell, beta, report.mean_chars, predicted, report.mean_attempts_per_block)
+        % (ell, beta, report["mean_chars"], predicted, report["mean_attempts_per_block"])
     )
 
 # now a model that forces two whole blocks per gadget. with an error budget

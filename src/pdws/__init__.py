@@ -12,7 +12,7 @@ read off the Layout (parity_symbols, ecc_block). Internals (the byte code,
 sampling, raw sign/verify) are imported from their submodules.
 """
 
-from .bench import BenchReport, expected_chars, run_bench
+from .bench import expected_chars, run_bench
 from .core import (
     BitString,
     BlockRecord,
@@ -35,7 +35,6 @@ from .model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchReport",
     "BitString",
     "BlockRecord",
     "DetectionResult",

@@ -10,10 +10,9 @@ distribution of planted errors per run.
 from __future__ import annotations
 
 import hashlib
-import io
 import platform
 import time
-from dataclasses import dataclass, fields
+from collections import Counter
 from typing import Sequence
 
 from .core import FORMAT_VERSION, ParameterError, WatermarkParams
@@ -37,143 +36,15 @@ def _run_seed(seed: int, prompt_index: int, repeat: int) -> int:
     return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big")
 
 
-@dataclass(frozen=True)
-class BenchRun:
-    """One (prompt, repeat) measurement."""
-
-    prompt_index: int
-    repeat: int
-    seed: int
-    failed: bool
-    gen_seconds: float
-    detect_seconds: float
-    chars_sampled: int
-    gamma_used: int
-    detected: bool
-
-    def to_row(self) -> dict:
-        return {
-            "prompt_index": self.prompt_index,
-            "repeat": self.repeat,
-            "seed": self.seed,
-            "failed": int(self.failed),
-            "gen_seconds": "%.6f" % self.gen_seconds,
-            "detect_seconds": "%.6f" % self.detect_seconds,
-            "chars_sampled": self.chars_sampled,
-            "gamma_used": self.gamma_used,
-            "detected": int(self.detected),
-        }
-
-
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
-def _p95(values: Sequence[float]) -> float:
+
+def _timing(values: Sequence[float]) -> dict:
+    """Mean and nearest-rank 95th percentile, both 0.0 for no values."""
     if not values:
-        return 0.0
-    ordered = sorted(values)
-    # nearest-rank percentile
-    rank = max(0, min(len(ordered) - 1, int(0.95 * len(ordered) + 0.5) - 1))
-    return ordered[rank]
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """The runs of one benchmark; every aggregate is computed from its rows.
-
-    Failed runs count only in failures: the timings, mean_chars, the
-    attempt estimate and gamma_histogram cover the successful runs.
-    """
-
-    params: WatermarkParams
-    rows: tuple[BenchRun, ...]
-
-    @property
-    def _ok(self) -> list[BenchRun]:
-        return [run for run in self.rows if not run.failed]
-
-    @property
-    def runs(self) -> int:
-        return len(self._ok)
-
-    @property
-    def failures(self) -> int:
-        return len(self.rows) - self.runs
-
-    @property
-    def mean_chars(self) -> float:
-        return _mean([float(run.chars_sampled) for run in self._ok])
-
-    @property
-    def mean_attempts_per_block(self) -> float:
-        """Mean attempts over signature blocks only; message blocks always cost 1."""
-        params = self.params
-        k_fit = params.n // params.gadget_chars
-        sig_blocks = max(1, k_fit * params.n_blocks)
-        tail_chars = max(0, params.n - k_fit * params.gadget_chars)
-        return _mean(
-            [
-                (run.chars_sampled - tail_chars - k_fit * params.ell)
-                / params.ell
-                / sig_blocks
-                for run in self._ok
-            ]
-        )
-
-    @property
-    def gen_seconds_mean(self) -> float:
-        return _mean([run.gen_seconds for run in self._ok])
-
-    @property
-    def gen_seconds_p95(self) -> float:
-        return _p95([run.gen_seconds for run in self._ok])
-
-    @property
-    def detect_seconds_mean(self) -> float:
-        return _mean([run.detect_seconds for run in self._ok])
-
-    @property
-    def detect_seconds_p95(self) -> float:
-        return _p95([run.detect_seconds for run in self._ok])
-
-    @property
-    def gamma_histogram(self) -> dict[int, int]:
-        """Successful runs per planted-error count."""
-        histogram: dict[int, int] = {}
-        for run in self._ok:
-            histogram[run.gamma_used] = histogram.get(run.gamma_used, 0) + 1
-        return histogram
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "params": self.params.to_json_dict(),
-            "runs": self.runs,
-            "failures": self.failures,
-            "mean_chars": self.mean_chars,
-            "mean_attempts_per_block": self.mean_attempts_per_block,
-            "gen_seconds": {"mean": self.gen_seconds_mean, "p95": self.gen_seconds_p95},
-            "detect_seconds": {
-                "mean": self.detect_seconds_mean,
-                "p95": self.detect_seconds_p95,
-            },
-            "gamma_histogram": {str(k): v for k, v in sorted(self.gamma_histogram.items())},
-            "host": {
-                "platform": platform.platform(),
-                "python": platform.python_version(),
-            },
-        }
-
-    def rows_csv(self) -> str:
-        """Per-run rows for plotting, one line per (prompt, repeat)."""
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=[f.name for f in fields(BenchRun)])
-        writer.writeheader()
-        for run in self.rows:
-            writer.writerow(run.to_row())
-        return buf.getvalue()
+        return {"mean": 0.0, "p95": 0.0}
+    return {"mean": _mean(values), "p95": sorted(values)[int(0.95 * len(values) + 0.5) - 1]}
 
 
 def _run_once(
@@ -185,27 +56,27 @@ def _run_once(
     repeat: int,
     seed: int,
     suite: OracleSuite,
-) -> BenchRun:
+) -> dict:
     """Watermark one prompt on its derived seed, then time a full-scan detect."""
-    run_seed = _run_seed(seed, prompt_index, repeat)
+    row = dict(
+        prompt_index=prompt_index, repeat=repeat, seed=_run_seed(seed, prompt_index, repeat),
+        failed=True, gen_seconds=0.0, detect_seconds=0.0, attempts=0, gamma_used=0, detected=False,
+    )
     t0 = time.perf_counter()
     try:
-        text, transcript = watermark(params, keys, model, prompt, seed=run_seed, suite=suite)
+        text, transcript = watermark(params, keys, model, prompt, seed=row["seed"], suite=suite)
     except EmbedFailure:
-        return BenchRun(prompt_index, repeat, run_seed, True, 0.0, 0.0, 0, 0, False)
+        return row
     gen_s = time.perf_counter() - t0
-
-    # every attempt consumed one ell-char block; the tail is plain
-    chars = sum(b.attempts for b in transcript.blocks) * params.ell
-    chars += max(0, params.n - len(transcript.blocks) * params.ell)
 
     t0 = time.perf_counter()
     result = detect(keys, params, text, suite=suite)
-    det_s = time.perf_counter() - t0
-    return BenchRun(
-        prompt_index, repeat, run_seed, False, gen_s, det_s, chars,
-        transcript.gamma_used, result.detected,
+    row.update(
+        failed=False, gen_seconds=gen_s, detect_seconds=time.perf_counter() - t0,
+        attempts=sum(b.attempts for b in transcript.blocks), gamma_used=transcript.gamma_used,
+        detected=result.detected,
     )
+    return row
 
 
 def run_bench(
@@ -217,15 +88,21 @@ def run_bench(
     *,
     seed: int = 0,
     suite: OracleSuite = OracleSuite(),
-) -> BenchReport:
-    """Time watermark and a full-scan detect over a prompt set.
+) -> dict:
+    """Time watermark and a full-scan detect over a prompt set; return the report.
 
-    Each (prompt, repeat) gets a derived seed recorded in its row. One
-    warm-up runs the same watermark-plus-detect body on the first prompt
-    and is discarded. Runs that end in EmbedFailure are counted as
-    failures and excluded from timing and the histogram (their time is
-    censored: the failure aborts generation early, so it would only
-    flatter the numbers).
+    The report is a JSON-ready dict. rows holds one dict per (prompt,
+    repeat): its derived seed, whether it failed, its timings, the
+    transcript's summed block attempts, gamma_used and whether detect found
+    the gadget. Every aggregate is computed from the rows. One warm-up runs
+    the same watermark-plus-detect body on the first prompt and is
+    discarded. Runs that end in EmbedFailure count only in failures; the
+    timings, mean_chars, mean_attempts_per_block and gamma_histogram cover
+    the successful runs (a failure aborts generation early, so its time
+    would only flatter the numbers). mean_chars counts ell-char windows:
+    each attempt draws one, and the tail past the last whole gadget is
+    plain. mean_attempts_per_block averages over signature blocks only;
+    message blocks always cost 1.
     """
     if not prompts:
         raise ParameterError("at least one prompt required")
@@ -233,9 +110,27 @@ def run_bench(
         raise ParameterError("repeats must be >= 1")
 
     _run_once(params, keys, model, prompts[0], -1, 0, seed, suite)
-    runs = [
+    rows = [
         _run_once(params, keys, model, prompt, pi, r, seed, suite)
         for pi, prompt in enumerate(prompts)
         for r in range(repeats)
     ]
-    return BenchReport(params=params, rows=tuple(runs))
+    ok = [row for row in rows if not row["failed"]]
+    k_fit = params.n // params.gadget_chars
+    tail = params.n - k_fit * params.gadget_chars
+    gammas = Counter(row["gamma_used"] for row in ok)
+    return {
+        "format_version": FORMAT_VERSION,
+        "params": params.to_json_dict(),
+        "runs": len(ok),
+        "failures": len(rows) - len(ok),
+        "mean_chars": _mean([row["attempts"] * params.ell + tail for row in ok]),
+        "mean_attempts_per_block": _mean(
+            [(row["attempts"] - k_fit) / max(1, k_fit * params.n_blocks) for row in ok]
+        ),
+        "gen_seconds": _timing([row["gen_seconds"] for row in ok]),
+        "detect_seconds": _timing([row["detect_seconds"] for row in ok]),
+        "gamma_histogram": {str(k): v for k, v in sorted(gammas.items())},
+        "host": {"platform": platform.platform(), "python": platform.python_version()},
+        "rows": rows,
+    }

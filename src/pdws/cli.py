@@ -296,18 +296,9 @@ def cmd_bench(args) -> int:
         prompts = [line for line in bundled.read_text("utf-8").splitlines() if line]
 
     report = run_bench(
-        params,
-        keys,
-        model,
-        prompts,
-        repeats=args.repeats,
-        seed=args.seed,
-        suite=suite,
+        params, keys, model, prompts, repeats=args.repeats, seed=args.seed, suite=suite
     )
-    _dump_json(report.to_json_dict(), args.out)
-    if args.plot_data:
-        with open(args.plot_data, "w", encoding="utf-8") as fh:
-            fh.write(report.rows_csv())
+    _dump_json(report, args.out)
     return 0
 
 
@@ -360,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--prompts", help="file with one prompt per line")
     bn.add_argument("--repeats", type=int, default=3)
     bn.add_argument("--seed", type=int, default=0)
-    bn.add_argument("--out", help="report JSON path (default stdout)")
-    bn.add_argument("--plot-data", help="write per-run CSV rows here")
+    bn.add_argument("--out", help="report JSON path, rows included (default stdout)")
     bn.add_argument("--model", help="model config JSON, or 'uniform-mock'")
     bn.set_defaults(func=cmd_bench)
 

@@ -5,12 +5,12 @@ signature, codeword and chunk carriers), the gadget layout a verifier
 needs, the full parameter profile the embedder reads its knobs from, and
 the per-block transcript of an embedding run. Each stores only its
 independent fields; what follows from them (n_blocks, gadget_chars, the
-error-correcting code, gamma_used) is computed. A Layout that constructs
-has a code: none when lambda_c == lambda_sig, else Reed-Solomon over bytes
-with an even, positive parity count and at most 255 symbols. Layout and
-parameter fields other than alpha must be ints, and alpha a finite
-positive number, so a JSON 2.0 or true is rejected rather than read as 2
-or 1.
+error-correcting code, planted_error, gamma_used) is computed. A Layout
+that constructs has a code: none when lambda_c == lambda_sig, else
+Reed-Solomon over bytes with an even, positive parity count and at most
+255 symbols. Layout and parameter fields other than alpha must be ints,
+and alpha a finite positive number, so a JSON 2.0 or true is rejected
+rather than read as 2 or 1.
 
 Bit order convention: bit 0 of a BitString is the most significant bit of
 byte 0, and serialization is big-endian throughout. Characters are unicode
@@ -290,9 +290,13 @@ class BlockRecord:
     """One embedded block: how it was found and what it says."""
 
     attempts: int
-    planted_error: bool
     best_hamming: int
     text: str
+
+    @property
+    def planted_error(self) -> bool:
+        """The block's value misses its chunk, so the code must correct it."""
+        return self.best_hamming > 0
 
 
 @dataclass(frozen=True)
@@ -321,7 +325,7 @@ class EmbedTranscript:
         return {
             "params": self.params.to_json_dict(),
             "seed": self.seed,
-            "blocks": [asdict(b) for b in self.blocks],
+            "blocks": [dict(asdict(b), planted_error=b.planted_error) for b in self.blocks],
             "gamma_used": self.gamma_used,
         }
 

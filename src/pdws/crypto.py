@@ -84,14 +84,13 @@ class HashOracle:
         """A SHA-256 state that has absorbed the frame and data; extend it with update()."""
         return hashlib.sha256(self._prefix + data)
 
-    def bit_value(self, data: bytes, beta: int, state=None) -> int:
-        """First beta bits of the digest as an int (hot-path form of h_bit).
+    def bit_value(self, data: bytes, beta: int, state) -> int:
+        """First beta bits of the digest of what state absorbed followed by data.
 
-        With state (from running(), possibly updated since) the digest covers
-        what the state absorbed followed by data; the state itself is copied,
-        not consumed.
+        state comes from running(), possibly updated since; it is copied, not
+        consumed. This is the per-block call of a BitChain.
         """
-        h = self.running() if state is None else state.copy()
+        h = state.copy()
         h.update(data)
         return h.digest()[0] >> (8 - beta)
 
@@ -135,10 +134,10 @@ class BitChain:
 
 
 def h_bit(data: bytes, beta: int, salt: bytes = b"") -> BitString:
-    """beta-bit rejection hash, domain tag BIT."""
+    """beta-bit rejection hash, domain tag BIT: a fresh chain's first value."""
     if beta not in (1, 2, 4, 8):
         raise ValueError("beta must be one of 1, 2, 4, 8")
-    return BitString(HashOracle(TAG_BIT, salt).bit_value(data, beta), beta)
+    return BitString(BitChain(HashOracle(TAG_BIT, salt), beta).peek(data), beta)
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,7 @@ def reject_sample_tokens(
             break
 
     distance, cand, window_bytes, achieved = best
-    record = BlockRecord(attempt, distance > 0, distance, cand[window_start:window_end])
+    record = BlockRecord(attempt, distance, cand[window_start:window_end])
     return cand, window_bytes, achieved, record
 
 
@@ -132,7 +132,7 @@ def generate_message_signature_pair(
     sigma = crypto.sign(keys, suite.h_sign(msg_bytes))
     masked = suite.h_mask(msg_bytes, params.lambda_c) ^ ecc.encode(sigma, params)
 
-    records = [BlockRecord(1, False, 0, msg_window)]
+    records = [BlockRecord(1, 0, msg_window)]
     chain = crypto.BitChain(suite.bit_oracle(), params.beta)
     gamma_used = 0
     for j, target in enumerate(chunk(masked, params.beta), start=1):

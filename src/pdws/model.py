@@ -36,7 +36,12 @@ from .rng import SamplerState
 
 DEFAULT_ALPHABET = string.ascii_letters + string.digits + " ."  # 64 characters
 
-MODEL_KINDS = ("uniform-mock", "scripted-mock", "remote")
+# The fields each kind reads; any other field must keep its default.
+_READS = {
+    "uniform-mock": ("alphabet",),
+    "scripted-mock": ("alphabet", "script", "script_cycle"),
+    "remote": ("endpoint", "top_k", "timeout_ms", "retries"),
+}
 
 
 class TransportError(RuntimeError):
@@ -80,9 +85,11 @@ class ModelHandle:
 
     script segments are ("forced", text) or ("free", char_count); free
     positions draw uniformly from the alphabet. With script_cycle the
-    schedule repeats; otherwise positions past its end are free. A model
-    config file holds these fields and no others, kind required; the
-    sampling seed is an argument of watermark, not part of the model.
+    schedule repeats; otherwise positions past its end are free. A field
+    the kind never reads (a script on a remote model, top_k on a mock) must
+    keep its default. A model config file holds these fields and no others,
+    kind required; the sampling seed is an argument of watermark, not part
+    of the model.
     """
 
     kind: str
@@ -95,10 +102,17 @@ class ModelHandle:
     retries: int = 2
 
     def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _READS:
             raise ParameterError("unknown model kind %r" % self.kind)
-        if not isinstance(self.alphabet, str) or (self.kind != "remote" and not self.alphabet):
-            raise ParameterError("alphabet must be a string, and non-empty for mock models")
+        reads = ("kind",) + _READS[self.kind]
+        unread = [
+            f.name for f in fields(self)
+            if f.name not in reads and getattr(self, f.name) != f.default
+        ]
+        if unread:
+            raise ParameterError("a %s model does not read %s" % (self.kind, ", ".join(unread)))
+        if not isinstance(self.alphabet, str) or not self.alphabet:
+            raise ParameterError("alphabet must be a non-empty string")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ParameterError("alphabet has duplicate characters")
         if self.kind == "remote":

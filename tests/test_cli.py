@@ -331,9 +331,12 @@ class TestMalformedDocumentsExitTwo:
                 salts=_salts(pk["params"]["salts"], mask=None))(sk, pk)),
             ("--public", _public_params(gamma_max=2)),
             ("--public", _public_params(secret_key="00" * 21)),
-            ("--model", lambda sk, pk: {"kind": "uniform-mock", "retries": 1.5}),
+            ("--model", lambda sk, pk: {"kind": "remote", "endpoint": "http://127.0.0.1:9",
+                                        "retries": 1.5}),
             ("--model", lambda sk, pk: {"kind": "scripted-mock", "script": [["forced", 5]]}),
             ("--model", lambda sk, pk: {"kind": "uniform-mock", "seed": "x"}),
+            # a uniform mock never reads a script; it would sample uniformly
+            ("--model", lambda sk, pk: {"kind": "uniform-mock", "script": [["forced", "QQQQ"]]}),
             # Scalars equal to what keygen writes under ==, but not ints.
             ("--public", lambda sk, pk: dict(pk, format_version=True, params=dict(
                 pk["params"], ecc=dict(pk["params"]["ecc"], t_correctable=2.0)))),
@@ -349,7 +352,7 @@ class TestMalformedDocumentsExitTwo:
              "secret-key-not-a-string", "secret-salt-misspelled", "public-salt-misspelled",
              "public-salt-missing", "public-params-extra-field",
              "public-params-smuggled-secret", "model-retries-float",
-             "model-script-forced-int", "model-seed", "public-version-bool-ecc-float",
+             "model-script-forced-int", "model-seed", "model-unread-script", "public-version-bool-ecc-float",
              "secret-version-float", "params-alpha-nan", "params-gamma-beyond-code"],
     )
     def test_exits_two(self, tmp_path, capsys, keypair, flag, document):
@@ -401,21 +404,30 @@ class TestShortOutput:
 
 
 class TestBenchCommand:
-    def test_report_and_plot_data(self, tmp_path, capsys, keypair):
+    def test_report_has_one_row_per_run(self, tmp_path, capsys, keypair):
         sk, _ = keypair
         report = tmp_path / "report.json"
-        rows = tmp_path / "rows.csv"
         prompts = tmp_path / "prompts.txt"
         prompts.write_text("alpha\nbeta\n")
         code, _, err = run(
             capsys, "bench", "--key", str(sk), "--prompts", str(prompts),
-            "--repeats", "1", "--out", str(report), "--plot-data", str(rows),
+            "--repeats", "2", "--out", str(report),
         )
         assert code == 0, err
         doc = json.loads(report.read_text())
-        assert doc["runs"] == 2 and doc["failures"] == 0
-        lines = rows.read_text().strip().splitlines()
-        assert lines[0].startswith("prompt_index,") and len(lines) == 3
+        assert doc["runs"] == 4 and doc["failures"] == 0
+        assert [(row["prompt_index"], row["repeat"]) for row in doc["rows"]] == [
+            (0, 0), (0, 1), (1, 0), (1, 1)
+        ]
+
+    def test_plot_data_is_gone(self, tmp_path, capsys, keypair):
+        # the rows are in the report; there is no second per-run format
+        sk, _ = keypair
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--key", str(sk), "--plot-data", str(tmp_path / "rows.csv")])
+        assert exc.value.code == 2
+        assert "--plot-data" in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_bundled_prompts_used_by_default(self, tmp_path, capsys, keypair):
         sk, _ = keypair
@@ -569,7 +581,9 @@ class TestOutOfRangeIntegersExitTwo:
     def test_zero_timeout(self, tmp_path, capsys, keypair):
         sk, _ = keypair
         model = tmp_path / "model.json"
-        model.write_text(json.dumps({"kind": "uniform-mock", "timeout_ms": 0}))
+        model.write_text(
+            json.dumps({"kind": "remote", "endpoint": "http://127.0.0.1:9", "timeout_ms": 0})
+        )
         code, stdout, err = run(
             capsys, "watermark", "--key", str(sk), "--seed", "1", "--model", str(model)
         )

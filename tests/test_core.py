@@ -199,16 +199,19 @@ class TestWatermarkParams:
 
 class TestTranscript:
     def test_block_record_roundtrip(self):
-        r = BlockRecord(attempts=3, planted_error=False, best_hamming=0, text="abcd")
-        d = {"attempts": 3, "planted_error": False, "best_hamming": 0, "text": "abcd"}
+        r = BlockRecord(attempts=3, best_hamming=0, text="abcd")
+        d = {"attempts": 3, "best_hamming": 0, "text": "abcd"}
         assert dataclasses.asdict(r) == d
         assert BlockRecord(**json.loads(json.dumps(d))) == r
+        # planted_error is derived: a block whose value misses its chunk
+        assert not r.planted_error
+        assert BlockRecord(17, 1, "x" * 4).planted_error
 
     def test_transcript_roundtrip(self):
         p = WatermarkParams()
         blocks = (
-            BlockRecord(1, False, 0, "m" * 16),
-            BlockRecord(17, True, 1, "x" * 16),
+            BlockRecord(1, 0, "m" * 16),
+            BlockRecord(17, 1, "x" * 16),
         )
         t = EmbedTranscript(p, 7, blocks)
         assert t.gamma_used == 1
@@ -224,6 +227,6 @@ class TestTranscript:
 
     def test_transcript_validates_attempts(self):
         p = WatermarkParams()
-        too_many = (BlockRecord(p.a_max + 2, False, 0, "m" * 16),)
+        too_many = (BlockRecord(p.a_max + 2, 0, "m" * 16),)
         with pytest.raises(ParameterError):
             EmbedTranscript(p, 0, too_many)

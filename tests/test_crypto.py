@@ -82,7 +82,7 @@ class TestOracles:
         state = oracle.running(a)
         state.update(b)
         for beta in (1, 2, 4, 8):
-            whole = oracle.bit_value(a + b + tail, beta)
+            whole = oracle.bit_value(a + b + tail, beta, oracle.running())
             assert oracle.bit_value(tail, beta, state) == whole
             # the state is copied, not consumed
             assert oracle.bit_value(tail, beta, state) == whole

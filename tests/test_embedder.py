@@ -122,6 +122,8 @@ class TestWatermark:
         _, tr = watermark(params328, schnorr_keys, model64, "p", seed=8, suite=suite)
         doc = json.loads(tr.to_json())
         assert doc == tr.to_json_dict()
+        for b in doc["blocks"]:
+            assert b.pop("planted_error") == (b["best_hamming"] > 0)
         blocks = tuple(BlockRecord(**b) for b in doc["blocks"])
         assert EmbedTranscript(tr.params, doc["seed"], blocks) == tr
 
@@ -278,7 +280,7 @@ class TestGenerateMessageSignaturePair:
             rng=SamplerState(18),
             msg_start=0,
         )
-        assert records[0] == BlockRecord(1, False, 0, "m" * params328.ell)
+        assert records[0] == BlockRecord(1, 0, "m" * params328.ell)
         assert text.startswith(held)
         assert records[1].text.startswith("mmm")
 

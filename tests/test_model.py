@@ -222,6 +222,36 @@ class TestMocks:
             ModelHandle.from_json_dict({"kind": "uniform-mock", "seed": 0})
 
 
+# The fields each kind reads, each set away from its default.
+READS = {
+    "uniform-mock": {"alphabet": "xyz"},
+    "scripted-mock": {"alphabet": "xyz", "script": [["forced", "ab"], ["free", 2]],
+                      "script_cycle": True},
+    "remote": {"endpoint": "http://127.0.0.1:9", "top_k": 8, "timeout_ms": 100, "retries": 0},
+}
+ANY_FIELD = {name: value for reads in READS.values() for name, value in reads.items()}
+UNREAD = [(kind, name) for kind in READS for name in ANY_FIELD if name not in READS[kind]]
+
+
+class TestFieldsPerKind:
+    @pytest.mark.parametrize("kind", sorted(READS))
+    def test_kind_loads_with_every_field_it_reads(self, kind):
+        model = ModelHandle.from_json_dict(dict(READS[kind], kind=kind))
+        assert model.kind == kind
+
+    @pytest.mark.parametrize("kind, name", UNREAD, ids=["%s-%s" % case for case in UNREAD])
+    def test_unread_field_is_refused(self, kind, name):
+        doc = dict(READS[kind], kind=kind)
+        doc[name] = ANY_FIELD[name]
+        with pytest.raises(ParameterError, match="does not read %s" % name):
+            ModelHandle.from_json_dict(doc)
+
+    @pytest.mark.parametrize("kind", sorted(READS))
+    def test_alphabet_is_never_empty(self, kind):
+        with pytest.raises(ParameterError, match="alphabet"):
+            ModelHandle.from_json_dict(dict(READS[kind], kind=kind, alphabet=""))
+
+
 class TestRemote:
     def test_distribution_renormalized(self, stub_server):
         model = ModelHandle(kind="remote", endpoint=stub_server + "/ok")

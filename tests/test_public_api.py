@@ -11,11 +11,11 @@ from pdws.cli import build_parser
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
-    "BenchReport", "BitString", "BlockRecord", "DetectionResult", "EmbedFailure",
-    "EmbedTranscript", "KeyMaterial", "KeyMaterialError", "Layout", "ModelHandle",
-    "OracleSuite", "ParameterError", "ProtocolError", "TokenDistribution",
-    "TransportError", "WatermarkParams", "detect", "detect_all", "expected_chars",
-    "h_bit", "keygen", "next_distribution", "run_bench", "tile_compress", "watermark",
+    "BitString", "BlockRecord", "DetectionResult", "EmbedFailure", "EmbedTranscript",
+    "KeyMaterial", "KeyMaterialError", "Layout", "ModelHandle", "OracleSuite",
+    "ParameterError", "ProtocolError", "TokenDistribution", "TransportError",
+    "WatermarkParams", "detect", "detect_all", "expected_chars", "h_bit", "keygen",
+    "next_distribution", "run_bench", "tile_compress", "watermark",
 ]
 
 
@@ -56,7 +56,7 @@ CLI_OPTIONS = {
     "keygen": ["--params", "--salt-seed", "--scheme", "--seed"],
     "watermark": ["--key", "--model", "--n", "--out", "--prompt", "--prompt-file", "--seed"],
     "detect": ["--known-offset", "--public"],
-    "bench": ["--key", "--model", "--out", "--plot-data", "--prompts", "--repeats", "--seed"],
+    "bench": ["--key", "--model", "--out", "--prompts", "--repeats", "--seed"],
 }
 
 
