@@ -44,7 +44,7 @@ def _timing(values: Sequence[float]) -> dict:
     """Mean and nearest-rank 95th percentile, both 0.0 for no values."""
     if not values:
         return {"mean": 0.0, "p95": 0.0}
-    return {"mean": _mean(values), "p95": sorted(values)[int(0.95 * len(values) + 0.5) - 1]}
+    return {"mean": _mean(values), "p95": sorted(values)[(95 * len(values) + 99) // 100 - 1]}
 
 
 def _run_once(

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
-from pdws.bench import expected_chars, run_bench
-from pdws.core import ParameterError, WatermarkParams
-from pdws.embedder import watermark
+from pdws import bench
+from pdws.bench import _timing, expected_chars, run_bench
+from pdws.core import ParameterError
+from pdws.embedder import EmbedFailure, watermark
 from pdws.model import ModelHandle
 
 ROW_KEYS = {
@@ -167,25 +169,90 @@ class TestRunBench:
             )
 
 
-def _mean(values):
-    return sum(values) / len(values) if values else 0.0
+def _nearest_rank_p95(values):
+    # the smallest value that at least 95% of the values do not exceed
+    ordered = sorted(values)
+    n = len(ordered)
+    return next(v for k, v in enumerate(ordered, 1) if Fraction(k, n) >= Fraction(95, 100))
+
+
+class TestTiming:
+    def test_reference_values(self):
+        assert _timing([2.0, 4.0]) == {"mean": 3.0, "p95": 4.0}
+        assert _timing([0.5, 1.5])["p95"] == 1.5
+        assert _timing([]) == {"mean": 0.0, "p95": 0.0}
+        # 95% of 11 values is 10.45, so the rank is 11, not the rounded 10
+        assert _timing([float(v) for v in range(1, 12)])["p95"] == 11.0
+
+    def test_p95_is_nearest_rank(self):
+        for n in range(1, 401):
+            values = [float((7 * i) % n) + i / (n + 1) for i in range(n)]  # distinct, unsorted
+            assert _timing(values)["p95"] == _nearest_rank_p95(values), n
+
+
+def _fail_prompt_c(params, keys, model, prompt, **kwargs):
+    if prompt == "c":
+        raise EmbedFailure(0, 1)
+    return watermark(params, keys, model, prompt, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def mixed_reports(params328, schnorr_keys, suite):
+    """A report whose last run fails, and the same runs without it.
+
+    Blocks 1 and 2 of every gadget are forced, so each run plants 1 or 2
+    errors; on seed 2 the runs for prompts a and b plant 2 and 1.
+    """
+    model = ModelHandle(
+        kind="scripted-mock",
+        script=tuple(
+            ("forced", "Q" * params328.ell) if j in (1, 2) else ("free", params328.ell)
+            for j in range(1 + params328.n_blocks)
+        ),
+        script_cycle=True,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "watermark", _fail_prompt_c)
+        mixed = run_bench(
+            params328, schnorr_keys, model, ["a", "b", "c"], repeats=1, seed=2, suite=suite
+        )
+    clean = run_bench(params328, schnorr_keys, model, ["a", "b"], repeats=1, seed=2, suite=suite)
+    return mixed, clean
+
+
+def _untimed(row):
+    return {k: v for k, v in row.items() if k not in ("gen_seconds", "detect_seconds")}
 
 
 class TestReportAggregates:
-    def test_aggregates_follow_rows(self, report, failed_report, short_report):
-        for doc in (report, failed_report, short_report):
-            params = WatermarkParams.from_json_dict(doc["params"])
+    def test_aggregates_follow_rows(self, report, failed_report, short_report, mixed_reports):
+        for doc in (report, failed_report, short_report, *mixed_reports):
             ok = [row for row in doc["rows"] if not row["failed"]]
             assert doc["runs"] == len(ok)
             assert doc["failures"] == len(doc["rows"]) - len(ok)
             gammas = [str(row["gamma_used"]) for row in ok]
-            assert doc["gamma_histogram"] == {g: gammas.count(g) for g in gammas}
-            # each attempt drew one ell-char window; what follows the last gadget is plain
-            k_fit = params.n // params.gadget_chars
-            tail = params.n - k_fit * params.gadget_chars
-            assert doc["mean_chars"] == _mean([row["attempts"] * params.ell + tail for row in ok])
-            assert doc["mean_attempts_per_block"] == _mean(
-                [(row["attempts"] - k_fit) / max(1, k_fit * params.n_blocks) for row in ok]
-            )
+            assert doc["gamma_histogram"] == {g: gammas.count(g) for g in sorted(set(gammas))}
             for key in ("gen_seconds", "detect_seconds"):
-                assert doc[key]["mean"] == pytest.approx(_mean([row[key] for row in ok]))
+                values = [row[key] for row in ok]
+                assert doc[key] == (
+                    {"mean": pytest.approx(sum(values) / len(values)), "p95": _nearest_rank_p95(values)}
+                    if values else {"mean": 0.0, "p95": 0.0}
+                )
+
+    def test_failed_row_counts_only_in_failures(self, mixed_reports):
+        mixed, clean = mixed_reports
+        assert (mixed["runs"], mixed["failures"]) == (2, 1)
+        assert [row["failed"] for row in mixed["rows"]] == [False, False, True]
+        # the successful rows are the clean report's rows, so the aggregates must agree
+        assert [_untimed(row) for row in mixed["rows"][:2]] == [_untimed(row) for row in clean["rows"]]
+        for key in ("mean_chars", "mean_attempts_per_block", "gamma_histogram"):
+            assert mixed[key] == clean[key]
+        assert mixed["gamma_histogram"] == {"1": 1, "2": 1}
+
+    def test_timings_cover_only_successful_rows(self, mixed_reports):
+        mixed, _ = mixed_reports
+        ok = mixed["rows"][:2]
+        for key in ("gen_seconds", "detect_seconds"):
+            values = [row[key] for row in ok]
+            assert mixed[key]["mean"] == pytest.approx(sum(values) / len(values))
+            assert mixed[key]["p95"] == max(values)
