@@ -57,7 +57,7 @@ def _run_once(
     seed: int,
     suite: OracleSuite,
 ) -> dict:
-    """Watermark one prompt on its derived seed, then time a full-scan detect."""
+    """Watermark one prompt on its derived seed, then time detect: one offset, the gadget at 0."""
     row = dict(
         prompt_index=prompt_index, repeat=repeat, seed=_run_seed(seed, prompt_index, repeat),
         failed=True, gen_seconds=0.0, detect_seconds=0.0, attempts=0, gamma_used=0, detected=False,
@@ -89,7 +89,7 @@ def run_bench(
     seed: int = 0,
     suite: OracleSuite = OracleSuite(),
 ) -> dict:
-    """Time watermark and a full-scan detect over a prompt set; return the report.
+    """Time watermark and detect over a prompt set; return the report.
 
     The report is a JSON-ready dict. rows holds one dict per (prompt,
     repeat): its derived seed, whether it failed, its timings, the

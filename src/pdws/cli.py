@@ -70,7 +70,10 @@ def list_profiles() -> tuple[str, ...]:
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ParameterError("%s: JSON nests too deeply" % path) from None
 
 
 def load_profile(name_or_path: str) -> WatermarkParams:
@@ -194,7 +197,7 @@ def _read_input_text(path: str) -> str:
             raw = fh.read()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         return raw
     if isinstance(doc, dict) and isinstance(doc.get("text"), str):
         return doc["text"]

@@ -280,7 +280,7 @@ class WatermarkParams(Layout):
     def from_json(cls, text: str) -> "WatermarkParams":
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParameterError("parameter profile is not valid JSON: %s" % exc) from exc
         return cls.from_json_dict(d)
 
@@ -328,6 +328,3 @@ class EmbedTranscript:
             "blocks": [dict(asdict(b), planted_error=b.planted_error) for b in self.blocks],
             "gamma_used": self.gamma_used,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"

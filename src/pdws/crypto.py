@@ -21,9 +21,11 @@ Signature schemes live behind a small registry keyed by scheme_id:
   for deployments that prefer a standard scheme over the compact one.
 
 Both schemes sign deterministically; embedding relies on equal message,
-equal signature. A truncated, out-of-group or off-curve public key in an
-envelope is bad input, not a failed verify, and a ``KeyMaterial`` whose
-secret key does not derive its public key cannot be built.
+equal signature. No ``KeyMaterial`` can hold a public key its scheme
+refuses (truncated, out-of-group or off-curve), read from an envelope or
+built directly, nor a secret key that does not derive its public key, so
+the schemes sign and verify without re-checking keys. The public-key check
+is cached per key.
 
 A scan runs one verify at every offset whose decode succeeds, which is
 every offset under a bypass code such as ``gamma0-328``. Schnorr verify
@@ -31,8 +33,8 @@ therefore evaluates both of its powers from fixed-base window tables: one
 for g and one per public key y, kept for the last 8 keys. Both are built
 on the second verify under a key, so a process that verifies once, such as
 ``pdws detect --known-offset``, stays on ``pow``. Each build costs about
-11 ms; a power then takes about a fifth of ``pow``. Signing and key checks
-run once per call and stay on ``pow``.
+11 ms; a power then takes about a fifth of ``pow``. Signing runs once per
+call and a key check once per key; both stay on ``pow``.
 """
 
 from __future__ import annotations
@@ -219,15 +221,17 @@ def _table_pow(table: tuple[tuple[int, ...], ...], exponent: int, modulus: int) 
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """A key pair (or public half) tagged with its scheme; a pair must match."""
+    """A key pair (or public half) tagged with a scheme that accepts it; a pair must match."""
 
     scheme_id: str
     verify_key: bytes
     signing_key: Optional[bytes] = None
 
     def __post_init__(self) -> None:
-        sk = self.signing_key
-        if sk is not None and get_scheme(self.scheme_id).derive_verify_key(sk) != self.verify_key:
+        scheme, sk = get_scheme(self.scheme_id), self.signing_key
+        if sk is None:
+            scheme.check_verify_key(self.verify_key)
+        elif scheme.derive_verify_key(sk) != self.verify_key:
             raise KeyMaterialError("secret_key does not derive public_key")
 
     def public_only(self) -> "KeyMaterial":
@@ -244,7 +248,6 @@ class KeyMaterial:
         try:
             scheme_id = d["scheme_id"]
             public_key = bytes.fromhex(d["public_key"])
-            get_scheme(scheme_id).check_verify_key(public_key)
             secret = d.get("secret_key")
             return cls(scheme_id, public_key, secret if secret is None else bytes.fromhex(secret))
         except (KeyError, TypeError, ValueError) as exc:
@@ -300,6 +303,7 @@ class SchnorrP1024:
             raise KeyMaterialError("schnorr signing key out of range")
         return pow(self.G, x, self.P).to_bytes(self._PK_LEN, "big")
 
+    @functools.lru_cache(maxsize=8)
     def check_verify_key(self, verify_key: bytes) -> None:
         """Raise KeyMaterialError unless y is an element of the order-q subgroup."""
         if len(verify_key) != self._PK_LEN:
@@ -315,12 +319,8 @@ class SchnorrP1024:
         return int.from_bytes(raw, "big") >> (8 * self._SK_LEN - self._HALF_BITS)
 
     def sign(self, signing_key: bytes, verify_key: bytes, digest: bytes) -> BitString:
-        """Sign under the pair (x, y); y must be g^x, as KeyMaterial checks on construction."""
-        if len(signing_key) != self._SK_LEN:
-            raise KeyMaterialError("schnorr signing key must be %d bytes" % self._SK_LEN)
+        """Sign under the pair (x, y) of a KeyMaterial, which holds x in [1, q) and y = g^x."""
         x = int.from_bytes(signing_key, "big")
-        if not 1 <= x < self.Q:
-            raise KeyMaterialError("schnorr signing key out of range")
         # Derandomized nonce: a function of the key and the digest only.
         k = int.from_bytes(
             hashlib.shake_256(b"pdws-schnorr-nonce|" + signing_key + digest).digest(42),
@@ -334,10 +334,7 @@ class SchnorrP1024:
         return BitString(e, self._HALF_BITS).concat(BitString(s, self._HALF_BITS))
 
     def verify(self, verify_key: bytes, digest: bytes, sig: BitString) -> bool:
-        if sig.length != self.sig_bits or len(verify_key) != self._PK_LEN:
-            return False
-        y = int.from_bytes(verify_key, "big")
-        if not 1 < y < self.P:
+        if sig.length != self.sig_bits:
             return False
         e = sig[: self._HALF_BITS].value
         s = sig[self._HALF_BITS :].value
@@ -349,6 +346,7 @@ class SchnorrP1024:
             g_s = _table_pow(_g_table(), s, self.P)
             y_t = _table_pow(_key_table(verify_key), t, self.P)
         else:
+            y = int.from_bytes(verify_key, "big")
             g_s, y_t = pow(self.G, s, self.P), pow(y, t, self.P)
         return self._challenge(g_s * y_t % self.P, verify_key, digest) == e
 
@@ -394,6 +392,7 @@ class Ed25519Scheme:
     _P = 2**255 - 19
     _D = -121665 * pow(121666, -1, _P) % _P
 
+    @functools.lru_cache(maxsize=8)
     def check_verify_key(self, verify_key: bytes) -> None:
         """Raise KeyMaterialError unless the key decodes to a point (RFC 8032 5.1.3)."""
         if len(verify_key) != 32:
@@ -409,10 +408,7 @@ class Ed25519Scheme:
             raise KeyMaterialError("ed25519 public key has x = 0 with the sign bit set")
 
     def sign(self, signing_key: bytes, verify_key: bytes, digest: bytes) -> BitString:
-        try:
-            key = Ed25519PrivateKey.from_private_bytes(signing_key)
-        except (ValueError, TypeError) as exc:
-            raise KeyMaterialError("malformed ed25519 signing key") from exc
+        key = Ed25519PrivateKey.from_private_bytes(signing_key)
         return BitString.from_bytes(key.sign(digest), self.sig_bits)
 
     def verify(self, verify_key: bytes, digest: bytes, sig: BitString) -> bool:
@@ -466,10 +462,6 @@ def sign(keys: KeyMaterial, msg_digest: BitString) -> BitString:
 def verify(keys: KeyMaterial, msg_digest: BitString, sig: BitString) -> bool:
     """True iff sig validates under the public key. Total: garbage gives False."""
     try:
-        scheme = get_scheme(keys.scheme_id)
-    except KeyMaterialError:
-        return False
-    try:
-        return scheme.verify(keys.verify_key, msg_digest.to_bytes(), sig)
+        return get_scheme(keys.scheme_id).verify(keys.verify_key, msg_digest.to_bytes(), sig)
     except Exception:
         return False

@@ -74,11 +74,8 @@ def reject_sample_tokens(
     chain is unchanged. After a_max+1 misses the minimal-Hamming candidate,
     the earliest on ties, is returned marked planted. Returns the extended
     text, the block's bytes, the value they hash to, and the block record.
+    The caller passes a beta-bit chunk and a window_start that text reaches.
     """
-    if target_chunk.length != params.beta:
-        raise ParameterError("chunk width %d != beta %d" % (target_chunk.length, params.beta))
-    if window_start > len(text):
-        raise ParameterError("block window starts beyond the text")
     window_end = window_start + params.ell
 
     best = None  # (distance, full text, window bytes, achieved value)

@@ -62,8 +62,8 @@ class TokenDistribution:
     def __post_init__(self) -> None:
         if not self.tokens or len(self.tokens) != len(self.probs):
             raise ParameterError("tokens and probs must be non-empty and parallel")
-        if any(not t for t in self.tokens):
-            raise ParameterError("empty token string in distribution")
+        if not all(isinstance(t, str) and t for t in self.tokens):
+            raise ParameterError("every token must be a non-empty string")
         # Written so that NaN fails both checks.
         if any(not 0 <= p <= 1 for p in self.probs):
             raise ParameterError("probabilities outside [0, 1]")
@@ -223,25 +223,21 @@ def _remote_distribution(model: ModelHandle, prompt: str, context: str) -> Token
         )
     try:
         body = json.loads(raw)
-    except ValueError as exc:
-        raise ProtocolError("endpoint response is not JSON") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError("endpoint response is not JSON, or nests too deeply") from exc
     try:
         candidates = body["candidates"]
         tokens = tuple(c["token"] for c in candidates)
-        logprobs = [float(c["logprob"]) for c in candidates]
-    except (KeyError, TypeError, ValueError) as exc:
+        logprobs = [c["logprob"] for c in candidates]
+        if not all(type(lp) in (int, float) for lp in logprobs):
+            raise TypeError("logprob is not a number")
+        # Renormalize the top-k slice; NaN, +inf or all -inf logprobs give NaN probs.
+        peak = max(logprobs)
+        weights = [math.exp(lp - peak) for lp in logprobs]
+        total = sum(weights)
+        return TokenDistribution(tokens, tuple(w / total for w in weights))
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ProtocolError("malformed candidates payload: %s" % exc) from exc
-    if not tokens or any(not t for t in tokens):
-        raise ProtocolError("endpoint returned an empty candidate list or empty token")
-    if any(math.isnan(lp) or lp == math.inf for lp in logprobs):
-        raise ProtocolError("endpoint returned a NaN or +inf logprob")
-    # renormalize the top-k slice
-    peak = max(logprobs)
-    if peak == -math.inf:
-        raise ProtocolError("endpoint gave every candidate zero weight")
-    weights = [math.exp(lp - peak) for lp in logprobs]
-    total = sum(weights)
-    return TokenDistribution(tokens, tuple(w / total for w in weights))
 
 
 def sample_min_chars(

@@ -46,14 +46,17 @@ def params_gamma0():
 
 
 @st.composite
-def layouts(draw, lambda_sig=None):
-    """Valid Layouts: no code (lambda_c == lambda_sig) or RS with 2-16 parity bytes."""
-    beta = draw(st.sampled_from((1, 2, 4, 8)))
+def layouts(draw, lambda_sig=None, betas=(1, 2, 4, 8), max_ell=64):
+    """Valid Layouts: no code (lambda_c == lambda_sig) or RS with 2-16 parity bytes.
+
+    A given lambda_sig must be a multiple of every beta in betas.
+    """
+    beta = draw(st.sampled_from(betas))
     if lambda_sig is None:
         lambda_sig = beta * draw(st.integers(1, 80))
     parity = 2 * draw(st.integers(0, 8))
     lambda_c = 8 * ((lambda_sig + 7) // 8 + parity) if parity else lambda_sig
-    return Layout(draw(st.integers(1, 64)), beta, lambda_sig, lambda_c)
+    return Layout(draw(st.integers(1, max_ell)), beta, lambda_sig, lambda_c)
 
 
 def make_blocked_script(params, forced_blocks, char="Q"):

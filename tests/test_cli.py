@@ -174,6 +174,14 @@ class TestDetectPaths:
         code, stdout, _ = run(capsys, "detect", "--public", str(pk), str(junk))
         assert code == 1 and json.loads(stdout)["detected"] is False
 
+    def test_deeply_nested_input_is_scanned_as_text(self, tmp_path, capsys, keypair):
+        # json.loads raises RecursionError, not ValueError, on this input.
+        _, pk = keypair
+        deep = tmp_path / "deep.txt"
+        deep.write_text("[" * 1500)
+        code, stdout, err = run(capsys, "detect", "--public", str(pk), str(deep))
+        assert code == 1 and json.loads(stdout)["detected"] is False and err == ""
+
     def test_empty_text_exits_one(self, tmp_path, capsys, keypair):
         _, pk = keypair
         empty = tmp_path / "empty.txt"
@@ -240,33 +248,25 @@ class TestErrorPaths:
         assert code == 4 and "error" in err
 
     def test_non_json_endpoint_exits_four(self, tmp_path, capsys, keypair):
-        sk, _ = keypair
-
-        class Hello(BaseHTTPRequestHandler):
-            def do_POST(self):
-                self.rfile.read(int(self.headers.get("Content-Length", 0)))
-                self.send_response(200)
-                self.send_header("Content-Length", "5")
-                self.end_headers()
-                self.wfile.write(b"hello")
-
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Hello)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            cfg = tmp_path / "model.json"
-            endpoint = "http://127.0.0.1:%d" % server.server_port
-            cfg.write_text(json.dumps({"kind": "remote", "endpoint": endpoint}))
-            code, _, err = run(
-                capsys, "watermark", "--key", str(sk), "--seed", "1",
-                "--model", str(cfg),
-            )
-        finally:
-            server.shutdown()
-            server.server_close()
+        code, err = _watermark_against_reply(tmp_path, capsys, keypair[0], b"hello")
         assert code == 4 and "not JSON" in err
+
+    @pytest.mark.parametrize(
+        "reply",
+        [b'{"candidates": [{"token": 5, "logprob": 0.0}]}', b"[" * 1500],
+        ids=["int-token", "deep-nesting"],
+    )
+    def test_malformed_reply_exits_four(self, tmp_path, capsys, keypair, reply):
+        code, err = _watermark_against_reply(tmp_path, capsys, keypair[0], reply)
+        assert code == 4 and err.startswith("error: ")
+
+    def test_deeply_nested_model_file_exits_two(self, tmp_path, capsys, keypair):
+        cfg = tmp_path / "model.json"
+        cfg.write_text("[" * 1500)
+        code, stdout, err = run(
+            capsys, "watermark", "--key", str(keypair[0]), "--model", str(cfg)
+        )
+        assert code == 2 and stdout == "" and "nests too deeply" in err
 
     def test_endpoint_env_override(self, capsys, keypair, monkeypatch):
         sk, _ = keypair
@@ -286,6 +286,35 @@ class TestErrorPaths:
         monkeypatch.setenv("PDWS_MODEL_ENDPOINT", "localhost:8000")
         code, stdout, err = run(capsys, "watermark", "--key", str(sk), "--seed", "1")
         assert code == 2 and stdout == "" and "endpoint" in err
+
+
+def _watermark_against_reply(tmp_path, capsys, sk, reply):
+    """Exit code and stderr of watermark against an endpoint that answers reply."""
+
+    class Reply(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self.wfile.write(reply)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Reply)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        cfg = tmp_path / "model.json"
+        endpoint = "http://127.0.0.1:%d" % server.server_port
+        cfg.write_text(json.dumps({"kind": "remote", "endpoint": endpoint}))
+        code, _, err = run(
+            capsys, "watermark", "--key", str(sk), "--seed", "1", "--model", str(cfg)
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+    return code, err
 
 
 def _public_params(**fields):

@@ -177,6 +177,9 @@ class TestWatermarkParams:
                 WatermarkParams.from_json_dict(
                     dict(WatermarkParams().to_json_dict(), format_version=version)
                 )
+        for text in ("{not json", "[" * 1500):
+            with pytest.raises(ParameterError, match="not valid JSON"):
+                WatermarkParams.from_json(text)
 
     def test_json_checks_embedded_ecc_consistency(self):
         d = WatermarkParams().to_json_dict()
@@ -215,7 +218,7 @@ class TestTranscript:
         )
         t = EmbedTranscript(p, 7, blocks)
         assert t.gamma_used == 1
-        assert json.loads(t.to_json()) == {
+        assert json.loads(json.dumps(t.to_json_dict())) == {
             "params": p.to_json_dict(),
             "seed": 7,
             "blocks": [

@@ -224,6 +224,9 @@ _P = SchnorrP1024.P
 def test_key_envelope_rejects_keys_its_scheme_cannot_hold(scheme_id, public_key):
     with pytest.raises(KeyMaterialError):
         KeyMaterial.from_json_dict({"scheme_id": scheme_id, "public_key": public_key.hex()})
+    # Built directly, without an envelope, the key is refused all the same.
+    with pytest.raises(KeyMaterialError):
+        KeyMaterial(scheme_id, public_key)
 
 
 @pytest.mark.parametrize("base", ["g", "y"])

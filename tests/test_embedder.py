@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+from pdws import embedder
 from pdws.core import (
     BitString,
     BlockRecord,
@@ -11,6 +13,7 @@ from pdws.core import (
     chunk,
 )
 from pdws.crypto import BitChain, h_bit, sign
+from pdws.detector import detect_all
 from pdws.ecc import encode
 from pdws.embedder import (
     EmbedFailure,
@@ -19,10 +22,10 @@ from pdws.embedder import (
     tile_compress,
     watermark,
 )
-from pdws.model import ModelHandle
+from pdws.model import ModelHandle, TokenDistribution
 from pdws.rng import SamplerState
 
-from conftest import make_blocked_script
+from conftest import layouts, make_blocked_script
 
 
 def chain_replay(params, suite, keys, msg_text, block_texts):
@@ -120,7 +123,7 @@ class TestWatermark:
 
     def test_transcript_json_roundtrip(self, params328, schnorr_keys, model64, suite):
         _, tr = watermark(params328, schnorr_keys, model64, "p", seed=8, suite=suite)
-        doc = json.loads(tr.to_json())
+        doc = json.loads(json.dumps(tr.to_json_dict()))
         assert doc == tr.to_json_dict()
         for b in doc["blocks"]:
             assert b.pop("planted_error") == (b["best_hamming"] > 0)
@@ -208,22 +211,6 @@ class TestRejectSampleTokens:
         assert achieved == target.value
         assert chain.length == 0  # candidates are only peeked
         assert h_bit(window, params328.beta, suite.bit_salt) == target
-
-    def test_wrong_chunk_width_rejected(self, params328, model64, suite):
-        chain = BitChain(suite.bit_oracle(), params328.beta)
-        with pytest.raises(ParameterError):
-            reject_sample_tokens(
-                BitString(0, 1), "", chain, params328, model64,
-                window_start=0, rng=SamplerState(0),
-            )
-
-    def test_window_beyond_text_rejected(self, params328, model64, suite):
-        chain = BitChain(suite.bit_oracle(), params328.beta)
-        with pytest.raises(ParameterError):
-            reject_sample_tokens(
-                BitString(0, 2), "abc", chain, params328, model64,
-                window_start=4, rng=SamplerState(0),
-            )
 
     def test_forced_block_plants_with_achieved_chunk(self, params328, suite):
         model = ModelHandle(
@@ -382,3 +369,82 @@ class TestMultiCharTokens:
             assert achieved == target
             m_replay += window.encode()
             c_replay = c_replay.concat(achieved)
+
+
+def embed_gadgets(params, keys, model, suite, k, tiled, seed):
+    """Text of k gadgets from watermark or tile_compress, and each gadget's block records."""
+    gadgets = []
+    real = embedder.generate_message_signature_pair
+
+    def spy(*args, **kwargs):
+        text, records = real(*args, **kwargs)
+        gadgets.append(records)
+        return text, records
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedder, "generate_message_signature_pair", spy)
+        if tiled:
+            text = tile_compress(params, keys, model, "p", k_pairs=k, seed=seed, suite=suite)
+        else:
+            text, _ = watermark(params, keys, model, "p", seed=seed, suite=suite)
+    return text, gadgets
+
+
+def check_completeness(params, keys, model, suite, k, tiled, seed):
+    """Either the embed fails, or detect_all finds every gadget with its planted errors.
+
+    A planted chunk corrupts the code symbol (byte) that holds it, so each
+    gadget's corrected_errors counts the distinct symbols holding one.
+    Returns whether the embed succeeded.
+    """
+    try:
+        text, gadgets = embed_gadgets(params, keys, model, suite, k, tiled, seed)
+    except EmbedFailure:
+        return False
+    stride = params.gadget_chars - (params.ell if tiled else 0)
+    hits = detect_all(keys, params, text, suite=suite)
+    assert [h.offset for h in hits] == [g * stride for g in range(k)]
+    planted = [
+        len({(j - 1) * params.beta // 8 for j, rec in enumerate(records) if rec.planted_error})
+        for records in gadgets
+    ]
+    assert [h.corrected_errors for h in hits] == planted
+    return True
+
+
+class TestCompleteness:
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data(), k=st.integers(1, 2), tiled=st.booleans(), seed=st.integers(0, 99))
+    def test_embed_fails_or_every_gadget_is_found(self, schnorr_keys, suite, data, k, tiled, seed):
+        layout = data.draw(layouts(lambda_sig=328, betas=(1, 2, 4), max_ell=4))
+        t = layout.parity_symbols // 2
+        params = WatermarkParams(
+            layout.ell,
+            layout.beta,
+            layout.lambda_sig,
+            layout.lambda_c,
+            # gamma_max is 0 without a code and at least 1 with one.
+            gamma_max=data.draw(st.integers(min(1, t), t)),
+            a_max=data.draw(st.sampled_from((16, 64))),
+            n=k * layout.gadget_chars,
+        )
+        # Up to one forced block past the budget, so both outcomes occur.
+        blocks = st.integers(0, params.n_blocks)
+        forced = data.draw(st.sets(blocks, max_size=params.gamma_max + 1))
+        model = make_blocked_script(params, forced)
+        ok = check_completeness(params, schnorr_keys, model, suite, k, tiled, seed)
+        event("embedded" if ok else "EmbedFailure")
+
+    @pytest.mark.parametrize("tiled", [False, True])
+    def test_multi_character_tokens(self, schnorr_keys, suite, model64, monkeypatch, tiled):
+        # A context-dependent model whose tokens are 1-3 characters long, so
+        # blocks inherit surplus characters from the block before them.
+        tokens = tuple(c * (1 + i % 3) for i, c in enumerate("abcdefghijklmnopqrstuvwx"))
+
+        def rotating(model, prompt, context):
+            shift = len(context) % len(tokens)
+            return TokenDistribution(tokens[shift:] + tokens[:shift], (1 / 24,) * 24)
+
+        monkeypatch.setattr("pdws.model.next_distribution", rotating)
+        params = WatermarkParams(ell=4, a_max=64, n=2 * 4 * 181)
+        assert check_completeness(params, schnorr_keys, model64, suite, 2, tiled, seed=3)

@@ -9,6 +9,7 @@ field or a detection offset fails here first.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -35,7 +36,8 @@ MULTIBYTE_ALPHABET = "äöüßéèçñøåæœαβγδλπσω中文字符检测
 def _digest(text, transcript=None):
     h = hashlib.sha256(text.encode("utf-8"))
     if transcript is not None:
-        h.update(transcript.to_json().encode("utf-8"))
+        doc = json.dumps(transcript.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        h.update(doc.encode("utf-8"))
     return h.hexdigest()
 
 

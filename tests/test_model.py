@@ -31,6 +31,17 @@ _BAD_LOGPROBS = {
     "/inf-logprob": [math.inf, 0.0],
     "/zero-weight": [-math.inf, -math.inf],
     "/text-logprob": ["high", 0.0],
+    # JSON strings and booleans are not numbers, even where float() reads them.
+    "/numeric-string-logprob": ["0.5", 0.0],
+    "/bool-logprob": [True, 0.0],
+}
+
+# Routes serving this token beside a good one; none is a string.
+_BAD_TOKENS = {
+    "/int-token": 5,
+    "/list-token": ["a"],
+    "/bool-token": True,
+    "/null-token": None,
 }
 
 
@@ -72,6 +83,13 @@ class _StubHandler(BaseHTTPRequestHandler):
                 "candidates": [
                     {"token": t, "logprob": lp}
                     for t, lp in zip("ab", _BAD_LOGPROBS[self.path])
+                ]
+            }
+        elif self.path in _BAD_TOKENS:
+            payload = {
+                "candidates": [
+                    {"token": _BAD_TOKENS[self.path], "logprob": 0.0},
+                    {"token": "b", "logprob": 0.0},
                 ]
             }
         else:
@@ -126,6 +144,8 @@ class TestTokenDistribution:
             TokenDistribution(("a", "b"), (math.nan, math.nan))
         with pytest.raises(ParameterError):
             TokenDistribution(("a", "b"), (math.nan, 1.0))
+        with pytest.raises(ParameterError):
+            TokenDistribution((5,), (1.0,))
 
     def test_sample_deterministic(self):
         dist = TokenDistribution(("a", "b", "c"), (0.2, 0.3, 0.5))
@@ -310,7 +330,13 @@ class TestRemote:
     @pytest.mark.parametrize("route", sorted(_BAD_LOGPROBS))
     def test_unusable_logprobs_are_protocol_errors(self, stub_server, route):
         model = ModelHandle(kind="remote", endpoint=stub_server + route)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="malformed"):
+            next_distribution(model, "p", "")
+
+    @pytest.mark.parametrize("route", sorted(_BAD_TOKENS))
+    def test_non_string_tokens_are_protocol_errors(self, stub_server, route):
+        model = ModelHandle(kind="remote", endpoint=stub_server + route)
+        with pytest.raises(ProtocolError, match="malformed"):
             next_distribution(model, "p", "")
 
     def test_unreachable_is_transport_error(self):
