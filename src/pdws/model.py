@@ -17,6 +17,13 @@ from the environment, no redirects, and the system CA store for https. A
 2xx is a protocol error. A span of n characters is sampled with n uniforms
 drawn in one call, which is enough because every token has at least one
 character.
+
+The mocks never look at the context except for the position, so their
+spans take one vectorised step: every position's token is found at once
+from its uniform, and a scripted model's forced positions then overwrite
+theirs. A remote model's distribution depends on the context, and its
+tokens may be longer than one character, so its spans sample token by
+token through next_distribution.
 """
 
 from __future__ import annotations
@@ -148,6 +155,19 @@ def _uniform_dist(alphabet: str) -> TokenDistribution:
 
 
 @lru_cache(maxsize=32)
+def _uniform_bounds(alphabet: str):
+    """The uniform distribution's running sums without the last, as an array.
+
+    Counting the inner bounds at or below u gives sample_token's
+    bisect_right over all the sums, clamped to the last index, even when
+    the sums end just below 1.0.
+    """
+    import numpy  # deferred like the generator's: only sampling needs it
+
+    return numpy.array(_uniform_dist(alphabet)._cum[:-1])
+
+
+@lru_cache(maxsize=32)
 def _script_forced_map(script: tuple) -> tuple:
     """Per-position forced character, or None for free positions."""
     out: list[Optional[str]] = []
@@ -251,6 +271,8 @@ def sample_min_chars(
     """
     if min_chars <= 0:
         return ""
+    if model.kind != "remote":
+        return _mock_span(model, len(context), rng.random(min_chars))
     parts: list[str] = []
     total = 0
     for u in rng.random(min_chars):
@@ -262,3 +284,20 @@ def sample_min_chars(
         context += tok
     return "".join(parts)
 
+
+def _mock_span(model: ModelHandle, start: int, us: list[float]) -> str:
+    """A mock's characters at positions start, start + 1, ..., one per uniform.
+
+    Equal to sample_token(next_distribution(...), u) at each position.
+    """
+    picks = _uniform_bounds(model.alphabet).searchsorted(us, side="right")
+    chars = list(map(model.alphabet.__getitem__, picks.tolist()))
+    forced = _script_forced_map(model.script)
+    if forced:
+        for i in range(len(chars)):
+            pos = start + i
+            if model.script_cycle:
+                pos %= len(forced)
+            if pos < len(forced) and forced[pos] is not None:
+                chars[i] = forced[pos]
+    return "".join(chars)

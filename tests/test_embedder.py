@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -94,6 +96,35 @@ class TestWatermark:
         assert a[0] == b[0]
         assert a[1] == b[1]
         assert c[0] != a[0]
+
+    def test_concurrent_threads_match_serial_runs(
+        self, params328, schnorr_keys, model64, suite
+    ):
+        # Each thread draws from its own re-keyed generator; one shared
+        # between threads would mix their streams. More threads than cores
+        # and a short switch interval make the threads interleave often.
+        def text(seed):
+            return watermark(params328, schnorr_keys, model64, "p", seed=seed, suite=suite)[0]
+
+        seeds = (21, 22, 23)
+        serial = {seed: text(seed) for seed in seeds}
+        results = {}
+
+        def run(seed):
+            results[seed] = text(seed)
+
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
 
     def test_chain_replay_matches_masked_codeword(
         self, params328, schnorr_keys, model64, suite
@@ -436,15 +467,20 @@ class TestCompleteness:
         event("embedded" if ok else "EmbedFailure")
 
     @pytest.mark.parametrize("tiled", [False, True])
-    def test_multi_character_tokens(self, schnorr_keys, suite, model64, monkeypatch, tiled):
+    def test_multi_character_tokens(self, schnorr_keys, suite, monkeypatch, tiled):
         # A context-dependent model whose tokens are 1-3 characters long, so
-        # blocks inherit surplus characters from the block before them.
+        # blocks inherit surplus characters from the block before them. It
+        # stands in for a remote model, the kind sampled token by token.
         tokens = tuple(c * (1 + i % 3) for i, c in enumerate("abcdefghijklmnopqrstuvwx"))
+        contexts = []
 
         def rotating(model, prompt, context):
+            contexts.append(context)
             shift = len(context) % len(tokens)
             return TokenDistribution(tokens[shift:] + tokens[:shift], (1 / 24,) * 24)
 
-        monkeypatch.setattr("pdws.model.next_distribution", rotating)
+        monkeypatch.setattr("pdws.model._remote_distribution", rotating)
+        model = ModelHandle(kind="remote", endpoint="http://127.0.0.1:9")
         params = WatermarkParams(ell=4, a_max=64, n=2 * 4 * 181)
-        assert check_completeness(params, schnorr_keys, model64, suite, 2, tiled, seed=3)
+        assert check_completeness(params, schnorr_keys, model, suite, 2, tiled, seed=3)
+        assert len(contexts) >= params.n // 3

@@ -8,6 +8,7 @@ from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdws
 from pdws import WatermarkParams, keygen, watermark
@@ -240,6 +241,75 @@ class TestMocks:
         # the sampling seed is watermark's argument, not a model field
         with pytest.raises(ParameterError, match="seed"):
             ModelHandle.from_json_dict({"kind": "uniform-mock", "seed": 0})
+
+
+class FixedDraws:
+    """An rng stand-in whose one draw returns the given uniforms."""
+
+    def __init__(self, us):
+        self.us = us
+
+    def random(self, n):
+        assert n == len(self.us)
+        return list(self.us)
+
+
+def per_token(model, context, us):
+    """The reference: one next_distribution and sample_token per position."""
+    out = ""
+    for u in us:
+        out += sample_token(next_distribution(model, "p", context + out), u)
+    return out
+
+
+@st.composite
+def mock_spans(draw):
+    """(mock model, context, uniforms), the uniforms on and beside the token bounds."""
+    alphabet = "".join(draw(st.lists(st.characters(), min_size=1, max_size=97, unique=True)))
+    if draw(st.booleans()):
+        model = ModelHandle(kind="uniform-mock", alphabet=alphabet)
+        length = 0
+    else:
+        script = draw(st.lists(
+            st.one_of(
+                st.tuples(st.just("forced"), st.text(min_size=1, max_size=5)),
+                st.tuples(st.just("free"), st.integers(0, 5)),
+            ),
+            max_size=4,
+        ))
+        model = ModelHandle(kind="scripted-mock", alphabet=alphabet, script=tuple(script),
+                            script_cycle=draw(st.booleans()))
+        length = sum(len(p) if k == "forced" else p for k, p in script)
+    cum = next_distribution(ModelHandle(kind="uniform-mock", alphabet=alphabet), "", "")._cum
+    near = [u for b in cum for u in (math.nextafter(b, 0), b, math.nextafter(b, 1))]
+    uniform = st.one_of(
+        st.sampled_from([u for u in near if 0 <= u < 1] + [0.0, math.nextafter(1, 0)]),
+        st.floats(0, 1, exclude_max=True),
+    )
+    us = draw(st.lists(uniform, min_size=1, max_size=40))
+    # Contexts run past the end of the script, so its cycle (or its end) shows.
+    context = "c" * draw(st.integers(0, 2 * length + 3))
+    return model, context, us
+
+
+class TestMockSpans:
+    @settings(deadline=None, max_examples=200)
+    @given(case=mock_spans())
+    def test_span_equals_per_token_loop(self, case):
+        model, context, us = case
+        span = sample_min_chars(model, len(us), "p", context, FixedDraws(us))
+        assert span == per_token(model, context, us)
+
+    @pytest.mark.parametrize("size", [6, 10, 37, 97])
+    def test_last_token_takes_the_gap_below_one(self, size):
+        # These alphabets' running sums end below 1.0; a uniform above the
+        # last sum still picks the last character.
+        model = ModelHandle(kind="uniform-mock", alphabet="".join(map(chr, range(48, 48 + size))))
+        last = next_distribution(model, "", "")._cum[-1]
+        assert last < 1.0
+        us = [math.nextafter(1, 0), last, math.nextafter(last, 0)]
+        assert sample_min_chars(model, 3, "p", "", FixedDraws(us)) == per_token(model, "", us)
+        assert sample_min_chars(model, 1, "p", "", FixedDraws(us[:1])) == model.alphabet[-1]
 
 
 # The fields each kind reads, each set away from its default.

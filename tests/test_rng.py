@@ -1,12 +1,14 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from numpy.random import Generator, Philox
 
 import pdws
 from pdws import rng
-from pdws.rng import SamplerState
+from pdws.rng import SamplerState, _key_from_labels
 
 
 def draws(state, k=8):
@@ -43,17 +45,44 @@ def test_fork_independent_of_parent_draws():
 )
 def test_random_n_is_a_prefix_of_the_stream(seed, labels):
     # One random(n) call gives the first n values of any longer call and of
-    # n scalar draws on an equal fresh fork, so a span may draw all at once.
+    # n scalar draws on a fresh Philox with the fork's key, so a span may
+    # draw all at once.
     def fresh():
         return SamplerState(seed).fork(*labels)
 
+    key = _key_from_labels(seed, labels) if labels else seed % 2**128
     for n in (1, 2, 7, 40):
         head = fresh().random(n)
         for m in (n, n + 1, 64):
             assert head == fresh().random(m)[:n]
-        gen = fresh().generator
+        gen = Generator(Philox(key=key))
         assert head == [float(gen.random()) for _ in range(n)]
         assert all(type(u) is float and 0 <= u < 1 for u in head)
+
+
+def test_rekeyed_stream_equals_a_fresh_philox():
+    # The reused generator, re-keyed, gives exactly what Philox(key=k) gives.
+    pick = random.Random(17)
+    edges = [0, 1, 2**64 - 1, 2**64, 2**128 - 1]
+    keys = edges + [pick.getrandbits(pick.choice((64, 65, 127, 128))) for _ in range(2995)]
+    for key in keys:
+        n = pick.randint(0, 70)
+        fresh = Generator(Philox(key=key))
+        assert SamplerState(key).random(n) == fresh.random(n).tolist(), (key, n)
+
+
+@pytest.mark.parametrize("a, b", [(0, 5), (1, 1), (3, 4), (4, 4), (5, 11), (16, 1)])
+def test_second_draw_continues_the_stream(a, b):
+    state = SamplerState(3).fork(8)
+    assert state.random(a) + state.random(b) == SamplerState(3).fork(8).random(a + b)
+
+
+def test_interleaved_draws_keep_each_stream():
+    a, b = SamplerState(1).fork(1), SamplerState(1).fork(2)
+    first = a.random(3)
+    other = b.random(6)
+    assert first + a.random(5) == SamplerState(1).fork(1).random(8)
+    assert other == SamplerState(1).fork(2).random(6)
 
 
 def test_large_seed_accepted():
@@ -83,15 +112,16 @@ def test_import_pdws_does_not_load_numpy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_generator_looks_up_philox_on_the_module(monkeypatch):
-    # A wrapper installed on rng.Philox (as a profiler does) sees every stream.
-    original = rng.Philox
+def test_rekey_is_looked_up_on_the_module(monkeypatch):
+    # A wrapper installed on rng._rekey (as a profiler does) sees every draw.
+    original = rng._rekey
     keys = []
 
     def counting(key):
         keys.append(key)
-        return original(key=key)
+        return original(key)
 
-    monkeypatch.setattr(rng, "Philox", counting)
+    monkeypatch.setattr(rng, "_rekey", counting)
     assert draws(SamplerState(4).fork(1)) == draws(SamplerState(4).fork(1))
-    assert len(keys) == 2 and keys[0] == keys[1]
+    SamplerState(2**130 + 5).random(1)
+    assert keys == [_key_from_labels(4, (1,))] * 2 + [5]
