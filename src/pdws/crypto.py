@@ -97,42 +97,59 @@ class HashOracle:
         return h.digest()[0] >> (8 - beta)
 
 
+# One-byte bytes objects, so a chain extends its c_prev tail without a to_bytes.
+_BYTES = [bytes((i,)) for i in range(256)]
+
+
 class BitChain:
     """One gadget's chained rejection hash: block j hashes to h_bit(m || x || c_prev).
 
-    m is the blocks pushed so far, x the block and c_prev the chunk values
+    m is the blocks absorbed so far, x the block and c_prev the chunk values
     so far, packed MSB-first and zero-padded to a whole byte. One running
-    SHA-256 state absorbs the oracle frame and each pushed block once, and
-    a block's value hashes only the c_prev bytes on a copy of it, so a chain
+    SHA-256 state absorbs the oracle frame and each block once, and a
+    block's value hashes only the c_prev bytes on a copy of it, so a chain
     of n blocks feeds SHA-256 about ell * n bytes plus the c_prev tails and
-    a detector scan costs time linear in the text length. The embedder
-    peeks at candidates and pushes the block it keeps; the detector pushes
-    every block it reads, so both compute the same values.
+    a detector scan costs time linear in the text length. absorb takes any
+    number of blocks in one call: the detector passes all of an offset's
+    signature blocks at once, the embedder peeks at candidates and absorbs
+    the one block it keeps, so both compute the same values. Within the
+    call the tail grows by one byte from a table per block, and each block
+    is still one HashOracle.bit_value call.
     """
 
-    __slots__ = ("oracle", "beta", "value", "length", "_state", "_tail")
+    __slots__ = ("oracle", "beta", "_state", "_tail", "_head", "_byte", "_free")
 
     def __init__(self, oracle: HashOracle, beta: int):
         self.oracle = oracle
         self.beta = beta
-        self.value = 0  # the chunk values so far, length bits
-        self.length = 0
         self._state = oracle.running()
-        self._tail = b""  # c_prev as bytes
+        # c_prev as bytes is _tail: the whole bytes _head, then _byte while
+        # _free < 8 of its low bits are still unset.
+        self._tail = self._head = b""
+        self._byte, self._free = 0, 8
 
     def peek(self, window: bytes) -> int:
         """The value window would take as the next block; the chain is unchanged."""
         return self.oracle.bit_value(window + self._tail, self.beta, self._state)
 
-    def push(self, window: bytes) -> int:
-        """Absorb window as the next block, append its value and return it."""
-        self._state.update(window)
-        achieved = self.oracle.bit_value(self._tail, self.beta, self._state)
-        self.value = (self.value << self.beta) | achieved
-        self.length += self.beta
-        pad = -self.length % 8
-        self._tail = (self.value << pad).to_bytes((self.length + pad) // 8, "big")
-        return achieved
+    def absorb(self, windows) -> bytes:
+        """Absorb each window as the next block, in order; return c_prev as bytes after them.
+
+        With no windows this returns c_prev as it stands.
+        """
+        beta, state = self.beta, self._state
+        tail, head, byte, free = self._tail, self._head, self._byte, self._free
+        for window in windows:
+            state.update(window)
+            free -= beta
+            byte |= self.oracle.bit_value(tail, beta, state) << free
+            if free:
+                tail = head + _BYTES[byte]
+            else:
+                head = tail = head + _BYTES[byte]
+                byte, free = 0, 8
+        self._tail, self._head, self._byte, self._free = tail, head, byte, free
+        return tail
 
 
 def h_bit(data: bytes, beta: int, salt: bytes = b"") -> BitString:

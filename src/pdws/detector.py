@@ -13,6 +13,14 @@ chunk, which the code corrects up to its capacity t; the embedder's
 budget gamma_max never exceeds t. The chain is a crypto.BitChain, the
 same one the embedder sampled against.
 
+A scan encodes the text once, as the UTF-8 bytes of the ell-char window
+starting at each character, a stretch at a time; an offset's blocks are
+every ell-th window from it, and its chain absorbs all of its signature
+blocks in one call. A known_offset probe encodes only the 1 + n_blocks
+windows of its own gadget. A window holding a lone surrogate does not
+encode, and no offset that reads it can hold a gadget, since the
+embedder never emits one.
+
 A forged text would need a valid signature on its own message block, so
 false positives reduce to signature forgery (or a hash collision on the
 decode side, bounded by the code's minimum distance).
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import crypto, ecc
-from .core import FORMAT_VERSION, BitString, Layout
+from .core import FORMAT_VERSION, BitString, Layout, ParameterError
 from .crypto import KeyMaterial, OracleSuite
 
 
@@ -58,29 +66,32 @@ class DetectionResult:
 _NOT_DETECTED = DetectionResult(detected=False)
 
 
+def _windows(text: str, ell: int, starts: range) -> list[Optional[bytes]]:
+    """UTF-8 bytes of the ell-char window at each start, None for one that cannot encode."""
+    windows = []
+    for i in starts:
+        try:
+            windows.append(text[i : i + ell].encode("utf-8"))
+        except UnicodeEncodeError:
+            # A lone surrogate: the embedder never emits one, so no gadget here.
+            windows.append(None)
+    return windows
+
+
 def _try_offset(
-    text: str,
+    blocks: list[Optional[bytes]],
     offset: int,
     layout: Layout,
     keys: KeyMaterial,
     suite: OracleSuite,
 ) -> Optional[DetectionResult]:
-    """Attempt full recovery of a gadget starting at a character offset."""
-    ell = layout.ell
-    msg_window = text[offset : offset + ell]
-    try:
-        msg_bytes = msg_window.encode("utf-8")
-        blocks = [
-            text[offset + j * ell : offset + (j + 1) * ell].encode("utf-8")
-            for j in range(1, layout.n_blocks + 1)
-        ]
-    except UnicodeEncodeError:
-        # A lone surrogate: the embedder never emits one, so no gadget here.
+    """Attempt full recovery of the gadget whose 1 + n_blocks windows start at offset."""
+    if not all(blocks):  # a window that would not encode is None; none is empty
         return None
+    msg_bytes = blocks[0]
     chain = crypto.BitChain(suite.bit_oracle(), layout.beta)
-    for window_bytes in blocks:
-        chain.push(window_bytes)
-    codeword = suite.h_mask(msg_bytes, layout.lambda_c) ^ BitString(chain.value, chain.length)
+    chunks = BitString.from_bytes(chain.absorb(blocks[1:]), layout.lambda_c)
+    codeword = suite.h_mask(msg_bytes, layout.lambda_c) ^ chunks
     sigma = ecc.decode(codeword, layout)
     if sigma is None:
         return None
@@ -92,7 +103,7 @@ def _try_offset(
         offset=offset,
         corrected_errors=corrected,
         recovered_sig=sigma,
-        message_block=msg_window,
+        message_block=msg_bytes.decode("utf-8"),
     )
 
 
@@ -104,17 +115,27 @@ def _scan(
 ) -> Iterator[DetectionResult]:
     """Yield every gadget found, in offset order.
 
+    Windows are encoded a stretch at a time, enough for the next
+    gadget_chars offsets, and the windows still ahead are kept: a scan
+    encodes each window once, a hit near the start does not encode the
+    rest of the text, and memory is bounded by the gadget, not the text.
     After a hit the scan resumes at offset + gadget_chars - ell so a
     following gadget whose message block is the previous gadget's final
     window is still seen; non-overlapping gadgets are a fortiori covered.
     """
-    gadget_len = layout.gadget_chars
-    offset = 0
-    while offset <= len(text) - gadget_len:
-        result = _try_offset(text, offset, layout, keys, suite)
+    ell, gadget_len = layout.ell, layout.gadget_chars
+    last = len(text) - gadget_len
+    offset, start, windows = 0, 0, []
+    while offset <= last:
+        i = offset - start
+        if i + gadget_len - ell >= len(windows):
+            stop = min(offset + 2 * gadget_len - ell, len(text) - ell + 1)
+            windows = windows[i:] + _windows(text, ell, range(start + len(windows), stop))
+            start, i = offset, 0
+        result = _try_offset(windows[i : i + gadget_len : ell], offset, layout, keys, suite)
         if result is not None:
             yield result
-            offset += gadget_len - layout.ell
+            offset += gadget_len - ell
         else:
             offset += 1
 
@@ -130,15 +151,21 @@ def detect(
     """Scan every offset (or probe just one) for an embedded signature.
 
     layout may be a full WatermarkParams; only its Layout fields are read.
-    With known_offset the scan collapses to a single recovery attempt.
-    Otherwise offsets 0..len(text)-gadget_chars are tried in order and the
-    lowest verifying one wins. Total: bad input means not detected.
+    With known_offset the scan collapses to a single recovery attempt,
+    which encodes only that gadget's windows; a known_offset that is not
+    an int (a bool, float or string) raises ParameterError, and one where
+    no gadget fits means not detected. Otherwise offsets
+    0..len(text)-gadget_chars are tried in order and the lowest verifying
+    one wins. Total: bad text means not detected.
     """
     if known_offset is None:
         return next(_scan(keys, layout, text, suite), _NOT_DETECTED)
+    if not isinstance(known_offset, int) or isinstance(known_offset, bool):
+        raise ParameterError("known_offset must be an integer, got %r" % (known_offset,))
     if not 0 <= known_offset <= len(text) - layout.gadget_chars:
         return _NOT_DETECTED
-    result = _try_offset(text, known_offset, layout, keys, suite)
+    starts = range(known_offset, known_offset + layout.gadget_chars, layout.ell)
+    result = _try_offset(_windows(text, layout.ell, starts), known_offset, layout, keys, suite)
     return _NOT_DETECTED if result is None else result
 
 

@@ -9,7 +9,11 @@ recoverable.
 The generator's roots are alpha^0 .. alpha^(2t-1). Decoding is one textbook
 pipeline: syndromes, Berlekamp-Massey, a Chien search for the error
 positions, Forney's formula for the error values, and a final syndrome check.
-It returns the unique codeword within t symbols of the word, or None.
+It returns the unique codeword within t symbols of the word, or None. A
+scan decodes at every offset and nearly every decode fails after the
+Chien search, so the syndromes and the search run from tables built on
+first use: one multiply-by-alpha^j row per syndrome, and the powers of
+alpha that the search slices.
 
 Decoding failure is a normal return value (None), never an exception: the
 caller treats any decode output as a candidate and relies on signature
@@ -88,15 +92,45 @@ def rs_encode_bytes(data: bytes, nsym: int) -> bytes:
     return bytes(data) + bytes(buf[len(data):])
 
 
+@cache
+def _times_alpha(j: int) -> bytes:
+    """x * alpha^j for every byte x: one syndrome's Horner step as a table row."""
+    return bytes(_mul(x, _EXP[j]) for x in range(256))
+
+
+@cache
+def _powers() -> bytes:
+    """alpha^(i mod 255) for i < 128 * 255, as long as _chien's slices reach."""
+    return bytes(_EXP[:255]) * 128
+
+
 def _syndromes(word: list[int], nsym: int) -> list[int]:
     """word(alpha^j) for j = 0..nsym-1; word[0] is the highest coefficient."""
     synd = []
     for j in range(nsym):
+        row = _times_alpha(j)
         s = 0
         for c in word:
-            s = (_EXP[_LOG[s] + j] if s else 0) ^ c
+            s = row[s] ^ c
         synd.append(s)
     return synd
+
+
+def _chien(loc: list[int], n: int) -> bytes:
+    """loc(alpha^(-p)) for p = 0..n-1; loc lowest degree first, loc[0] == 1.
+
+    Term k is alpha^(log loc[k] - k*p): over p it is a slice of _powers()
+    that starts at log loc[k] plus a multiple of 255 and steps back by k,
+    so each term's log is looked up once. The terms are XORed n bytes at a
+    time, as integers. n <= 255 and deg loc < 128.
+    """
+    powers = _powers()
+    values = int.from_bytes(b"\x01" * n, "big")
+    for k in range(1, len(loc)):
+        if loc[k]:
+            start = _LOG[loc[k]] - (-k * n // 255) * 255
+            values ^= int.from_bytes(powers[start : start - k * n : -k], "big")
+    return values.to_bytes(n, "big")
 
 
 def _berlekamp_massey(synd: list[int]) -> tuple[list[int], int]:
@@ -138,9 +172,10 @@ def rs_decode_bytes(received: bytes, nsym: int) -> Optional[tuple[bytes, int]]:
         return None
     # Chien search: byte index n-1-p holds the coefficient of x^p, and an
     # error there is a root of the locator at alpha^(-p).
-    degrees = [p for p in range(n) if not _eval(loc, -p)]
-    if len(degrees) != v:
+    at = _chien(loc, n)
+    if at.count(0) != v:
         return None
+    degrees = [p for p, y in enumerate(at) if not y]
     # Forney with first consecutive root alpha^0: the error value at
     # X = alpha^p is X * omega(1/X) / loc'(1/X), omega = synd * loc mod x^v.
     omega = [0] * v

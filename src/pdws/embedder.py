@@ -11,7 +11,7 @@ When a block refuses to match within a_max+1 fresh samples (low entropy,
 or plain bad luck), the best candidate by Hamming distance is planted
 instead; the decoder's error correction absorbs it. Each gadget's block loop
 owns its error budget gamma_max: it counts the planted blocks and
-raises EmbedFailure past the budget. It also pushes every block it keeps
+raises EmbedFailure past the budget. It also absorbs every block it keeps
 into the gadget's crypto.BitChain, so c_prev carries what each block
 really hashes to, which is what a detector recomputing the chain will see,
 and a planted error stays confined to its own chunk.
@@ -146,7 +146,7 @@ def generate_message_signature_pair(
         gamma_used += rec.planted_error
         if gamma_used > params.gamma_max:
             raise EmbedFailure(gadget_index, j)
-        chain.push(window_bytes)
+        chain.absorb((window_bytes,))
         records.append(rec)
     return text, records
 

@@ -101,10 +101,14 @@ class TestOracles:
             assert chain.peek(other) == h_bit(m + other + c_prev.to_bytes(), beta, b"salt").value
             assert chain.peek(window) == value.value
             # peeking left the chain as it was
-            assert (chain.value, chain.length) == (c_prev.value, c_prev.length)
-            assert chain.push(window) == value.value
+            assert chain.absorb(()) == c_prev.to_bytes()
             m, c_prev = m + window, c_prev.concat(value)
-            assert (chain.value, chain.length) == (c_prev.value, c_prev.length)
+            assert chain.absorb([window]) == c_prev.to_bytes()
+        # One call over every window, or two calls split inside a c_prev byte.
+        for split in (0, 3, len(windows)):
+            chain = BitChain(OracleSuite(bit_salt=b"salt").bit_oracle(), beta)
+            chain.absorb(windows[:split])
+            assert chain.absorb(iter(windows[split:])) == c_prev.to_bytes()
 
     def test_h_bit_balance(self):
         ones = sum(h_bit(b"%d" % i, 1).value for i in range(2000))

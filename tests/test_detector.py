@@ -1,12 +1,15 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pdws import crypto, detector, ecc
 from pdws.core import Layout, ParameterError, WatermarkParams
 from pdws.crypto import OracleSuite, keygen, sign
 from pdws.detector import DetectionResult, detect, detect_all
 from pdws.embedder import tile_compress, watermark
+from pdws.model import ModelHandle
 
 from conftest import make_blocked_script
 
@@ -53,6 +56,12 @@ class TestDetect:
         for wrong in (7, 9, -1, len(text)):
             miss = detect(schnorr_keys, params328, text, suite=suite, known_offset=wrong)
             assert not miss.detected
+
+    @pytest.mark.parametrize("bad", [1.5, 8.0, "3", True])
+    def test_known_offset_must_be_an_int(self, marked, params328, schnorr_keys, suite, bad):
+        text = marked + junk_text(16)
+        with pytest.raises(ParameterError, match="known_offset"):
+            detect(schnorr_keys, params328, text, suite=suite, known_offset=bad)
 
     def test_short_text_not_detected(self, marked, params328, schnorr_keys, suite):
         for text in ("", "ab", marked[:-1]):
@@ -252,3 +261,120 @@ class TestEveryLayoutScans:
         assert not detect(schnorr_keys, layout, text, suite=suite).detected
         assert not detect(schnorr_keys, layout, text, suite=suite, known_offset=offset).detected
         assert detect_all(schnorr_keys, layout, text, suite=suite) == []
+
+
+# 2-, 3- and 4-byte UTF-8 characters, as model output and as padding.
+MULTIBYTE = "äöüßéèçñøåæœαβγδλπσω中文字符检测水印签名😀🔏📜✅"
+
+
+@pytest.fixture(scope="module")
+def multibyte_marked(params328, schnorr_keys, suite):
+    model = ModelHandle(kind="uniform-mock", alphabet=MULTIBYTE)
+    text, _ = watermark(params328, schnorr_keys, model, "p", seed=105, suite=suite)
+    return text
+
+
+class TestEncodeOnce:
+    """A scan encodes each window once, a stretch at a time; a probe only its gadget's."""
+
+    @pytest.fixture
+    def stretches(self, monkeypatch):
+        seen = []
+        original = detector._windows
+
+        def spy(text, ell, starts):
+            seen.append(starts)
+            return original(text, ell, starts)
+
+        monkeypatch.setattr(detector, "_windows", spy)
+        return seen
+
+    def test_scan_encodes_each_window_once(self, stretches, schnorr_keys, suite):
+        ell, gadget_len = TINY_PARAMS.ell, TINY_PARAMS.gadget_chars
+        text = junk_text(3 * gadget_len + 10)
+        assert detect_all(schnorr_keys, TINY_PARAMS, text, suite=suite) == []
+        assert len(stretches) == 3
+        assert [i for s in stretches for i in s] == list(range(len(text) - ell + 1))
+
+    def test_hit_and_probe_encode_only_near_the_gadget(
+        self, stretches, marked, params328, schnorr_keys, suite
+    ):
+        ell, gadget_len = params328.ell, params328.gadget_chars
+        text = junk_text(30) + marked + junk_text(3 * gadget_len)
+        assert detect(schnorr_keys, params328, text, suite=suite).offset == 30
+        assert stretches == [range(0, 2 * gadget_len - ell)]
+        stretches.clear()
+        assert detect(schnorr_keys, params328, text, suite=suite, known_offset=30).detected
+        assert stretches == [range(30, 30 + gadget_len, ell)]
+        stretches.clear()
+        assert not detect(schnorr_keys, params328, marked[:-1], suite=suite).detected
+        assert stretches == []
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_lone_surrogate_hides_only_the_gadget_it_touches(
+        self, multibyte_marked, params328, schnorr_keys, suite, data
+    ):
+        left = data.draw(st.text(MULTIBYTE, max_size=24), label="left")
+        right = data.draw(st.text(MULTIBYTE, max_size=24), label="right")
+        text = left + multibyte_marked + right
+        gadget_len = params328.gadget_chars
+        # A changed character in the last block is within the code's reach,
+        # so only the unencodable window can hide the gadget there.
+        last_block = range(len(left) + gadget_len - params328.ell, len(left) + gadget_len)
+        pos = data.draw(st.integers(0, len(text)) | st.sampled_from(last_block), label="pos")
+        replace = data.draw(st.booleans(), label="replace")
+        text = text[:pos] + "\ud800" + text[pos + replace :]
+        offset = len(left) + (not replace and pos <= len(left))
+
+        found = detect(schnorr_keys, params328, text, suite=suite)
+        hits = detect_all(schnorr_keys, params328, text, suite=suite)
+        probe = detect(schnorr_keys, params328, text, suite=suite, known_offset=offset)
+        if offset <= pos < offset + gadget_len:
+            assert not found.detected and hits == [] and not probe.detected
+        else:
+            assert found.offset == offset and [h.offset for h in hits] == [offset]
+            assert probe == found
+
+
+class TestSeams:
+    """Per offset tried: one _try_offset, one ecc.decode, one bit_value per signature block.
+
+    These are the calls the perfbench tracer counts as detector.offsets,
+    ecc.decode.calls and crypto.bit_value.calls.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for owner, name in (
+            (detector, "_try_offset"),
+            (ecc, "decode"),
+            (crypto.HashOracle, "bit_value"),
+        ):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_calls_per_offset(self, calls, marked, params328, schnorr_keys, suite):
+        n_blocks, gadget_len = params328.n_blocks, params328.gadget_chars
+
+        clean = junk_text(gadget_len + 99)
+        assert not detect(schnorr_keys, params328, clean, suite=suite).detected
+        assert calls == {"_try_offset": 100, "decode": 100, "bit_value": 100 * n_blocks}
+
+        # Offsets 0..20 up to the hit; the skip past it leaves the text.
+        calls.clear()
+        text = junk_text(20) + marked + junk_text(40)
+        hits = detect_all(schnorr_keys, params328, text, suite=suite)
+        assert [h.offset for h in hits] == [20]
+        assert calls == {"_try_offset": 21, "decode": 21, "bit_value": 21 * n_blocks}
+
+        calls.clear()
+        assert detect(schnorr_keys, params328, text, suite=suite, known_offset=20).detected
+        assert calls == {"_try_offset": 1, "decode": 1, "bit_value": n_blocks}

@@ -12,7 +12,7 @@ from pdws.ecc import (
     rs_encode_bytes,
     symbol_distance,
 )
-from pdws.ecc import _generator_poly, _inv, _mul
+from pdws.ecc import _chien, _eval, _generator_poly, _inv, _mul, _syndromes
 
 from conftest import layouts
 
@@ -171,6 +171,39 @@ def test_roundtrip_property(data, n_errors, pyrandom):
     positions = pyrandom.sample(range(len(cw)), n_errors)
     got = rs_decode_bytes(corrupt(cw, positions, pyrandom), 4)
     assert got is not None and got[0] == cw
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_table_syndromes_match_horner(data):
+    nsym = data.draw(st.integers(2, 16))
+    word = data.draw(st.lists(st.integers(0, 255), min_size=nsym + 1, max_size=255))
+    expected, alpha_j = [], 1
+    for _ in range(nsym):
+        s = 0
+        for c in word:
+            s = _mul(s, alpha_j) ^ c
+        expected.append(s)
+        alpha_j = slow_gf_mul(alpha_j, 2)
+    assert _syndromes(word, nsym) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_chien_search_matches_eval_at_every_position(data):
+    nsym = data.draw(st.integers(2, 16))
+    n = data.draw(st.integers(nsym + 1, 255))
+    # A Berlekamp-Massey locator: constant term 1, degree at most nsym / 2.
+    tail = data.draw(st.lists(st.integers(0, 255), max_size=nsym // 2))
+    loc = [1] + tail
+    assert list(_chien(loc, n)) == [_eval(loc, -p) for p in range(n)]
+
+
+def test_chien_search_reaches_the_longest_locator():
+    rng = random.Random(4)
+    for n in (128, 254, 255):
+        loc = [1] + [rng.randrange(1, 256) for _ in range(127)]
+        assert list(_chien(loc, n)) == [_eval(loc, -p) for p in range(n)]
 
 
 class TestProfile:

@@ -240,7 +240,7 @@ class TestRejectSampleTokens:
         assert not rec.planted_error
         assert rec.attempts >= 1
         assert achieved == target.value
-        assert chain.length == 0  # candidates are only peeked
+        assert chain.absorb(()) == b""  # candidates are only peeked
         assert h_bit(window, params328.beta, suite.bit_salt) == target
 
     def test_forced_block_plants_with_achieved_chunk(self, params328, suite):
@@ -261,7 +261,7 @@ class TestRejectSampleTokens:
         assert rec.text == "Z" * params328.ell
         # the returned value is what the block really hashes to
         assert value == achieved.value
-        assert chain.push(window) == achieved.value
+        assert chain.absorb([window]) == achieved.to_bytes()
 
 
 class TestGenerateMessageSignaturePair:
@@ -382,7 +382,7 @@ class TestMultiCharTokens:
                 window_start=window_start,
                 rng=rng.fork(j),
             )
-            chain.push(window)
+            chain.absorb([window])
             targets.append(target)
             assert not rec.planted_error
             assert len(text) >= window_start + params328.ell
