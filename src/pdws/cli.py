@@ -103,7 +103,7 @@ class PublicEnvelope:
     suite: OracleSuite
 
     def to_json_dict(self) -> dict:
-        d = self.keys.to_json_dict(include_secret=False)
+        d = self.keys.public_only().to_json_dict()
         d["format_version"] = FORMAT_VERSION
         d["kind"] = PUBLIC_KIND
         # The ecc block is redundant with the layout; it is written for
@@ -132,7 +132,7 @@ class PublicEnvelope:
 def _secret_envelope_dict(
     keys: KeyMaterial, params: WatermarkParams, suite: OracleSuite
 ) -> dict:
-    d = keys.to_json_dict(include_secret=True)
+    d = keys.to_json_dict()
     d["format_version"] = FORMAT_VERSION
     d["kind"] = SECRET_KIND
     d["params"] = params.to_json_dict()
@@ -182,10 +182,10 @@ def _load_model(args) -> ModelHandle:
 
 
 def _read_prompt(args) -> str:
-    if getattr(args, "prompt_file", None):
+    if args.prompt_file:
         with open(args.prompt_file, "r", encoding="utf-8") as fh:
             return fh.read()
-    return getattr(args, "prompt", "") or ""
+    return args.prompt or ""
 
 
 def _read_input_text(path: str) -> str:
@@ -330,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     wm = subs.add_parser("watermark", help="generate watermarked text")
     wm.add_argument("--key", required=True, help="secret envelope from keygen")
-    wm.add_argument("--prompt", help="prompt text")
-    wm.add_argument("--prompt-file", help="read the prompt from a file")
+    prompt = wm.add_mutually_exclusive_group()
+    prompt.add_argument("--prompt", help="prompt text")
+    prompt.add_argument("--prompt-file", help="read the prompt from a file")
     wm.add_argument("--n", type=int, default=None, help="output length in characters")
     wm.add_argument("--seed", type=int, default=0, help="sampling seed")
     wm.add_argument("--out", help="output JSON path (default stdout)")

@@ -133,12 +133,15 @@ def chunk(c: BitString, beta: int) -> tuple[BitString, ...]:
     return tuple(c[i : i + beta] for i in range(0, c.length, beta))
 
 
+def _require_int(name: str, value) -> None:
+    """Reject a value that is not an int; bool, float and numeric strings too."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParameterError("%s must be an integer, got %r" % (name, value))
+
+
 def _require_ints(obj, *names: str) -> None:
-    """Reject a field that is not an int; bool, float and numeric strings too."""
     for name in names:
-        value = getattr(obj, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParameterError("%s must be an integer, got %r" % (name, value))
+        _require_int(name, getattr(obj, name))
 
 
 @dataclass(frozen=True, slots=True)

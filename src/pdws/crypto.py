@@ -62,24 +62,19 @@ class KeyMaterialError(ValueError):
 TAG_SIGN = b"SIGN"
 TAG_MASK = b"MASK"
 TAG_BIT = b"BIT"
-_VALID_TAGS = (TAG_SIGN, TAG_MASK, TAG_BIT)
 
 
 class HashOracle:
-    """One domain-separated hash role, optionally salted.
+    """One domain-separated hash role (one of the TAG_ constants), optionally salted.
 
     The frame prepended to every input is
     ``len(tag) || tag || len(salt) as 4 bytes || salt`` which keeps
     (tag, salt, data) triples injective as byte strings.
     """
 
-    __slots__ = ("domain_tag", "salt", "_prefix")
+    __slots__ = ("_prefix",)
 
     def __init__(self, domain_tag: bytes, salt: bytes = b""):
-        if domain_tag not in _VALID_TAGS:
-            raise ValueError("unknown oracle domain tag %r" % domain_tag)
-        self.domain_tag = domain_tag
-        self.salt = salt
         self._prefix = bytes([len(domain_tag)]) + domain_tag + len(salt).to_bytes(4, "big") + salt
 
     def running(self, data: bytes = b""):
@@ -254,9 +249,9 @@ class KeyMaterial:
     def public_only(self) -> "KeyMaterial":
         return KeyMaterial(self.scheme_id, self.verify_key)
 
-    def to_json_dict(self, include_secret: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         d = {"scheme_id": self.scheme_id, "public_key": self.verify_key.hex()}
-        if include_secret and self.signing_key is not None:
+        if self.signing_key is not None:
             d["secret_key"] = self.signing_key.hex()
         return d
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import crypto, ecc
-from .core import FORMAT_VERSION, BitString, Layout, ParameterError
+from .core import FORMAT_VERSION, BitString, Layout, _require_int
 from .crypto import KeyMaterial, OracleSuite
 
 
@@ -160,8 +160,7 @@ def detect(
     """
     if known_offset is None:
         return next(_scan(keys, layout, text, suite), _NOT_DETECTED)
-    if not isinstance(known_offset, int) or isinstance(known_offset, bool):
-        raise ParameterError("known_offset must be an integer, got %r" % (known_offset,))
+    _require_int("known_offset", known_offset)
     if not 0 <= known_offset <= len(text) - layout.gadget_chars:
         return _NOT_DETECTED
     starts = range(known_offset, known_offset + layout.gadget_chars, layout.ell)

@@ -32,6 +32,7 @@ from .core import (
     EmbedTranscript,
     ParameterError,
     WatermarkParams,
+    _require_int,
     chunk,
 )
 from .crypto import KeyMaterial, OracleSuite
@@ -160,11 +161,11 @@ def _embed_gadgets(
     stride: int,
     seed: int,
     suite: OracleSuite,
-) -> tuple[str, list[BlockRecord], SamplerState]:
+) -> tuple[str, list[BlockRecord]]:
     """Embed count gadgets, gadget g's message block at g * stride.
 
-    Gadget g samples from root.fork(g) of the root state on seed. Returns
-    the text, every block record and the root state.
+    Gadget g samples from SamplerState(seed).fork(g). Returns the text and
+    every block record.
     """
     crypto.check_signature_bits(keys.scheme_id, params.lambda_sig)
     root = SamplerState(seed)
@@ -183,7 +184,7 @@ def _embed_gadgets(
             gadget_index=g,
         )
         records.extend(recs)
-    return text, records, root
+    return text, records
 
 
 def watermark(
@@ -199,11 +200,12 @@ def watermark(
 
     Gadgets are embedded back to back from offset 0; leftover characters
     are plain model output. Raises EmbedFailure when a gadget exhausts its
-    planted-error budget.
+    planted-error budget, and ParameterError for a seed that is not an int
+    in [0, 2^256).
     """
     gadget_len = params.gadget_chars
     k_fit = params.n // gadget_len
-    text, records, root = _embed_gadgets(
+    text, records = _embed_gadgets(
         params, keys, model, prompt, k_fit, gadget_len, seed, suite
     )
     if k_fit == 0:
@@ -213,7 +215,8 @@ def watermark(
             gadget_len,
         )
     if len(text) < params.n:
-        text += sample_min_chars(model, params.n - len(text), prompt, text, root.fork(k_fit))
+        tail = SamplerState(seed).fork(k_fit)
+        text += sample_min_chars(model, params.n - len(text), prompt, text, tail)
     return text[: params.n], EmbedTranscript(params, seed, tuple(records))
 
 
@@ -233,10 +236,11 @@ def tile_compress(
     region as its message block, so consecutive gadgets overlap by one
     block and no fresh message characters are spent.
     """
+    _require_int("k_pairs", k_pairs)
     if k_pairs < 1:
         raise ParameterError("k_pairs must be >= 1")
     if params.lambda_sig < params.ell:
         raise ParameterError("tiling needs lambda_sig >= ell")
     stride = params.gadget_chars - params.ell
-    text, _, _ = _embed_gadgets(params, keys, model, prompt, k_pairs, stride, seed, suite)
+    text, _ = _embed_gadgets(params, keys, model, prompt, k_pairs, stride, seed, suite)
     return text[: k_pairs * stride + params.ell]

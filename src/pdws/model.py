@@ -265,12 +265,10 @@ def sample_min_chars(
 ) -> str:
     """Sample whole tokens until at least min_chars characters accumulate.
 
-    rng must be a fresh fork used for this call only: its first min_chars
-    uniforms are drawn at once, and those a multi-character token leaves
-    over are discarded.
+    rng is a fork drawn by this call only: a state is a value, so its first
+    min_chars uniforms are drawn at once, and those a multi-character token
+    leaves over are discarded rather than kept for a later call.
     """
-    if min_chars <= 0:
-        return ""
     if model.kind != "remote":
         return _mock_span(model, len(context), rng.random(min_chars))
     parts: list[str] = []

@@ -1,12 +1,16 @@
 """Seedable counter-based sampling state.
 
-Philox is a counter-based generator, so a state is fully determined by its
-128-bit key, and independent streams come from independent keys. Child
-states are forked by hashing the parent key together with integer labels;
-the embedder forks once per (gadget, block, attempt), which makes every
-candidate attempt reproducible and order-independent. A fork's n uniforms
-come from one ``random(n)`` call; they are the values n scalar draws from
-the same stream would give.
+Philox is a counter-based generator, so a stream is fully determined by its
+128-bit key, and independent streams come from independent keys. A
+``SamplerState`` is an immutable value: the running SHA-256 state of
+``b"pdws-rng|"``, the seed as 32 bytes and each label forked in so far as 8
+bytes, all big-endian. ``fork`` copies that state and feeds it the new
+labels; ``random(n)`` keys Philox with the first 16 bytes of the digest and
+returns the stream's first n uniforms, the values n scalar draws would give.
+Drawing reads the state and never moves it, so the same state always gives
+the same values. The embedder forks once per (gadget, block, attempt) and
+draws each fork once, which makes every candidate attempt reproducible and
+order-independent.
 
 Building a Philox costs several times more than a short draw, so each
 thread keeps one generator and ``_rekey`` resets it to the start of a key's
@@ -26,7 +30,8 @@ import hashlib
 import sys
 import threading
 
-_KEY_MASK = (1 << 128) - 1
+from .core import ParameterError, _require_int
+
 _WORD_MASK = (1 << 64) - 1
 
 # One generator per thread, because a draw re-keys it in place.
@@ -41,14 +46,6 @@ def __getattr__(name: str):
         globals()[name] = value
         return value
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
-def _key_from_labels(root: int, labels: tuple[int, ...]) -> int:
-    payload = root.to_bytes(32, "big", signed=False)
-    for lab in labels:
-        payload += lab.to_bytes(8, "big", signed=False)
-    digest = hashlib.sha256(b"pdws-rng|" + payload).digest()
-    return int.from_bytes(digest[:16], "big")
 
 
 def _rekey(key: int):
@@ -69,33 +66,30 @@ def _rekey(key: int):
 
 
 class SamplerState:
-    """A forkable stream of uniform variates backed by Philox."""
+    """A forkable stream of uniform variates backed by Philox; a value, never mutated."""
 
-    __slots__ = ("seed", "_labels", "_drawn")
+    __slots__ = ("_hash",)
 
-    def __init__(self, seed: int, _labels: tuple[int, ...] = ()):
+    def __init__(self, seed: int):
+        _require_int("seed", seed)
         if not 0 <= seed < 1 << 256:
-            raise ValueError("seed must be in [0, 2^256)")
-        self.seed = seed
-        self._labels = _labels
-        self._drawn = 0
+            raise ParameterError("seed must be in [0, 2^256)")
+        self._hash = hashlib.sha256(b"pdws-rng|" + seed.to_bytes(32, "big"))
 
     def fork(self, *labels: int) -> "SamplerState":
         """Independent child stream; equal (seed, labels) gives equal streams."""
+        h = self._hash.copy()
+        for lab in labels:
+            h.update(lab.to_bytes(8, "big"))
         child = SamplerState.__new__(SamplerState)
-        child.seed = self.seed
-        child._labels = self._labels + labels
-        child._drawn = 0
+        child._hash = h
         return child
 
     def random(self, n: int) -> list[float]:
-        """The stream's next n uniforms in [0, 1), from one draw call.
+        """The first n uniforms in [0, 1) of this state's stream, from one draw call.
 
-        A later call continues the stream: it redraws the values already
-        taken and drops them.
+        The state does not move: every call starts the stream afresh, so a
+        fork is drawn once, with n as large as its caller will need.
         """
-        key = self.seed if not self._labels else _key_from_labels(self.seed, self._labels)
-        drawn = self._drawn
-        out = _rekey(key & _KEY_MASK).random(drawn + n)[drawn:].tolist()
-        self._drawn = drawn + n
-        return out
+        key = int.from_bytes(self._hash.digest()[:16], "big")
+        return _rekey(key).random(n).tolist()

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import copy
 import inspect
 import io
@@ -141,6 +142,37 @@ class TestRoundtrip:
         assert doc["transcript"]["seed"] == 5
 
 
+class TestPromptFlags:
+    PROMPT = "first line\nsecond line\n"
+
+    def test_prompt_file_gives_the_text_prompt_gives(self, tmp_path, capsys, keypair):
+        path = tmp_path / "prompt.txt"
+        path.write_text(self.PROMPT, encoding="utf-8")
+        texts = []
+        with _reply_server(AB_REPLY) as (endpoint, bodies):
+            cfg = _remote_model_file(tmp_path, endpoint)
+            for flag, value in (("--prompt", self.PROMPT), ("--prompt-file", str(path))):
+                code, stdout, err = run(
+                    capsys, "watermark", "--key", str(keypair[0]), "--n", "4",
+                    "--model", str(cfg), flag, value,
+                )
+                assert code == 0, err
+                texts.append(json.loads(stdout)["text"])
+        assert texts[0] == texts[1] == "abab"
+        assert [body["prompt"] for body in bodies] == [self.PROMPT] * 4
+
+    def test_prompt_and_prompt_file_together_exit_two(self, tmp_path, capsys, keypair):
+        path = tmp_path / "prompt.txt"
+        path.write_text("from the file")
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "watermark", "--key", str(keypair[0]), "--n", "4",
+                "--prompt", "inline", "--prompt-file", str(path),
+            ])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
 class TestDetectPaths:
     def test_scan_finds_prefixed_gadget(self, tmp_path, capsys, keypair):
         sk, pk = keypair
@@ -181,6 +213,25 @@ class TestDetectPaths:
         deep.write_text("[" * 1500)
         code, stdout, err = run(capsys, "detect", "--public", str(pk), str(deep))
         assert code == 1 and json.loads(stdout)["detected"] is False and err == ""
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [lambda t: [1, 2, t], lambda t: {"text": 5, "note": t}, lambda t: {"note": t}, str],
+        ids=["array", "int-text", "no-text", "string"],
+    )
+    def test_json_without_a_string_text_is_scanned_as_text(self, tmp_path, capsys, keypair, wrap):
+        # Only an object whose "text" is a string is read as a watermark
+        # output; any other JSON is scanned as it stands, so the gadget is
+        # found at its offset in the raw document.
+        sk, pk = keypair
+        _, stdout, _ = run(capsys, "watermark", "--key", str(sk), "--seed", "9")
+        text = json.loads(stdout)["text"]
+        raw = json.dumps(wrap(text))
+        assert text in raw  # the mock's alphabet needs no JSON escapes
+        path = tmp_path / "doc.json"
+        path.write_text(raw)
+        code, stdout, err = run(capsys, "detect", "--public", str(pk), str(path))
+        assert code == 0 and json.loads(stdout)["offset"] == raw.index(text) and err == ""
 
     def test_empty_text_exits_one(self, tmp_path, capsys, keypair):
         _, pk = keypair
@@ -281,6 +332,19 @@ class TestErrorPaths:
         )
         assert code == 0
 
+    def test_endpoint_env_replaces_a_remote_files_endpoint(
+        self, tmp_path, capsys, keypair, monkeypatch
+    ):
+        # The file names a dead endpoint; only the variable's endpoint answers.
+        cfg = _remote_model_file(tmp_path, "http://127.0.0.1:9", retries=0)
+        with _reply_server(AB_REPLY) as (endpoint, bodies):
+            monkeypatch.setenv("PDWS_MODEL_ENDPOINT", endpoint)
+            code, stdout, err = run(
+                capsys, "watermark", "--key", str(keypair[0]), "--n", "4", "--model", str(cfg)
+            )
+        assert code == 0, err
+        assert json.loads(stdout)["text"] == "abab" and len(bodies) == 2
+
     def test_malformed_endpoint_env_exits_two(self, capsys, keypair, monkeypatch):
         sk, _ = keypair
         monkeypatch.setenv("PDWS_MODEL_ENDPOINT", "localhost:8000")
@@ -288,12 +352,18 @@ class TestErrorPaths:
         assert code == 2 and stdout == "" and "endpoint" in err
 
 
-def _watermark_against_reply(tmp_path, capsys, sk, reply):
-    """Exit code and stderr of watermark against an endpoint that answers reply."""
+# A remote model that always offers the one token "ab".
+AB_REPLY = b'{"candidates": [{"token": "ab", "logprob": 0.0}]}'
+
+
+@contextlib.contextmanager
+def _reply_server(reply):
+    """A loopback endpoint answering every POST with reply; yields (url, request bodies)."""
+    bodies = []
 
     class Reply(BaseHTTPRequestHandler):
         def do_POST(self):
-            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            bodies.append(json.loads(self.rfile.read(int(self.headers.get("Content-Length", 0)))))
             self.send_response(200)
             self.send_header("Content-Length", str(len(reply)))
             self.end_headers()
@@ -305,15 +375,25 @@ def _watermark_against_reply(tmp_path, capsys, sk, reply):
     server = ThreadingHTTPServer(("127.0.0.1", 0), Reply)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     try:
-        cfg = tmp_path / "model.json"
-        endpoint = "http://127.0.0.1:%d" % server.server_port
-        cfg.write_text(json.dumps({"kind": "remote", "endpoint": endpoint}))
-        code, _, err = run(
-            capsys, "watermark", "--key", str(sk), "--seed", "1", "--model", str(cfg)
-        )
+        yield "http://127.0.0.1:%d" % server.server_port, bodies
     finally:
         server.shutdown()
         server.server_close()
+
+
+def _remote_model_file(tmp_path, endpoint, **fields):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(dict(kind="remote", endpoint=endpoint, **fields)))
+    return cfg
+
+
+def _watermark_against_reply(tmp_path, capsys, sk, reply):
+    """Exit code and stderr of watermark against an endpoint that answers reply."""
+    with _reply_server(reply) as (endpoint, _):
+        cfg = _remote_model_file(tmp_path, endpoint)
+        code, _, err = run(
+            capsys, "watermark", "--key", str(sk), "--seed", "1", "--model", str(cfg)
+        )
     return code, err
 
 

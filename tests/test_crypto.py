@@ -199,11 +199,11 @@ class TestSchemes:
 
     def test_key_material_json(self, scheme_id):
         keys = keygen(b"seed-k", scheme_id=scheme_id)
-        full = KeyMaterial.from_json_dict(keys.to_json_dict(include_secret=True))
+        full = KeyMaterial.from_json_dict(keys.to_json_dict())
         assert full == keys
-        pub = KeyMaterial.from_json_dict(keys.to_json_dict(include_secret=False))
+        pub = KeyMaterial.from_json_dict(keys.public_only().to_json_dict())
         assert pub == keys.public_only()
-        assert "secret_key" not in keys.to_json_dict(include_secret=False)
+        assert "secret_key" not in keys.public_only().to_json_dict()
 
 
 _P = SchnorrP1024.P
@@ -239,7 +239,7 @@ def test_table_pow_matches_pow(base):
     if base == "g":
         value, table = SchnorrP1024.G, _g_table()
     else:
-        pub = KeyMaterial.from_json_dict(keygen(b"table").to_json_dict(include_secret=False))
+        pub = KeyMaterial.from_json_dict(keygen(b"table").public_only().to_json_dict())
         value, table = int.from_bytes(pub.verify_key, "big"), _key_table(pub.verify_key)
     rng = random.Random(5)
     exponents = [0, 1, Q - 1, 2**164 - 1] + [rng.getrandbits(164) for _ in range(50)]

@@ -152,6 +152,13 @@ class TestWatermark:
         with pytest.raises(ParameterError):
             watermark(params328, ed_keys, model64, "p", seed=7, suite=suite)
 
+    @pytest.mark.parametrize("seed", [1.5, "3", True])
+    def test_non_int_seed_rejected(self, params328, schnorr_keys, model64, suite, seed):
+        # A float or string used to escape as AttributeError or TypeError,
+        # and True was read as seed 1.
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            watermark(params328, schnorr_keys, model64, "p", seed=seed, suite=suite)
+
     def test_transcript_json_roundtrip(self, params328, schnorr_keys, model64, suite):
         _, tr = watermark(params328, schnorr_keys, model64, "p", seed=8, suite=suite)
         doc = json.loads(json.dumps(tr.to_json_dict()))
@@ -352,6 +359,10 @@ class TestTiling:
     def test_rejects_bad_arguments(self, params328, schnorr_keys, model64, suite):
         with pytest.raises(ParameterError):
             tile_compress(params328, schnorr_keys, model64, "p", k_pairs=0, suite=suite)
+        # A float used to escape as TypeError from range, and True tiled one pair.
+        for k_pairs in (1.5, True):
+            with pytest.raises(ParameterError, match="k_pairs must be an integer"):
+                tile_compress(params328, schnorr_keys, model64, "p", k_pairs=k_pairs, suite=suite)
         import dataclasses
 
         wide = dataclasses.replace(params328, ell=512, n=512 * 181)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -8,11 +9,19 @@ from numpy.random import Generator, Philox
 
 import pdws
 from pdws import rng
-from pdws.rng import SamplerState, _key_from_labels
+from pdws.core import ParameterError
+from pdws.rng import SamplerState
 
 
 def draws(state, k=8):
     return state.random(k)
+
+
+def key_of(seed, labels):
+    """The Philox key of SamplerState(seed).fork(*labels), hashed from scratch."""
+    payload = b"pdws-rng|" + seed.to_bytes(32, "big")
+    payload += b"".join(lab.to_bytes(8, "big") for lab in labels)
+    return int.from_bytes(hashlib.sha256(payload).digest()[:16], "big")
 
 
 def test_same_seed_same_stream():
@@ -45,12 +54,12 @@ def test_fork_independent_of_parent_draws():
 )
 def test_random_n_is_a_prefix_of_the_stream(seed, labels):
     # One random(n) call gives the first n values of any longer call and of
-    # n scalar draws on a fresh Philox with the fork's key, so a span may
-    # draw all at once.
+    # n scalar draws on a fresh Philox keyed by the hash of the seed and
+    # labels, so a span may draw all at once.
     def fresh():
         return SamplerState(seed).fork(*labels)
 
-    key = _key_from_labels(seed, labels) if labels else seed % 2**128
+    key = key_of(seed, labels)
     for n in (1, 2, 7, 40):
         head = fresh().random(n)
         for m in (n, n + 1, 64):
@@ -61,28 +70,31 @@ def test_random_n_is_a_prefix_of_the_stream(seed, labels):
 
 
 def test_rekeyed_stream_equals_a_fresh_philox():
-    # The reused generator, re-keyed, gives exactly what Philox(key=k) gives.
+    # The thread's generator, re-keyed, gives exactly what Philox(key=k) gives.
     pick = random.Random(17)
     edges = [0, 1, 2**64 - 1, 2**64, 2**128 - 1]
     keys = edges + [pick.getrandbits(pick.choice((64, 65, 127, 128))) for _ in range(2995)]
     for key in keys:
         n = pick.randint(0, 70)
         fresh = Generator(Philox(key=key))
-        assert SamplerState(key).random(n) == fresh.random(n).tolist(), (key, n)
+        assert rng._rekey(key).random(n).tolist() == fresh.random(n).tolist(), (key, n)
 
 
 @pytest.mark.parametrize("a, b", [(0, 5), (1, 1), (3, 4), (4, 4), (5, 11), (16, 1)])
-def test_second_draw_continues_the_stream(a, b):
+def test_second_draw_repeats_the_stream(a, b):
+    # A state is a value: a second random(n) starts the stream afresh.
     state = SamplerState(3).fork(8)
-    assert state.random(a) + state.random(b) == SamplerState(3).fork(8).random(a + b)
+    first = state.random(a)
+    assert state.random(b) == SamplerState(3).fork(8).random(b)
+    assert state.random(a) == first
 
 
 def test_interleaved_draws_keep_each_stream():
     a, b = SamplerState(1).fork(1), SamplerState(1).fork(2)
     first = a.random(3)
     other = b.random(6)
-    assert first + a.random(5) == SamplerState(1).fork(1).random(8)
-    assert other == SamplerState(1).fork(2).random(6)
+    assert first == a.random(3) == SamplerState(1).fork(1).random(8)[:3]
+    assert other == b.random(6) == SamplerState(1).fork(2).random(6)
 
 
 def test_large_seed_accepted():
@@ -92,6 +104,13 @@ def test_large_seed_accepted():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         SamplerState(-1)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, "3", True, None])
+def test_non_int_seed_rejected(seed):
+    # A bool is not read as 0 or 1, nor a float or string as a number.
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        SamplerState(seed)
 
 
 def test_seed_beyond_256_bits_rejected():
@@ -123,5 +142,5 @@ def test_rekey_is_looked_up_on_the_module(monkeypatch):
 
     monkeypatch.setattr(rng, "_rekey", counting)
     assert draws(SamplerState(4).fork(1)) == draws(SamplerState(4).fork(1))
-    SamplerState(2**130 + 5).random(1)
-    assert keys == [_key_from_labels(4, (1,))] * 2 + [5]
+    SamplerState(5).fork(2, 3).random(1)
+    assert keys == [key_of(4, (1,))] * 2 + [key_of(5, (2, 3))]
