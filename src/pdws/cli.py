@@ -34,6 +34,7 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 from typing import Optional
 
 from . import crypto
@@ -226,15 +227,13 @@ def cmd_keygen(args) -> int:
         seed_bytes = args.seed.to_bytes(8, "big")
     keys = crypto.keygen(seed_bytes, scheme_id=args.scheme)
 
+    suite = OracleSuite()
     if args.salt_seed:
         base = bytes.fromhex(args.salt_seed)
-        suite = OracleSuite(
-            sign_salt=hashlib.sha256(base + b"|sign").digest()[:16],
-            mask_salt=hashlib.sha256(base + b"|mask").digest()[:16],
-            bit_salt=hashlib.sha256(base + b"|bit").digest()[:16],
-        )
-    else:
-        suite = OracleSuite()
+        suite = OracleSuite(**{
+            role + "_salt": hashlib.sha256(base + b"|" + role.encode()).digest()[:16]
+            for role in ("sign", "mask", "bit")
+        })
 
     _dump_json(_secret_envelope_dict(keys, params, suite), args.secret_out)
     public = PublicEnvelope(keys.public_only(), params.layout, suite)
@@ -291,12 +290,9 @@ def cmd_detect(args) -> int:
 def cmd_bench(args) -> int:
     keys, params, suite = _read_secret_envelope(args.key)
     model = _load_model(args)
-    if args.prompts:
-        with open(args.prompts, "r", encoding="utf-8") as fh:
-            prompts = [line.strip() for line in fh if line.strip()]
-    else:
-        bundled = resources.files("pdws") / "profiles" / "prompts.txt"
-        prompts = [line for line in bundled.read_text("utf-8").splitlines() if line]
+    bundled = resources.files("pdws") / "profiles" / "prompts.txt"
+    lines = (Path(args.prompts) if args.prompts else bundled).read_text("utf-8").split("\n")
+    prompts = [line.strip() for line in lines if line.strip()]
 
     report = run_bench(
         params, keys, model, prompts, repeats=args.repeats, seed=args.seed, suite=suite

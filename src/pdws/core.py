@@ -13,8 +13,9 @@ and alpha a finite positive number, so a JSON 2.0 or true is rejected
 rather than read as 2 or 1.
 
 Bit order convention: bit 0 of a BitString is the most significant bit of
-byte 0, and serialization is big-endian throughout. Characters are unicode
-scalar values; all character counts index ``str`` positions, never bytes.
+byte 0, and serialization is big-endian throughout. A BitString takes slices,
+not int indexes (TypeError), and has no len(). Characters are unicode scalar
+values; all character counts index ``str`` positions, never bytes.
 """
 
 from __future__ import annotations
@@ -94,17 +95,9 @@ class BitString:
 
     # -- element access -------------------------------------------------
 
-    def __len__(self) -> int:
-        return self.length
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError("bit index out of range")
-        return (self.value >> (self.length - 1 - i)) & 1
-
-    def __getitem__(self, key):
-        if isinstance(key, int):
-            return self.bit(key if key >= 0 else self.length + key)
+    def __getitem__(self, key: slice) -> "BitString":
+        if not isinstance(key, slice):
+            raise TypeError("BitString indexes take slices, not %s" % type(key).__name__)
         start, stop, step = key.indices(self.length)
         if step != 1:
             raise ParameterError("BitString slices must be contiguous")

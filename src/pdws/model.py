@@ -21,27 +21,31 @@ character.
 The mocks never look at the context except for the position, so their
 spans take one vectorised step: every position's token is found at once
 from its uniform, and a scripted model's forced positions then overwrite
-theirs. A remote model's distribution depends on the context, and its
-tokens may be longer than one character, so its spans sample token by
-token through next_distribution.
+theirs. A handle compiles its script once, when it is made, into the
+forced character (or None) at each position. A remote model's
+distribution depends on the context, and its tokens may be longer than
+one character, so its spans sample token by token through
+next_distribution.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import string
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate
-from typing import Optional
+from typing import Iterator, Optional
 from urllib.parse import urlsplit
 
 from .core import ParameterError, _require_ints, json_fields
 from .rng import SamplerState
 
 DEFAULT_ALPHABET = string.ascii_letters + string.digits + " ."  # 64 characters
+_SURROGATE = re.compile("[\ud800-\udfff]")  # no UTF-8 form, so the hash chain cannot read one
 
 # The fields each kind reads; any other field must keep its default.
 _READS = {
@@ -69,8 +73,8 @@ class TokenDistribution:
     def __post_init__(self) -> None:
         if not self.tokens or len(self.tokens) != len(self.probs):
             raise ParameterError("tokens and probs must be non-empty and parallel")
-        if not all(isinstance(t, str) and t for t in self.tokens):
-            raise ParameterError("every token must be a non-empty string")
+        if not all(isinstance(t, str) and t and not _SURROGATE.search(t) for t in self.tokens):
+            raise ParameterError("every token must be a non-empty string UTF-8 can encode")
         # Written so that NaN fails both checks.
         if any(not 0 <= p <= 1 for p in self.probs):
             raise ParameterError("probabilities outside [0, 1]")
@@ -126,9 +130,16 @@ class ModelHandle:
             if not self.endpoint or not isinstance(self.endpoint, str):
                 raise ParameterError("remote model needs an endpoint URL")
             _split_endpoint(self.endpoint)
+        forced: list[Optional[str]] = []  # per position: the forced character, or None
         for seg in self.script:
             if len(seg) != 2 or (seg[0], type(seg[1])) not in (("forced", str), ("free", int)):
                 raise ParameterError("script segments are ('forced', text) or ('free', count)")
+            if seg[0] == "free" and seg[1] < 0:
+                raise ParameterError("a free segment's count must be non-negative")
+            forced.extend(seg[1] if seg[0] == "forced" else [None] * seg[1])
+        if _SURROGATE.search(self.alphabet + "".join(filter(None, forced))):
+            raise ParameterError("alphabet or forced text holds a lone surrogate (not UTF-8)")
+        object.__setattr__(self, "_forced", tuple(forced))
         if not isinstance(self.script_cycle, bool):
             raise ParameterError("script_cycle must be true or false")
         _require_ints(self, "top_k", "timeout_ms", "retries")
@@ -167,29 +178,13 @@ def _uniform_bounds(alphabet: str):
     return numpy.array(_uniform_dist(alphabet)._cum[:-1])
 
 
-@lru_cache(maxsize=32)
-def _script_forced_map(script: tuple) -> tuple:
-    """Per-position forced character, or None for free positions."""
-    out: list[Optional[str]] = []
-    for seg_kind, payload in script:
-        if seg_kind == "forced":
-            out.extend(payload)
-        else:
-            out.extend([None] * payload)
-    return tuple(out)
-
-
 def next_distribution(model: ModelHandle, prompt: str, context: str) -> TokenDistribution:
     """The model's next-token distribution given prompt and emitted text."""
     if model.kind == "uniform-mock":
         return _uniform_dist(model.alphabet)
     if model.kind == "scripted-mock":
-        forced = _script_forced_map(model.script)
-        pos = len(context)
-        if model.script_cycle and forced:
-            pos %= len(forced)
-        if pos < len(forced) and forced[pos] is not None:
-            return TokenDistribution((forced[pos],), (1.0,))
+        for _, char in _forced_positions(model, len(context), 1):
+            return TokenDistribution((char,), (1.0,))
         return _uniform_dist(model.alphabet)
     return _remote_distribution(model, prompt, context)
 
@@ -290,12 +285,17 @@ def _mock_span(model: ModelHandle, start: int, us: list[float]) -> str:
     """
     picks = _uniform_bounds(model.alphabet).searchsorted(us, side="right")
     chars = list(map(model.alphabet.__getitem__, picks.tolist()))
-    forced = _script_forced_map(model.script)
-    if forced:
-        for i in range(len(chars)):
-            pos = start + i
-            if model.script_cycle:
-                pos %= len(forced)
-            if pos < len(forced) and forced[pos] is not None:
-                chars[i] = forced[pos]
+    if model.script:
+        for i, char in _forced_positions(model, start, len(chars)):
+            chars[i] = char
     return "".join(chars)
+
+
+def _forced_positions(model: ModelHandle, start: int, count: int) -> Iterator[tuple[int, str]]:
+    """(i, char) for each forced position start + i of a scripted mock, i < count."""
+    forced = model._forced
+    for i, pos in enumerate(range(start, start + count)):
+        if model.script_cycle and forced:
+            pos %= len(forced)
+        if pos < len(forced) and forced[pos] is not None:
+            yield i, forced[pos]

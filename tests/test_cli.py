@@ -26,6 +26,9 @@ PROFILE_SCHEMES = [
     ("ed25519-544", "ed25519"),
 ]
 
+# A remote model offering a token that holds a lone surrogate.
+SURROGATE_REPLY = b'{"candidates": [{"token": "a\\ud800", "logprob": 0.0}]}'
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -304,12 +307,38 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "reply",
-        [b'{"candidates": [{"token": 5, "logprob": 0.0}]}', b"[" * 1500],
-        ids=["int-token", "deep-nesting"],
+        [b'{"candidates": [{"token": 5, "logprob": 0.0}]}', b"[" * 1500, SURROGATE_REPLY],
+        ids=["int-token", "deep-nesting", "lone-surrogate-token"],
     )
     def test_malformed_reply_exits_four(self, tmp_path, capsys, keypair, reply):
         code, err = _watermark_against_reply(tmp_path, capsys, keypair[0], reply)
         assert code == 4 and err.startswith("error: ")
+
+    def test_lone_surrogate_token_below_one_gadget_exits_four(self, tmp_path, capsys, keypair):
+        # Plain generation writes the model's text out unhashed; it must be UTF-8 too.
+        with _reply_server(SURROGATE_REPLY) as (endpoint, _):
+            cfg = _remote_model_file(tmp_path, endpoint)
+            code, stdout, err = run(
+                capsys, "watermark", "--key", str(keypair[0]), "--n", "4", "--model", str(cfg)
+            )
+        assert code == 4 and stdout == "" and "UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "scripted-mock", "script": [["free", -5], ["forced", "xx"]]},
+            {"kind": "scripted-mock", "script": [["forced", "a\ud800"]]},
+            {"kind": "uniform-mock", "alphabet": "ab\udc00"},
+        ],
+        ids=["negative-free-count", "lone-surrogate-forced-text", "lone-surrogate-alphabet"],
+    )
+    def test_unusable_mock_model_file_exits_two(self, tmp_path, capsys, keypair, config):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(config))
+        code, stdout, err = run(
+            capsys, "watermark", "--key", str(keypair[0]), "--model", str(cfg)
+        )
+        assert code == 2 and stdout == "" and err.startswith("error: ")
 
     def test_deeply_nested_model_file_exits_two(self, tmp_path, capsys, keypair):
         cfg = tmp_path / "model.json"

@@ -24,9 +24,13 @@ bitstrings = st.integers(min_value=0, max_value=512).flatmap(
 
 class TestBitString:
     def test_msb_first_indexing(self):
+        # Bit 0 is the most significant; a BitString takes slices only.
         b = BitString(0b101, 3)
-        assert (b[0], b[1], b[2]) == (1, 0, 1)
-        assert b[-1] == 1
+        assert [b[i : i + 1].value for i in range(3)] == [1, 0, 1]
+        assert b[-1:] == BitString(1, 1)
+        for key in (0, -1, 3):
+            with pytest.raises(TypeError):
+                b[key]
 
     def test_to_bytes_pads_tail_with_zeros(self):
         assert BitString(0b1, 1).to_bytes() == b"\x80"

@@ -37,12 +37,14 @@ _BAD_LOGPROBS = {
     "/bool-logprob": [True, 0.0],
 }
 
-# Routes serving this token beside a good one; none is a string.
+# Routes serving this token beside a good one; none is a string UTF-8 can
+# encode (JSON can spell a lone surrogate).
 _BAD_TOKENS = {
     "/int-token": 5,
     "/list-token": ["a"],
     "/bool-token": True,
     "/null-token": None,
+    "/surrogate-token": "a\ud800",
 }
 
 
@@ -147,6 +149,9 @@ class TestTokenDistribution:
             TokenDistribution(("a", "b"), (math.nan, 1.0))
         with pytest.raises(ParameterError):
             TokenDistribution((5,), (1.0,))
+        # A lone surrogate has no UTF-8 form, so the hash chain could not read it.
+        with pytest.raises(ParameterError, match="UTF-8"):
+            TokenDistribution(("a", "b\ud800"), (0.5, 0.5))
 
     def test_sample_deterministic(self):
         dist = TokenDistribution(("a", "b", "c"), (0.2, 0.3, 0.5))
@@ -208,6 +213,15 @@ class TestMocks:
         for script in ((("maybe", "x"),), (("forced", 5),), (("free", "5"),), (("free", True),)):
             with pytest.raises(ParameterError):
                 ModelHandle(kind="scripted-mock", script=script)
+        # A negative count would pull the forced text that follows it to position 0.
+        with pytest.raises(ParameterError, match="non-negative"):
+            ModelHandle(kind="scripted-mock", script=(("free", -5), ("forced", "xx")))
+        for kind, fields in (
+            ("uniform-mock", {"alphabet": "ab\udfff"}),
+            ("scripted-mock", {"script": (("free", 2), ("forced", "x\ud800"))}),
+        ):
+            with pytest.raises(ParameterError, match="surrogate"):
+                ModelHandle(kind=kind, **fields)
         with pytest.raises(ParameterError):  # a string "false" would read as true
             ModelHandle(kind="scripted-mock", script=(("free", 1),), script_cycle="false")
         for endpoint in (

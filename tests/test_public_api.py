@@ -3,6 +3,7 @@
 import argparse
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pdws
@@ -128,6 +129,38 @@ def test_every_json_parser_has_a_caller_outside_tests():
             break
         used |= more
     assert sorted(defined - used) == []
+
+
+# Defined in src/pdws and read by no code outside its own body: the former
+# code profile's names, which acceptance 05 and 06 call and nothing else may.
+TEST_ONLY_NAMES = {"EccProfile", "for_params"}
+
+
+def _names_read(tree):
+    """How often each name or attribute is read in tree."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_every_definition_is_read_outside_tests():
+    package = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "src" / "pdws").glob("*.py"))]
+    others = [ast.parse(path.read_text(encoding="utf-8"))
+              for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    others += [ast.parse(source) for _, source in _sources()]
+    reads = sum(map(_names_read, package + others), Counter())
+    unread = {
+        node.name
+        for tree in package
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and reads[node.name] == _names_read(node)[node.name]
+    }
+    assert unread == TEST_ONLY_NAMES
 
 
 def test_only_ecc_defines_the_former_code_profile():
