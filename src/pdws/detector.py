@@ -13,13 +13,14 @@ chunk, which the code corrects up to its capacity t; the embedder's
 budget gamma_max never exceeds t. The chain is a crypto.BitChain, the
 same one the embedder sampled against.
 
-A scan encodes the text once, as the UTF-8 bytes of the ell-char window
-starting at each character, a stretch at a time; an offset's blocks are
-every ell-th window from it, and its chain absorbs all of its signature
-blocks in one call. A known_offset probe encodes only the 1 + n_blocks
-windows of its own gadget. A window holding a lone surrogate does not
-encode, and no offset that reads it can hold a gadget, since the
-embedder never emits one.
+An offset's blocks are the UTF-8 bytes of every ell-th ell-char window
+from it, and its chain absorbs all of its signature blocks in one call.
+A scan encodes each window at most once, when the first offset that
+reads it is tried, so a scan that stops at offset k has encoded only the
+windows of offsets 0..k; a known_offset probe is the same scan limited
+to one offset. A window holding a lone surrogate does not encode, and no
+offset that reads it can hold a gadget, since the embedder never emits
+one.
 
 A forged text would need a valid signature on its own message block, so
 false positives reduce to signature forgery (or a hash collision on the
@@ -108,31 +109,28 @@ def _try_offset(
 
 
 def _scan(
-    keys: KeyMaterial,
-    layout: Layout,
-    text: str,
-    suite: OracleSuite,
+    keys: KeyMaterial, layout: Layout, text: str, suite: OracleSuite, offsets: range
 ) -> Iterator[DetectionResult]:
-    """Yield every gadget found, in offset order.
+    """Yield every gadget at offsets.start..offsets.stop-1, in offset order.
 
-    Windows are encoded a stretch at a time, enough for the next
-    gadget_chars offsets, and the windows still ahead are kept: a scan
-    encodes each window once, a hit near the start does not encode the
-    rest of the text, and memory is bounded by the gadget, not the text.
-    After a hit the scan resumes at offset + gadget_chars - ell so a
-    following gadget whose message block is the previous gadget's final
-    window is still seen; non-overlapping gadgets are a fortiori covered.
+    Offsets ell apart read the same windows but one, so the windows are
+    kept in one column per residue offset % ell. At each offset its column
+    drops, in place, the windows before the offset and encodes only those
+    past its end: a scan encodes each window once, only when an offset
+    reads it, and holds one gadget's worth of windows per column. After a
+    hit the scan resumes at offset + gadget_chars - ell so a following
+    gadget whose message block is the previous gadget's final window is
+    still seen; non-overlapping gadgets are a fortiori covered.
     """
     ell, gadget_len = layout.ell, layout.gadget_chars
-    last = len(text) - gadget_len
-    offset, start, windows = 0, 0, []
-    while offset <= last:
-        i = offset - start
-        if i + gadget_len - ell >= len(windows):
-            stop = min(offset + 2 * gadget_len - ell, len(text) - ell + 1)
-            windows = windows[i:] + _windows(text, ell, range(start + len(windows), stop))
-            start, i = offset, 0
-        result = _try_offset(windows[i : i + gadget_len : ell], offset, layout, keys, suite)
+    offset, stop = offsets.start, min(offsets.stop, len(text) - gadget_len + 1)
+    columns = {}  # offset % ell -> (the last offset tried there, its windows)
+    while offset < stop:
+        start, windows = columns.get(offset % ell, (offset, []))
+        del windows[: (offset - start) // ell]
+        windows += _windows(text, ell, range(offset + ell * len(windows), offset + gadget_len, ell))
+        columns[offset % ell] = (offset, windows)
+        result = _try_offset(windows, offset, layout, keys, suite)
         if result is not None:
             yield result
             offset += gadget_len - ell
@@ -151,21 +149,18 @@ def detect(
     """Scan every offset (or probe just one) for an embedded signature.
 
     layout may be a full WatermarkParams; only its Layout fields are read.
-    With known_offset the scan collapses to a single recovery attempt,
-    which encodes only that gadget's windows; a known_offset that is not
-    an int (a bool, float or string) raises ParameterError, and one where
-    no gadget fits means not detected. Otherwise offsets
-    0..len(text)-gadget_chars are tried in order and the lowest verifying
-    one wins. Total: bad text means not detected.
+    With known_offset the scan is limited to that one offset and encodes
+    only its gadget's windows; a known_offset that is not an int (a bool,
+    float or string) raises ParameterError, and one where no gadget fits
+    means not detected. Otherwise offsets 0..len(text)-gadget_chars are
+    tried in order and the lowest verifying one wins. Total: bad text
+    means not detected.
     """
-    if known_offset is None:
-        return next(_scan(keys, layout, text, suite), _NOT_DETECTED)
-    _require_int("known_offset", known_offset)
-    if not 0 <= known_offset <= len(text) - layout.gadget_chars:
-        return _NOT_DETECTED
-    starts = range(known_offset, known_offset + layout.gadget_chars, layout.ell)
-    result = _try_offset(_windows(text, layout.ell, starts), known_offset, layout, keys, suite)
-    return _NOT_DETECTED if result is None else result
+    offsets = range(len(text))
+    if known_offset is not None:
+        _require_int("known_offset", known_offset)
+        offsets = range(max(known_offset, 0), known_offset + 1)  # empty when negative
+    return next(_scan(keys, layout, text, suite, offsets), _NOT_DETECTED)
 
 
 def detect_all(
@@ -176,4 +171,4 @@ def detect_all(
     suite: OracleSuite = OracleSuite(),
 ) -> list[DetectionResult]:
     """Find every gadget, including tiled ones that share a message block."""
-    return list(_scan(keys, layout, text, suite))
+    return list(_scan(keys, layout, text, suite, range(len(text))))

@@ -21,10 +21,10 @@ character.
 The mocks never look at the context except for the position, so their
 spans take one vectorised step: every position's token is found at once
 from its uniform, and a scripted model's forced positions then overwrite
-theirs. A handle compiles its script once, when it is made, into the
-forced character (or None) at each position. A remote model's
-distribution depends on the context, and its tokens may be longer than
-one character, so its spans sample token by token through
+theirs. A handle compiles its script once, when it is made, into its
+length and a map from each forced position to its character. A remote
+model's distribution depends on the context, and its tokens may be
+longer than one character, so its spans sample token by token through
 next_distribution.
 """
 
@@ -130,16 +130,19 @@ class ModelHandle:
             if not self.endpoint or not isinstance(self.endpoint, str):
                 raise ParameterError("remote model needs an endpoint URL")
             _split_endpoint(self.endpoint)
-        forced: list[Optional[str]] = []  # per position: the forced character, or None
+        forced: dict[int, str] = {}  # forced position -> its character
+        length = 0
         for seg in self.script:
             if len(seg) != 2 or (seg[0], type(seg[1])) not in (("forced", str), ("free", int)):
                 raise ParameterError("script segments are ('forced', text) or ('free', count)")
             if seg[0] == "free" and seg[1] < 0:
                 raise ParameterError("a free segment's count must be non-negative")
-            forced.extend(seg[1] if seg[0] == "forced" else [None] * seg[1])
-        if _SURROGATE.search(self.alphabet + "".join(filter(None, forced))):
+            if seg[0] == "forced":
+                forced.update(enumerate(seg[1], length))
+            length += seg[1] if seg[0] == "free" else len(seg[1])
+        if _SURROGATE.search(self.alphabet + "".join(forced.values())):
             raise ParameterError("alphabet or forced text holds a lone surrogate (not UTF-8)")
-        object.__setattr__(self, "_forced", tuple(forced))
+        object.__setattr__(self, "_forced", (forced, length))
         if not isinstance(self.script_cycle, bool):
             raise ParameterError("script_cycle must be true or false")
         _require_ints(self, "top_k", "timeout_ms", "retries")
@@ -293,9 +296,10 @@ def _mock_span(model: ModelHandle, start: int, us: list[float]) -> str:
 
 def _forced_positions(model: ModelHandle, start: int, count: int) -> Iterator[tuple[int, str]]:
     """(i, char) for each forced position start + i of a scripted mock, i < count."""
-    forced = model._forced
-    for i, pos in enumerate(range(start, start + count)):
-        if model.script_cycle and forced:
-            pos %= len(forced)
-        if pos < len(forced) and forced[pos] is not None:
-            yield i, forced[pos]
+    forced, length = model._forced
+    if not model.script_cycle or not length:
+        count = min(count, length - start)  # no position past the script's end is forced
+    for i in range(count):
+        char = forced.get((start + i) % length)
+        if char is not None:
+            yield i, char

@@ -5,7 +5,7 @@ Philox is a counter-based generator, so a stream is fully determined by its
 ``SamplerState`` is an immutable value: the running SHA-256 state of
 ``b"pdws-rng|"``, the seed as 32 bytes and each label forked in so far as 8
 bytes, all big-endian. ``fork`` copies that state and feeds it the new
-labels; ``random(n)`` keys Philox with the first 16 bytes of the digest and
+label; ``random(n)`` keys Philox with the first 16 bytes of the digest and
 returns the stream's first n uniforms, the values n scalar draws would give.
 Drawing reads the state and never moves it, so the same state always gives
 the same values. The embedder forks once per (gadget, block, attempt) and
@@ -76,11 +76,10 @@ class SamplerState:
             raise ParameterError("seed must be in [0, 2^256)")
         self._hash = hashlib.sha256(b"pdws-rng|" + seed.to_bytes(32, "big"))
 
-    def fork(self, *labels: int) -> "SamplerState":
-        """Independent child stream; equal (seed, labels) gives equal streams."""
+    def fork(self, label: int) -> "SamplerState":
+        """Independent child stream; equal (seed, labels forked in) gives equal streams."""
         h = self._hash.copy()
-        for lab in labels:
-            h.update(lab.to_bytes(8, "big"))
+        h.update(label.to_bytes(8, "big"))
         child = SamplerState.__new__(SamplerState)
         child._hash = h
         return child

@@ -275,10 +275,10 @@ def multibyte_marked(params328, schnorr_keys, suite):
 
 
 class TestEncodeOnce:
-    """A scan encodes each window once, a stretch at a time; a probe only its gadget's."""
+    """A scan encodes each window once, when an offset first reads it; a probe only its gadget's."""
 
     @pytest.fixture
-    def stretches(self, monkeypatch):
+    def encoded(self, monkeypatch):
         seen = []
         original = detector._windows
 
@@ -289,26 +289,31 @@ class TestEncodeOnce:
         monkeypatch.setattr(detector, "_windows", spy)
         return seen
 
-    def test_scan_encodes_each_window_once(self, stretches, schnorr_keys, suite):
-        ell, gadget_len = TINY_PARAMS.ell, TINY_PARAMS.gadget_chars
-        text = junk_text(3 * gadget_len + 10)
-        assert detect_all(schnorr_keys, TINY_PARAMS, text, suite=suite) == []
-        assert len(stretches) == 3
-        assert [i for s in stretches for i in s] == list(range(len(text) - ell + 1))
+    def test_scan_encodes_each_window_once(self, encoded, schnorr_keys, suite):
+        for layout in (TINY_PARAMS, WatermarkParams()):
+            ell, gadget_len = layout.ell, layout.gadget_chars
+            text = junk_text(gadget_len + 3 * ell + 5)
+            assert detect_all(schnorr_keys, layout, text, suite=suite) == []
+            assert sorted(i for s in encoded for i in s) == list(range(len(text) - ell + 1))
+            encoded.clear()
 
     def test_hit_and_probe_encode_only_near_the_gadget(
-        self, stretches, marked, params328, schnorr_keys, suite
+        self, encoded, marked, params328, schnorr_keys, suite
     ):
         ell, gadget_len = params328.ell, params328.gadget_chars
         text = junk_text(30) + marked + junk_text(3 * gadget_len)
         assert detect(schnorr_keys, params328, text, suite=suite).offset == 30
-        assert stretches == [range(0, 2 * gadget_len - ell)]
-        stretches.clear()
+        # Offsets 0..30 read every window up to offset 30's last, each once.
+        assert sorted(i for s in encoded for i in s) == list(range(30 + gadget_len - ell + 1))
+        encoded.clear()
         assert detect(schnorr_keys, params328, text, suite=suite, known_offset=30).detected
-        assert stretches == [range(30, 30 + gadget_len, ell)]
-        stretches.clear()
+        assert encoded == [range(30, 30 + gadget_len, ell)]
+        encoded.clear()
+        assert detect(schnorr_keys, params328, marked + text, suite=suite).offset == 0
+        assert encoded == [range(0, gadget_len, ell)]
+        encoded.clear()
         assert not detect(schnorr_keys, params328, marked[:-1], suite=suite).detected
-        assert stretches == []
+        assert encoded == []
 
     @settings(deadline=None, max_examples=40)
     @given(data=st.data())

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -324,6 +325,26 @@ class TestMockSpans:
         us = [math.nextafter(1, 0), last, math.nextafter(last, 0)]
         assert sample_min_chars(model, 3, "p", "", FixedDraws(us)) == per_token(model, "", us)
         assert sample_min_chars(model, 1, "p", "", FixedDraws(us[:1])) == model.alphabet[-1]
+
+    def test_span_past_a_scripts_end_is_the_uniform_mocks(self):
+        scripted = ModelHandle(kind="scripted-mock", alphabet="abc", script=(("forced", "xyz"),))
+        uniform = ModelHandle(kind="uniform-mock", alphabet="abc")
+        us = [k / 16 for k in range(16)]
+        for start in (1, 3, 4, 10_000):
+            span, plain = (
+                sample_min_chars(model, 16, "p", "c" * start, FixedDraws(us))
+                for model in (scripted, uniform)
+            )
+            assert span == ("yz" + plain[2:] if start == 1 else plain)
+
+    def test_long_free_segment_stores_nothing_per_position(self):
+        tracemalloc.start()
+        try:
+            ModelHandle(kind="scripted-mock", script=(("free", 10**9), ("forced", "q")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # The fields each kind reads, each set away from its default.

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 
 import pytest
 from numpy.random import Generator, Philox
@@ -18,7 +19,7 @@ def draws(state, k=8):
 
 
 def key_of(seed, labels):
-    """The Philox key of SamplerState(seed).fork(*labels), hashed from scratch."""
+    """The Philox key of SamplerState(seed) forked by each label in turn, hashed from scratch."""
     payload = b"pdws-rng|" + seed.to_bytes(32, "big")
     payload += b"".join(lab.to_bytes(8, "big") for lab in labels)
     return int.from_bytes(hashlib.sha256(payload).digest()[:16], "big")
@@ -29,17 +30,19 @@ def test_same_seed_same_stream():
 
 
 def test_fork_is_deterministic_and_label_sensitive():
-    a = draws(SamplerState(1).fork(3, 4))
-    b = draws(SamplerState(1).fork(3, 4))
-    c = draws(SamplerState(1).fork(3, 5))
-    d = draws(SamplerState(2).fork(3, 4))
+    a = draws(SamplerState(1).fork(3).fork(4))
+    b = draws(SamplerState(1).fork(3).fork(4))
+    c = draws(SamplerState(1).fork(3).fork(5))
+    d = draws(SamplerState(2).fork(3).fork(4))
     assert a == b
     assert a != c
     assert a != d
 
 
 def test_nested_fork_equals_flat_labels():
-    assert draws(SamplerState(9).fork(1).fork(2)) == draws(SamplerState(9).fork(1, 2))
+    # Chained forks key the stream by the seed and the labels in order.
+    flat = Generator(Philox(key=key_of(9, (1, 2)))).random(8).tolist()
+    assert draws(SamplerState(9).fork(1).fork(2)) == flat
 
 
 def test_fork_independent_of_parent_draws():
@@ -57,7 +60,7 @@ def test_random_n_is_a_prefix_of_the_stream(seed, labels):
     # n scalar draws on a fresh Philox keyed by the hash of the seed and
     # labels, so a span may draw all at once.
     def fresh():
-        return SamplerState(seed).fork(*labels)
+        return reduce(SamplerState.fork, labels, SamplerState(seed))
 
     key = key_of(seed, labels)
     for n in (1, 2, 7, 40):
@@ -142,5 +145,5 @@ def test_rekey_is_looked_up_on_the_module(monkeypatch):
 
     monkeypatch.setattr(rng, "_rekey", counting)
     assert draws(SamplerState(4).fork(1)) == draws(SamplerState(4).fork(1))
-    SamplerState(5).fork(2, 3).random(1)
+    SamplerState(5).fork(2).fork(3).random(1)
     assert keys == [key_of(4, (1,))] * 2 + [key_of(5, (2, 3))]
