@@ -45,7 +45,10 @@ keys = keygen(b"demo-remote")
 suite = OracleSuite(b"demo-sign", b"demo-mask", b"demo-bit")
 # a short layout keeps the HTTP round trips tolerable: 8-char blocks, 4-bit
 # chunks, 90 signature blocks, one 728-char gadget. beta=4 needs a 1-in-16
-# hash match per attempt, so give each block a deep attempt cap.
+# hash match per attempt, so give each block a deep attempt cap. A block's
+# attempts all start from the same text, and the embedder asks the stub
+# once per distinct context in a block: about 2,500 requests here for the
+# 5,450 tokens the attempts draw.
 params = WatermarkParams(
     ell=8, beta=4, gamma_max=2, a_max=256, n=728,
     lambda_sig=328, lambda_c=360, alpha=8,

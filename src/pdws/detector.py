@@ -123,13 +123,18 @@ def _scan(
     still seen; non-overlapping gadgets are a fortiori covered.
     """
     ell, gadget_len = layout.ell, layout.gadget_chars
-    offset, stop = offsets.start, min(offsets.stop, len(text) - gadget_len + 1)
-    columns = {}  # offset % ell -> (the last offset tried there, its windows)
+    first, stop = offsets.start, min(offsets.stop, len(text) - gadget_len + 1)
+    # Column (offset - first) % ell: [last offset tried there, its windows].
+    # ell is outside input, so there are no more columns than offsets; an
+    # untried column is empty, so what it drops does not matter.
+    columns = [[first, []] for _ in range(min(ell, stop - first))]
+    offset = first
     while offset < stop:
-        start, windows = columns.get(offset % ell, (offset, []))
-        del windows[: (offset - start) // ell]
+        column = columns[(offset - first) % ell]
+        windows = column[1]
+        del windows[: (offset - column[0]) // ell]
+        column[0] = offset
         windows += _windows(text, ell, range(offset + ell * len(windows), offset + gadget_len, ell))
-        columns[offset % ell] = (offset, windows)
         result = _try_offset(windows, offset, layout, keys, suite)
         if result is not None:
             yield result

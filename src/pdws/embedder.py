@@ -71,7 +71,10 @@ def reject_sample_tokens(
 
     Attempt a draws from the forked stream rng.fork(a), so evaluation order
     cannot change the outcome. Characters of text already inside the window
-    are kept; only the rest is sampled. Candidates are only peeked, so the
+    are kept; only the rest is sampled. Every attempt starts from the same
+    text, so the attempts share one map from context to distribution: a
+    remote model is asked once per distinct context of the block, and the
+    map is dropped with the block. Candidates are only peeked, so the
     chain is unchanged. After a_max+1 misses the minimal-Hamming candidate,
     the earliest on ties, is returned marked planted. Returns the extended
     text, the block's bytes, the value they hash to, and the block record.
@@ -80,11 +83,12 @@ def reject_sample_tokens(
     window_end = window_start + params.ell
 
     best = None  # (distance, full text, window bytes, achieved value)
+    dists: dict = {}  # this block's contexts, each asked of the model once
     for attempt in range(1, params.a_max + 2):
         cand = text
         if len(cand) < window_end:
             cand += sample_min_chars(
-                model, window_end - len(cand), prompt, cand, rng.fork(attempt)
+                model, window_end - len(cand), prompt, cand, rng.fork(attempt), dists
             )
         window_bytes = cand[window_start:window_end].encode("utf-8")
         achieved = chain.peek(window_bytes)

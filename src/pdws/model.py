@@ -25,7 +25,9 @@ theirs. A handle compiles its script once, when it is made, into its
 length and a map from each forced position to its character. A remote
 model's distribution depends on the context, and its tokens may be
 longer than one character, so its spans sample token by token through
-next_distribution.
+next_distribution. Spans that share a dists map (the attempts of one
+embedder block) ask the endpoint once per distinct context; this assumes
+the endpoint answers a context the same way each time.
 """
 
 from __future__ import annotations
@@ -259,20 +261,30 @@ def _remote_distribution(model: ModelHandle, prompt: str, context: str) -> Token
 
 
 def sample_min_chars(
-    model: ModelHandle, min_chars: int, prompt: str, context: str, rng: SamplerState
+    model: ModelHandle, min_chars: int, prompt: str, context: str, rng: SamplerState,
+    dists: Optional[dict[str, TokenDistribution]] = None,
 ) -> str:
     """Sample whole tokens until at least min_chars characters accumulate.
 
     rng is a fork drawn by this call only: a state is a value, so its first
     min_chars uniforms are drawn at once, and those a multi-character token
-    leaves over are discarded rather than kept for a later call.
+    leaves over are discarded rather than kept for a later call. dists maps
+    a context to its distribution: a remote model is asked only for a
+    context not found there, and the answer is stored, so calls sharing one
+    dict ask once per distinct context. The caller owns it and bounds its
+    life; without it every context is asked for.
     """
     if model.kind != "remote":
         return _mock_span(model, len(context), rng.random(min_chars))
+    if dists is None:
+        dists = {}  # a call's own contexts grow with each token, so none repeats
     parts: list[str] = []
     total = 0
     for u in rng.random(min_chars):
-        tok = sample_token(next_distribution(model, prompt, context), u)
+        dist = dists.get(context)
+        if dist is None:
+            dist = dists[context] = next_distribution(model, prompt, context)
+        tok = sample_token(dist, u)
         parts.append(tok)
         total += len(tok)
         if total >= min_chars:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -261,6 +262,22 @@ class TestEveryLayoutScans:
         assert not detect(schnorr_keys, layout, text, suite=suite).detected
         assert not detect(schnorr_keys, layout, text, suite=suite, known_offset=offset).detected
         assert detect_all(schnorr_keys, layout, text, suite=suite) == []
+
+    def test_a_long_block_costs_nothing_before_an_offset_fits(self, schnorr_keys, suite):
+        # ell is read from outside (a params or public-key file), so a scan
+        # may not allocate per residue ahead of the offsets it tries.
+        layout = Layout(10**6, 2, 328, 360)
+        tracemalloc.start()
+        try:
+            for known_offset in (None, 0):
+                assert not detect(
+                    schnorr_keys, layout, "abc" * 100, suite=suite, known_offset=known_offset
+                ).detected
+            assert detect_all(schnorr_keys, layout, "abc" * 100, suite=suite) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # 2-, 3- and 4-byte UTF-8 characters, as model output and as padding.

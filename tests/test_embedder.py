@@ -478,20 +478,80 @@ class TestCompleteness:
         event("embedded" if ok else "EmbedFailure")
 
     @pytest.mark.parametrize("tiled", [False, True])
-    def test_multi_character_tokens(self, schnorr_keys, suite, monkeypatch, tiled):
-        # A context-dependent model whose tokens are 1-3 characters long, so
-        # blocks inherit surplus characters from the block before them. It
-        # stands in for a remote model, the kind sampled token by token.
-        tokens = tuple(c * (1 + i % 3) for i, c in enumerate("abcdefghijklmnopqrstuvwx"))
-        contexts = []
-
-        def rotating(model, prompt, context):
-            contexts.append(context)
-            shift = len(context) % len(tokens)
-            return TokenDistribution(tokens[shift:] + tokens[:shift], (1 / 24,) * 24)
-
-        monkeypatch.setattr("pdws.model._remote_distribution", rotating)
-        model = ModelHandle(kind="remote", endpoint="http://127.0.0.1:9")
+    def test_multi_character_tokens(self, schnorr_keys, suite, rotating_remote, tiled):
+        model, requests = rotating_remote
         params = WatermarkParams(ell=4, a_max=64, n=2 * 4 * 181)
         assert check_completeness(params, schnorr_keys, model, suite, 2, tiled, seed=3)
-        assert len(contexts) >= params.n // 3
+        assert len(requests) >= params.n // 3
+
+
+@pytest.fixture
+def rotating_remote(monkeypatch):
+    """A remote model answered in-process, and the contexts it was asked for, in order.
+
+    Its distribution depends on the context and its tokens are 1-3
+    characters long, so blocks inherit surplus characters from the block
+    before them, as they do from a real remote model.
+    """
+    tokens = tuple(c * (1 + i % 3) for i, c in enumerate("abcdefghijklmnopqrstuvwx"))
+    requests = []
+
+    def rotating(model, prompt, context):
+        requests.append(context)
+        shift = len(context) % len(tokens)
+        return TokenDistribution(tokens[shift:] + tokens[:shift], (1 / 24,) * 24)
+
+    monkeypatch.setattr("pdws.model._remote_distribution", rotating)
+    return ModelHandle(kind="remote", endpoint="http://127.0.0.1:9"), requests
+
+
+def asking_every_attempt(mp):
+    """Make the embedder's blocks ask the model for every context of every attempt."""
+    real = embedder.sample_min_chars
+    mp.setattr(embedder, "sample_min_chars", lambda *args: real(*args[:5]))  # drop dists
+
+
+class TestOneRequestPerContext:
+    def test_a_block_asks_once_per_distinct_context(self, params328, suite, rotating_remote):
+        model, requests = rotating_remote
+        retried = 0
+        for value in range(2**params328.beta):
+            runs = []
+            for every_attempt in (False, True):
+                requests.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    if every_attempt:
+                        asking_every_attempt(mp)
+                    out = reject_sample_tokens(
+                        BitString(value, params328.beta),
+                        "ab",
+                        BitChain(suite.bit_oracle(), params328.beta),
+                        params328,
+                        model,
+                        prompt="p",
+                        window_start=0,
+                        rng=SamplerState(value),
+                    )
+                runs.append((out, list(requests)))
+            (out, once), (out_every, every) = runs
+            assert out == out_every
+            attempts = out[3].attempts
+            retried += attempts > 1
+            # Every attempt starts from the text given, "ab".
+            assert once.count("ab") == 1 and every.count("ab") == attempts
+            assert len(once) == len(set(once)) and set(once) == set(every)
+        assert retried  # some block took more than one attempt
+
+    def test_no_answer_outlives_a_call(self, schnorr_keys, suite, rotating_remote):
+        model, requests = rotating_remote
+        params = WatermarkParams(ell=4, a_max=64, n=4 * 181 + 10)
+        counts, outputs = [], []
+        for every_attempt in (False, False, True):
+            requests.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                if every_attempt:
+                    asking_every_attempt(mp)
+                outputs.append(watermark(params, schnorr_keys, model, "p", seed=3, suite=suite))
+            counts.append(len(requests))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert 0 < counts[0] == counts[1] < counts[2]

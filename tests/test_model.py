@@ -280,14 +280,17 @@ def per_token(model, context, us):
 @st.composite
 def mock_spans(draw):
     """(mock model, context, uniforms), the uniforms on and beside the token bounds."""
-    alphabet = "".join(draw(st.lists(st.characters(), min_size=1, max_size=97, unique=True)))
+    # Lone surrogates (category Cs) have no UTF-8 form, and ModelHandle
+    # refuses them (TestMocks.test_validation), so neither draw offers one.
+    utf8 = st.characters(exclude_categories=("Cs",))
+    alphabet = "".join(draw(st.lists(utf8, min_size=1, max_size=97, unique=True)))
     if draw(st.booleans()):
         model = ModelHandle(kind="uniform-mock", alphabet=alphabet)
         length = 0
     else:
         script = draw(st.lists(
             st.one_of(
-                st.tuples(st.just("forced"), st.text(min_size=1, max_size=5)),
+                st.tuples(st.just("forced"), st.text(utf8, min_size=1, max_size=5)),
                 st.tuples(st.just("free"), st.integers(0, 5)),
             ),
             max_size=4,
