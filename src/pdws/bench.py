@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from typing import Sequence
 
-from .core import FORMAT_VERSION, ParameterError, WatermarkParams
+from .core import FORMAT_VERSION, ParameterError, WatermarkParams, _require_int
 from .crypto import KeyMaterial, OracleSuite
 from .detector import detect
 from .embedder import EmbedFailure, watermark
@@ -24,6 +24,8 @@ from .model import ModelHandle
 
 def expected_chars(ell: int, beta: int, lambda_bits: int) -> int:
     """Expected characters sampled to embed lambda_bits: 2^beta blocks/chunk."""
+    for name, value in (("ell", ell), ("beta", beta), ("lambda_bits", lambda_bits)):
+        _require_int(name, value)
     if ell < 1 or beta < 1 or lambda_bits < 1:
         raise ParameterError("ell, beta and lambda_bits must be positive")
     if lambda_bits % beta != 0:
@@ -106,6 +108,7 @@ def run_bench(
     """
     if not prompts:
         raise ParameterError("at least one prompt required")
+    _require_int("repeats", repeats)
     if repeats < 1:
         raise ParameterError("repeats must be >= 1")
 

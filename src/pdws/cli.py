@@ -49,6 +49,8 @@ SECRET_KIND = "pdws-secret-key"
 PUBLIC_KIND = "pdws-public-key"
 _PUBLIC_KEYS = ["kind", "scheme_id", "public_key", "params"]
 _SECRET_KEYS = _PUBLIC_KEYS + ["secret_key", "salts"]
+# keygen's profile without --params: the smallest that holds the scheme's signature.
+_DEFAULT_PROFILE = {"schnorr-p1024": "compact-328", "ed25519": "ed25519-544"}
 
 _ENDPOINT_ENV = "PDWS_MODEL_ENDPOINT"
 
@@ -78,12 +80,11 @@ def _read_json(path: str):
 
 
 def load_profile(name_or_path: str) -> WatermarkParams:
-    """Load parameters from a file path or a bundled profile name."""
-    if os.path.exists(name_or_path):
-        return WatermarkParams.from_json_dict(_read_json(name_or_path))
-    candidate = resources.files("pdws") / "profiles" / (name_or_path + ".json")
-    if candidate.is_file():
-        return WatermarkParams.from_json_dict(json.loads(candidate.read_text("utf-8")))
+    """Load parameters from a file path or, failing that, a bundled profile name."""
+    bundled = resources.files("pdws") / "profiles" / (name_or_path + ".json")
+    for source in (Path(name_or_path), bundled):
+        if source.is_file():
+            return WatermarkParams.from_json(source.read_text("utf-8"))
     raise ParameterError(
         "no such params file or profile %r (bundled: %s)"
         % (name_or_path, ", ".join(list_profiles()))
@@ -211,13 +212,7 @@ def _read_input_text(path: str) -> str:
 
 
 def cmd_keygen(args) -> int:
-    if args.params:
-        params = load_profile(args.params)
-    elif args.scheme == "ed25519":
-        params = load_profile("ed25519-544")
-    else:
-        params = load_profile("compact-328")
-
+    params = load_profile(args.params or _DEFAULT_PROFILE[args.scheme])
     crypto.check_signature_bits(args.scheme, params.lambda_sig)
 
     seed_bytes = None

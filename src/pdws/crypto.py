@@ -29,10 +29,10 @@ is cached per key.
 
 A scan runs one verify at every offset whose decode succeeds, which is
 every offset under a bypass code such as ``gamma0-328``. Schnorr verify
-therefore evaluates both of its powers from fixed-base window tables: one
-for g and one per public key y, kept for the last 8 keys. Both are built
-on the second verify under a key, so a process that verifies once, such as
-``pdws detect --known-offset``, stays on ``pow``. Each build costs about
+therefore evaluates both of its powers from fixed-base window tables, one
+cache holding g's and those of the last 8 public keys y. Both are read
+from the second verify under a key, so a process that verifies once, such
+as ``pdws detect --known-offset``, stays on ``pow``. Each build costs about
 11 ms; a power then takes about a fifth of ``pow``. Signing runs once per
 call and a key check once per key; both stay on ``pow``.
 """
@@ -53,7 +53,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .core import BitString, ParameterError, json_fields
+from .core import BitString, ParameterError, _require_int, json_fields
 
 class KeyMaterialError(ValueError):
     """Raised for malformed or incomplete key material."""
@@ -92,10 +92,6 @@ class HashOracle:
         return h.digest()[0] >> (8 - beta)
 
 
-# One-byte bytes objects, so a chain extends its c_prev tail without a to_bytes.
-_BYTES = [bytes((i,)) for i in range(256)]
-
-
 class BitChain:
     """One gadget's chained rejection hash: block j hashes to h_bit(m || x || c_prev).
 
@@ -107,50 +103,48 @@ class BitChain:
     a detector scan costs time linear in the text length. absorb takes any
     number of blocks in one call: the detector passes all of an offset's
     signature blocks at once, the embedder peeks at candidates and absorbs
-    the one block it keeps, so both compute the same values. Within the
-    call the tail grows by one byte from a table per block, and each block
-    is still one HashOracle.bit_value call.
+    the one block it keeps, so both compute the same values. c_prev is one
+    bytearray, filled in place block by block, and each block is one
+    HashOracle.bit_value call.
     """
 
-    __slots__ = ("oracle", "beta", "_state", "_tail", "_head", "_byte", "_free")
+    __slots__ = ("oracle", "beta", "_state", "_tail", "_free")
 
     def __init__(self, oracle: HashOracle, beta: int):
         self.oracle = oracle
         self.beta = beta
         self._state = oracle.running()
-        # c_prev as bytes is _tail: the whole bytes _head, then _byte while
-        # _free < 8 of its low bits are still unset.
-        self._tail = self._head = b""
-        self._byte, self._free = 0, 8
+        # c_prev as bytes; the low _free bits of its last byte are still unset.
+        self._tail = bytearray()
+        self._free = 0
 
     def peek(self, window: bytes) -> int:
         """The value window would take as the next block; the chain is unchanged."""
         return self.oracle.bit_value(window + self._tail, self.beta, self._state)
 
     def absorb(self, windows) -> bytes:
-        """Absorb each window as the next block, in order; return c_prev as bytes after them.
+        """Absorb each window as the next block, in order; return a copy of c_prev after them.
 
         With no windows this returns c_prev as it stands.
         """
-        beta, state = self.beta, self._state
-        tail, head, byte, free = self._tail, self._head, self._byte, self._free
+        beta, state, tail, free = self.beta, self._state, self._tail, self._free
         for window in windows:
             state.update(window)
+            value = self.oracle.bit_value(tail, beta, state)
+            if not free:
+                tail.append(0)
+                free = 8
             free -= beta
-            byte |= self.oracle.bit_value(tail, beta, state) << free
-            if free:
-                tail = head + _BYTES[byte]
-            else:
-                head = tail = head + _BYTES[byte]
-                byte, free = 0, 8
-        self._tail, self._head, self._byte, self._free = tail, head, byte, free
-        return tail
+            tail[-1] |= value << free
+        self._free = free
+        return bytes(tail)
 
 
 def h_bit(data: bytes, beta: int, salt: bytes = b"") -> BitString:
     """beta-bit rejection hash, domain tag BIT: a fresh chain's first value."""
+    _require_int("beta", beta)
     if beta not in (1, 2, 4, 8):
-        raise ValueError("beta must be one of 1, 2, 4, 8")
+        raise ParameterError("beta must be one of 1, 2, 4, 8")
     return BitString(BitChain(HashOracle(TAG_BIT, salt), beta).peek(data), beta)
 
 
@@ -299,9 +293,7 @@ class SchnorrP1024:
     _SK_LEN = 21   # ceil(164 / 8)
     _PK_LEN = 128
 
-    def keygen(self, seed: Optional[bytes]) -> KeyMaterial:
-        if seed is None:
-            seed = os.urandom(32)
+    def keygen(self, seed: bytes) -> KeyMaterial:
         x = int.from_bytes(
             hashlib.shake_256(b"pdws-schnorr-keygen|" + seed).digest(42), "big"
         ) % (self.Q - 1) + 1
@@ -346,19 +338,17 @@ class SchnorrP1024:
         return BitString(e, self._HALF_BITS).concat(BitString(s, self._HALF_BITS))
 
     def verify(self, verify_key: bytes, digest: bytes, sig: BitString) -> bool:
-        if sig.length != self.sig_bits:
-            return False
         e = sig[: self._HALF_BITS].value
         s = sig[self._HALF_BITS :].value
         if s >= self.Q:
             return False
         # R' = g^s * y^(-e); y has order q so reduce the exponent mod q.
         t = self.Q - e % self.Q
+        y = int.from_bytes(verify_key, "big")
         if next(_verify_count(verify_key)):
-            g_s = _table_pow(_g_table(), s, self.P)
-            y_t = _table_pow(_key_table(verify_key), t, self.P)
+            g_s = _table_pow(_table(self.G), s, self.P)
+            y_t = _table_pow(_table(y), t, self.P)
         else:
-            y = int.from_bytes(verify_key, "big")
             g_s, y_t = pow(self.G, s, self.P), pow(y, t, self.P)
         return self._challenge(g_s * y_t % self.P, verify_key, digest) == e
 
@@ -369,15 +359,10 @@ def _verify_count(verify_key: bytes) -> itertools.count:
     return itertools.count()
 
 
-@functools.cache
-def _g_table() -> tuple[tuple[int, ...], ...]:
-    return _window_table(SchnorrP1024.G, SchnorrP1024.P, SchnorrP1024._HALF_BITS)
-
-
-@functools.lru_cache(maxsize=8)
-def _key_table(verify_key: bytes) -> tuple[tuple[int, ...], ...]:
-    y = int.from_bytes(verify_key, "big")
-    return _window_table(y, SchnorrP1024.P, SchnorrP1024._HALF_BITS)
+# g is read before y in every table verify, so no key's table evicts g's.
+@functools.lru_cache(maxsize=9)
+def _table(base: int) -> tuple[tuple[int, ...], ...]:
+    return _window_table(base, SchnorrP1024.P, SchnorrP1024._HALF_BITS)
 
 
 class Ed25519Scheme:
@@ -386,9 +371,7 @@ class Ed25519Scheme:
     scheme_id = "ed25519"
     sig_bits = 512
 
-    def keygen(self, seed: Optional[bytes]) -> KeyMaterial:
-        if seed is None:
-            seed = os.urandom(32)
+    def keygen(self, seed: bytes) -> KeyMaterial:
         if len(seed) != 32:
             seed = hashlib.sha256(seed).digest()
         # The raw RFC 8032 private key is the 32-byte seed itself.
@@ -424,8 +407,6 @@ class Ed25519Scheme:
         return BitString.from_bytes(key.sign(digest), self.sig_bits)
 
     def verify(self, verify_key: bytes, digest: bytes, sig: BitString) -> bool:
-        if sig.length != self.sig_bits:
-            return False
         try:
             Ed25519PublicKey.from_public_bytes(verify_key).verify(sig.to_bytes(), digest)
             return True
@@ -460,7 +441,7 @@ def check_signature_bits(scheme_id: str, lambda_sig: int) -> None:
 
 def keygen(seed: Optional[bytes] = None, scheme_id: str = DEFAULT_SCHEME) -> KeyMaterial:
     """Fresh key pair; deterministic when a seed is supplied."""
-    return get_scheme(scheme_id).keygen(seed)
+    return get_scheme(scheme_id).keygen(os.urandom(32) if seed is None else seed)
 
 
 def sign(keys: KeyMaterial, msg_digest: BitString) -> BitString:
@@ -474,6 +455,9 @@ def sign(keys: KeyMaterial, msg_digest: BitString) -> BitString:
 def verify(keys: KeyMaterial, msg_digest: BitString, sig: BitString) -> bool:
     """True iff sig validates under the public key. Total: garbage gives False."""
     try:
-        return get_scheme(keys.scheme_id).verify(keys.verify_key, msg_digest.to_bytes(), sig)
+        scheme = get_scheme(keys.scheme_id)
+        if sig.length != scheme.sig_bits:
+            return False
+        return scheme.verify(keys.verify_key, msg_digest.to_bytes(), sig)
     except Exception:
         return False

@@ -44,6 +44,14 @@ class TestExpectedChars:
         with pytest.raises(ParameterError):
             expected_chars(*args)
 
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("bad", [2.0, True, "2"])
+    def test_refuses_arguments_that_are_not_ints(self, position, bad):
+        args = [16, 2, 328]
+        args[position] = bad
+        with pytest.raises(ParameterError):
+            expected_chars(*args)
+
 
 @pytest.fixture(scope="module")
 def report(params328, schnorr_keys, model64, suite):
@@ -167,6 +175,11 @@ class TestRunBench:
             run_bench(
                 params328, schnorr_keys, model64, ["p"], repeats=0, suite=suite
             )
+
+    @pytest.mark.parametrize("repeats", [2.0, True, "2"])
+    def test_repeats_must_be_an_int(self, params328, schnorr_keys, model64, suite, repeats):
+        with pytest.raises(ParameterError):
+            run_bench(params328, schnorr_keys, model64, ["p"], repeats=repeats, suite=suite)
 
 
 def _nearest_rank_p95(values):

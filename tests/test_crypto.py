@@ -10,8 +10,7 @@ from pdws.crypto import (
     KeyMaterialError,
     OracleSuite,
     SchnorrP1024,
-    _g_table,
-    _key_table,
+    _table,
     _table_pow,
     _verify_count,
     available_schemes,
@@ -67,6 +66,11 @@ class TestOracles:
         with pytest.raises(Exception):
             h_bit(b"x", 3)
 
+    @pytest.mark.parametrize("beta", [2.0, True, "2"])
+    def test_h_bit_refuses_a_beta_that_is_not_an_int(self, beta):
+        with pytest.raises(ParameterError):
+            h_bit(b"x", beta)
+
     @pytest.mark.parametrize(
         "a, b, tail",
         [
@@ -109,6 +113,15 @@ class TestOracles:
             chain = BitChain(OracleSuite(bit_salt=b"salt").bit_oracle(), beta)
             chain.absorb(windows[:split])
             assert chain.absorb(iter(windows[split:])) == c_prev.to_bytes()
+
+    def test_absorb_returns_a_snapshot(self):
+        chain = BitChain(OracleSuite().bit_oracle(), 2)
+        first = chain.absorb([b"a", b"b"])
+        assert type(first) is bytes
+        kept = bytes(first)
+        chain.peek(b"c")
+        chain.absorb([b"c", b"d", b"e"])
+        assert first == kept
 
     def test_h_bit_balance(self):
         ones = sum(h_bit(b"%d" % i, 1).value for i in range(2000))
@@ -237,10 +250,11 @@ def test_key_envelope_rejects_keys_its_scheme_cannot_hold(scheme_id, public_key)
 def test_table_pow_matches_pow(base):
     P, Q = SchnorrP1024.P, SchnorrP1024.Q
     if base == "g":
-        value, table = SchnorrP1024.G, _g_table()
+        value = SchnorrP1024.G
     else:
         pub = KeyMaterial.from_json_dict(keygen(b"table").public_only().to_json_dict())
-        value, table = int.from_bytes(pub.verify_key, "big"), _key_table(pub.verify_key)
+        value = int.from_bytes(pub.verify_key, "big")
+    table = _table(value)
     rng = random.Random(5)
     exponents = [0, 1, Q - 1, 2**164 - 1] + [rng.getrandbits(164) for _ in range(50)]
     for x in exponents:
@@ -264,12 +278,26 @@ def test_first_verify_under_a_key_builds_no_table():
     digest = SUITE.h_sign(b"msg")
     good, bad = sign(secret, digest), sign(keygen(b"other"), digest)
     for sig, verdict in ((good, True), (bad, False)):
-        for cached in (_verify_count, _g_table, _key_table):
+        for cached in (_verify_count, _table):
             cached.cache_clear()
         assert verify(keys, digest, sig) is verdict
-        assert _g_table.cache_info().currsize == _key_table.cache_info().currsize == 0
+        assert _table.cache_info().currsize == 0
         assert verify(keys, digest, sig) is verdict
-        assert _g_table.cache_info().currsize == _key_table.cache_info().currsize == 1
+        # g's table and the key's
+        assert _table.cache_info().currsize == 2
+
+
+def test_g_table_outlives_eight_newer_keys():
+    _table.cache_clear()
+    digest = SUITE.h_sign(b"msg")
+    for i in range(9):
+        secret = keygen(b"fresh-%d" % i)
+        sig = sign(secret, digest)
+        for _ in range(2):
+            assert verify(secret.public_only(), digest, sig)
+    misses = _table.cache_info().misses
+    _table(SchnorrP1024.G)
+    assert _table.cache_info().misses == misses
 
 
 def test_registry():
