@@ -11,9 +11,11 @@ one of them; --params is a keygen flag, and a profile whose code cannot
 carry its gamma_max is refused there. Model settings come only from the
 --model file. Every JSON document is read with exact keys
 (core.json_fields): an unknown or missing key is bad input, and salts need
-all three roles.
+all three roles. Every file is read as UTF-8 and every JSON text parsed by
+core.parse_json, whose error names the file. A detect input that is not a
+watermark output is scanned as raw text; no other input may be '-' (stdin).
 
-Exit codes:
+Exit codes, all decided in main, which maps each failure to one of them:
     0  success / signature detected
     1  no signature detected
     2  bad input, bad parameters, unreadable or unwritable files
@@ -39,7 +41,7 @@ from typing import Optional
 
 from . import crypto
 from .bench import run_bench
-from .core import FORMAT_VERSION, Layout, ParameterError, WatermarkParams, json_fields
+from .core import FORMAT_VERSION, Layout, ParameterError, WatermarkParams, json_fields, parse_json
 from .crypto import KeyMaterial, KeyMaterialError, OracleSuite
 from .detector import detect
 from .embedder import EmbedFailure, watermark
@@ -72,11 +74,7 @@ def list_profiles() -> tuple[str, ...]:
 
 
 def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ParameterError("%s: JSON nests too deeply" % path) from None
+    return parse_json(Path(path).read_text("utf-8"), path)
 
 
 def load_profile(name_or_path: str) -> WatermarkParams:
@@ -171,35 +169,22 @@ def _dump_json(d: dict, path: Optional[str]) -> None:
 def _load_model(args) -> ModelHandle:
     spec = args.model
     endpoint_env = os.environ.get(_ENDPOINT_ENV)
-    if spec is None or spec == "uniform-mock":
-        if endpoint_env and spec is None:
-            handle = ModelHandle(kind="remote", endpoint=endpoint_env)
-        else:
-            handle = ModelHandle(kind="uniform-mock")
-    else:
-        handle = ModelHandle.from_json_dict(_read_json(spec))
-        if endpoint_env and handle.kind == "remote":
-            handle = dataclasses.replace(handle, endpoint=endpoint_env)
+    if spec == "uniform-mock" or spec is None and not endpoint_env:
+        return ModelHandle(kind="uniform-mock")
+    if spec is None:
+        return ModelHandle(kind="remote", endpoint=endpoint_env)
+    handle = ModelHandle.from_json_dict(_read_json(spec))
+    if endpoint_env and handle.kind == "remote":
+        handle = dataclasses.replace(handle, endpoint=endpoint_env)
     return handle
-
-
-def _read_prompt(args) -> str:
-    if args.prompt_file:
-        with open(args.prompt_file, "r", encoding="utf-8") as fh:
-            return fh.read()
-    return args.prompt or ""
 
 
 def _read_input_text(path: str) -> str:
     """Read raw text, or pull the text field from a watermark output file."""
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+    raw = sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
     try:
-        doc = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError):
+        doc = parse_json(raw, path)
+    except ParameterError:
         return raw
     if isinstance(doc, dict) and isinstance(doc.get("text"), str):
         return doc["text"]
@@ -241,16 +226,8 @@ def cmd_watermark(args) -> int:
     if args.n is not None:
         params = dataclasses.replace(params, n=args.n)
     model = _load_model(args)
-    prompt = _read_prompt(args)
-
-    try:
-        text, transcript = watermark(
-            params, keys, model, prompt, seed=args.seed, suite=suite
-        )
-    except EmbedFailure as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-
+    prompt = Path(args.prompt_file).read_text("utf-8") if args.prompt_file else args.prompt or ""
+    text, transcript = watermark(params, keys, model, prompt, seed=args.seed, suite=suite)
     _dump_json(
         {
             "format_version": FORMAT_VERSION,
@@ -361,6 +338,9 @@ def main(argv=None) -> int:
     except (TransportError, ProtocolError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
+    except EmbedFailure as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 3
     except (OSError, KeyError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

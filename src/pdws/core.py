@@ -33,6 +33,18 @@ class ParameterError(ValueError):
 FORMAT_VERSION = 1
 
 
+def parse_json(text, what: str):
+    """json.loads(text), any failure to read it a ParameterError that names what.
+
+    ValueError covers bad syntax, bytes that are not UTF-8 and an integer
+    past CPython's digit limit; RecursionError, nesting too deep to decode.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParameterError("%s is not valid JSON or nests too deeply: %s" % (what, exc)) from exc
+
+
 def json_fields(d, required, optional, what: str) -> dict:
     """Return the JSON object d once it holds every required key and no other.
 
@@ -274,11 +286,7 @@ class WatermarkParams(Layout):
 
     @classmethod
     def from_json(cls, text: str) -> "WatermarkParams":
-        try:
-            d = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParameterError("parameter profile is not valid JSON: %s" % exc) from exc
-        return cls.from_json_dict(d)
+        return cls.from_json_dict(parse_json(text, "parameter profile"))
 
 
 @dataclass(frozen=True, slots=True)

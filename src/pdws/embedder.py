@@ -76,7 +76,8 @@ def reject_sample_tokens(
     remote model is asked once per distinct context of the block, and the
     map is dropped with the block. Candidates are only peeked, so the
     chain is unchanged. After a_max+1 misses the minimal-Hamming candidate,
-    the earliest on ties, is returned marked planted. Returns the extended
+    the earliest on ties, is returned marked planted. A window that text
+    already fills has one candidate, tried once. Returns the extended
     text, the block's bytes, the value they hash to, and the block record.
     The caller passes a beta-bit chunk and a window_start that text reaches.
     """
@@ -95,7 +96,7 @@ def reject_sample_tokens(
         distance = (achieved ^ target_chunk.value).bit_count()
         if best is None or distance < best[0]:
             best = (distance, cand, window_bytes, achieved)
-        if not distance:
+        if not distance or len(text) >= window_end:  # nothing sampled: all attempts alike
             break
 
     distance, cand, window_bytes, achieved = best

@@ -40,10 +40,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate
+from threading import TIMEOUT_MAX  # seconds; a longer socket timeout overflows time_t
 from typing import Iterator, Optional
 from urllib.parse import urlsplit
 
-from .core import ParameterError, _require_ints, json_fields
+from .core import ParameterError, _require_ints, json_fields, parse_json
 from .rng import SamplerState
 
 DEFAULT_ALPHABET = string.ascii_letters + string.digits + " ."  # 64 characters
@@ -148,8 +149,9 @@ class ModelHandle:
         if not isinstance(self.script_cycle, bool):
             raise ParameterError("script_cycle must be true or false")
         _require_ints(self, "top_k", "timeout_ms", "retries")
-        if self.top_k < 1 or self.timeout_ms < 1 or self.retries < 0:
-            raise ParameterError("need top_k >= 1, timeout_ms >= 1 and retries >= 0")
+        if self.top_k < 1 or not 1 <= self.timeout_ms <= 1000 * TIMEOUT_MAX or self.retries < 0:
+            raise ParameterError(
+                "need top_k >= 1, 1 <= timeout_ms <= %d, retries >= 0" % (1000 * TIMEOUT_MAX))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelHandle":
@@ -185,13 +187,11 @@ def _uniform_bounds(alphabet: str):
 
 def next_distribution(model: ModelHandle, prompt: str, context: str) -> TokenDistribution:
     """The model's next-token distribution given prompt and emitted text."""
-    if model.kind == "uniform-mock":
-        return _uniform_dist(model.alphabet)
-    if model.kind == "scripted-mock":
-        for _, char in _forced_positions(model, len(context), 1):
-            return TokenDistribution((char,), (1.0,))
-        return _uniform_dist(model.alphabet)
-    return _remote_distribution(model, prompt, context)
+    if model.kind == "remote":
+        return _remote_distribution(model, prompt, context)
+    for _, char in _forced_positions(model, len(context), 1):  # none for a uniform mock
+        return TokenDistribution((char,), (1.0,))
+    return _uniform_dist(model.alphabet)
 
 
 @lru_cache(maxsize=32)
@@ -242,8 +242,8 @@ def _remote_distribution(model: ModelHandle, prompt: str, context: str) -> Token
             "endpoint unreachable after %d tries: %s" % (model.retries + 1, last_failure)
         )
     try:
-        body = json.loads(raw)
-    except (ValueError, RecursionError) as exc:
+        body = parse_json(raw, "endpoint response")
+    except ParameterError as exc:
         raise ProtocolError("endpoint response is not JSON, or nests too deeply") from exc
     try:
         candidates = body["candidates"]

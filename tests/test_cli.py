@@ -15,6 +15,7 @@ from pdws import cli
 from pdws.cli import PublicEnvelope, list_profiles, load_profile, main
 from pdws.core import Layout, ParameterError
 from pdws.crypto import KeyMaterialError, OracleSuite, available_schemes, get_scheme, keygen
+from pdws.embedder import EmbedFailure
 from pdws.model import ProtocolError, TransportError
 
 from conftest import layouts
@@ -217,6 +218,15 @@ class TestDetectPaths:
         code, stdout, err = run(capsys, "detect", "--public", str(pk), str(deep))
         assert code == 1 and json.loads(stdout)["detected"] is False and err == ""
 
+    @pytest.mark.parametrize("doc", ["9" * 5000, "[" + "9" * 5000 + "]"], ids=["int", "array"])
+    def test_integer_past_the_digit_limit_is_scanned_as_text(self, tmp_path, capsys, keypair, doc):
+        # json.loads raises a plain ValueError, not JSONDecodeError, on this input.
+        _, pk = keypair
+        digits = tmp_path / "digits.txt"
+        digits.write_text(doc)
+        code, stdout, err = run(capsys, "detect", "--public", str(pk), str(digits))
+        assert code == 1 and json.loads(stdout)["detected"] is False and err == ""
+
     @pytest.mark.parametrize(
         "wrap",
         [lambda t: [1, 2, t], lambda t: {"text": 5, "note": t}, lambda t: {"note": t}, str],
@@ -267,6 +277,18 @@ class TestErrorPaths:
         bad.write_text("{not json")
         code, _, _ = run(capsys, "detect", "--public", str(bad), str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["watermark", "detect"])
+    def test_json_error_names_its_file(self, tmp_path, capsys, keypair, command):
+        sk, _ = keypair
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"kind": }')
+        argv = {
+            "watermark": ["watermark", "--key", str(sk), "--model", str(bad)],
+            "detect": ["detect", "--public", str(bad), str(sk)],
+        }[command]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == "" and "bad.json" in err
 
     def test_embed_failure_exits_three(self, tmp_path, capsys, keypair):
         sk, _ = keypair
@@ -727,9 +749,19 @@ class TestOutOfRangeIntegersExitTwo:
         )
         assert code == 2 and stdout == "" and "timeout_ms" in err
 
+    def test_timeout_a_socket_cannot_hold(self, tmp_path, capsys, keypair):
+        # 10^11 s is past threading.TIMEOUT_MAX, where a socket's settimeout overflows.
+        sk, _ = keypair
+        model = _remote_model_file(tmp_path, "http://127.0.0.1:9", timeout_ms=10**14)
+        code, stdout, err = run(
+            capsys, "watermark", "--key", str(sk), "--seed", "1", "--model", str(model)
+        )
+        assert code == 2 and stdout == "" and "timeout_ms" in err
+
 
 # Exceptions main catches, with the exit code the cli docstring documents
-# for each: 4 for the model endpoint, 2 for every other bad input.
+# for each: 4 for the model endpoint, 3 for a spent planted-error budget and
+# 2 for every other bad input.
 CAUGHT = [
     (TransportError("x"), 4),
     (ProtocolError("x"), 4),
@@ -739,6 +771,7 @@ CAUGHT = [
     (json.JSONDecodeError("x", "{", 1), 2),
     (KeyError("x"), 2),
     (ValueError("x"), 2),
+    (EmbedFailure(0, 1), 3),
 ]
 
 

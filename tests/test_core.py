@@ -185,6 +185,15 @@ class TestWatermarkParams:
             with pytest.raises(ParameterError, match="not valid JSON"):
                 WatermarkParams.from_json(text)
 
+    def test_json_integer_past_the_digit_limit_is_a_parameter_error(self):
+        # json.loads raises a plain ValueError here, not JSONDecodeError.
+        text = json.dumps(dict(WatermarkParams().to_json_dict(), n=1)).replace(
+            '"n": 1', '"n": ' + "9" * 5000
+        )
+        assert "9" * 5000 in text
+        with pytest.raises(ParameterError, match="parameter profile is not valid JSON"):
+            WatermarkParams.from_json(text)
+
     def test_json_checks_embedded_ecc_consistency(self):
         d = WatermarkParams().to_json_dict()
         d["ecc"] = {

@@ -270,6 +270,20 @@ class TestRejectSampleTokens:
         assert value == achieved.value
         assert chain.absorb([window]) == achieved.to_bytes()
 
+    def test_window_the_text_fills_takes_one_attempt(self, params328, model64, suite):
+        # Nothing is sampled, so every attempt would peek this one candidate.
+        text = "x" * 40
+        window = text[16:32].encode()
+        chain = BitChain(suite.bit_oracle(), params328.beta)
+        achieved = chain.peek(window)
+        for value in range(4):
+            got = reject_sample_tokens(
+                BitString(value, 2), text, chain, params328, model64,
+                window_start=16, rng=SamplerState(3),
+            )
+            record = BlockRecord(1, (value ^ achieved).bit_count(), text[16:32])
+            assert got == (text, window, achieved, record)
+
 
 class TestGenerateMessageSignaturePair:
     def test_blocks_start_at_msg_start(self, params328, schnorr_keys, model64, suite):

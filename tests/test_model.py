@@ -238,6 +238,13 @@ class TestMocks:
                 ModelHandle(kind="remote", endpoint="http://127.0.0.1:9", **bad)
         assert ModelHandle(kind="remote", endpoint="http://127.0.0.1:9", retries=0).retries == 0
 
+    def test_timeout_stops_at_the_longest_a_socket_takes(self):
+        longest = int(1000 * threading.TIMEOUT_MAX)
+        model = ModelHandle(kind="remote", endpoint="http://127.0.0.1:9", timeout_ms=longest)
+        assert model.timeout_ms == longest
+        with pytest.raises(ParameterError, match="timeout_ms"):
+            ModelHandle(kind="remote", endpoint="http://127.0.0.1:9", timeout_ms=longest + 1)
+
     def test_json_roundtrip(self):
         model = ModelHandle(
             kind="scripted-mock", script=(("forced", "ab"), ("free", 4)), script_cycle=True

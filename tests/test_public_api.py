@@ -131,6 +131,38 @@ def test_every_json_parser_has_a_caller_outside_tests():
     assert sorted(defined - used) == []
 
 
+def _json_parse_sites(path):
+    """(module, enclosing function) of each json.load or json.loads in path."""
+    sites = []
+
+    def visit(node, func=None):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            sites.append((path.stem, "from json import"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("load", "loads")
+            and getattr(node.value, "id", None) == "json"
+        ):
+            sites.append((path.stem, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")))
+    return sites
+
+
+def test_json_is_parsed_only_in_core_parse_json():
+    # One rule decides what is JSON: every other reader calls core.parse_json.
+    sites = [
+        site
+        for path in sorted((ROOT / "src" / "pdws").glob("*.py"))
+        for site in _json_parse_sites(path)
+    ]
+    assert sites == [("core", "parse_json")]
+
+
 # Defined in src/pdws and read by no code outside its own body: the former
 # code profile's names, which acceptance 05 and 06 call and nothing else may.
 TEST_ONLY_NAMES = {"EccProfile", "for_params"}
