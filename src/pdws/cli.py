@@ -11,9 +11,10 @@ one of them; --params is a keygen flag, and a profile whose code cannot
 carry its gamma_max is refused there. Model settings come only from the
 --model file. Every JSON document is read with exact keys
 (core.json_fields): an unknown or missing key is bad input, and salts need
-all three roles. Every file is read as UTF-8 and every JSON text parsed by
-core.parse_json, whose error names the file. A detect input that is not a
-watermark output is scanned as raw text; no other input may be '-' (stdin).
+all three roles. Every file is read as UTF-8 by _read_text and every JSON
+text parsed by core.parse_json, and the error of either names the file. A
+detect input that is not a watermark output is scanned as raw text; no
+other input may be '-' (stdin).
 
 Exit codes, all decided in main, which maps each failure to one of them:
     0  success / signature detected
@@ -73,8 +74,20 @@ def list_profiles() -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
+def _read_text(path) -> str:
+    """The text of a file path, a bundled resource or '-' (stdin), read as UTF-8."""
+    try:
+        if path != "-":
+            return Path(path).read_text("utf-8")
+        text = sys.stdin.read()
+        text.encode("utf-8")  # stdin may decode bytes that are not UTF-8 to lone surrogates
+        return text
+    except UnicodeError as exc:
+        raise ParameterError("%s is not UTF-8 text: %s" % (path, exc)) from None
+
+
 def _read_json(path: str):
-    return parse_json(Path(path).read_text("utf-8"), path)
+    return parse_json(_read_text(path), path)
 
 
 def load_profile(name_or_path: str) -> WatermarkParams:
@@ -82,7 +95,7 @@ def load_profile(name_or_path: str) -> WatermarkParams:
     bundled = resources.files("pdws") / "profiles" / (name_or_path + ".json")
     for source in (Path(name_or_path), bundled):
         if source.is_file():
-            return WatermarkParams.from_json(source.read_text("utf-8"))
+            return WatermarkParams.from_json(_read_text(source))
     raise ParameterError(
         "no such params file or profile %r (bundled: %s)"
         % (name_or_path, ", ".join(list_profiles()))
@@ -181,7 +194,7 @@ def _load_model(args) -> ModelHandle:
 
 def _read_input_text(path: str) -> str:
     """Read raw text, or pull the text field from a watermark output file."""
-    raw = sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
+    raw = _read_text(path)
     try:
         doc = parse_json(raw, path)
     except ParameterError:
@@ -226,7 +239,7 @@ def cmd_watermark(args) -> int:
     if args.n is not None:
         params = dataclasses.replace(params, n=args.n)
     model = _load_model(args)
-    prompt = Path(args.prompt_file).read_text("utf-8") if args.prompt_file else args.prompt or ""
+    prompt = _read_text(args.prompt_file) if args.prompt_file else args.prompt or ""
     text, transcript = watermark(params, keys, model, prompt, seed=args.seed, suite=suite)
     _dump_json(
         {
@@ -263,7 +276,7 @@ def cmd_bench(args) -> int:
     keys, params, suite = _read_secret_envelope(args.key)
     model = _load_model(args)
     bundled = resources.files("pdws") / "profiles" / "prompts.txt"
-    lines = (Path(args.prompts) if args.prompts else bundled).read_text("utf-8").split("\n")
+    lines = _read_text(args.prompts or bundled).split("\n")
     prompts = [line.strip() for line in lines if line.strip()]
 
     report = run_bench(

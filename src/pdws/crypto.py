@@ -30,11 +30,14 @@ is cached per key.
 A scan runs one verify at every offset whose decode succeeds, which is
 every offset under a bypass code such as ``gamma0-328``. Schnorr verify
 therefore evaluates both of its powers from fixed-base window tables, one
-cache holding g's and those of the last 8 public keys y. Both are read
-from the second verify under a key, so a process that verifies once, such
-as ``pdws detect --known-offset``, stays on ``pow``. Each build costs about
-11 ms; a power then takes about a fifth of ``pow``. Signing runs once per
-call and a key check once per key; both stay on ``pow``.
+cache holding g's and those of the last 8 public keys y, and Schnorr sign
+takes its g^k from g's table. Each role counts its own uses per key, and a
+table is read from a key's second use in that role: verify reads both
+tables from the second verify, sign reads g's from the second sign. So a
+process that signs once, or verifies once (``pdws detect
+--known-offset``), or signs once and then verifies once, builds no table.
+Each build costs about 9-11 ms; a power then takes about a sixth of
+``pow``'s time. A key check runs once per key and stays on ``pow``.
 """
 
 from __future__ import annotations
@@ -332,7 +335,10 @@ class SchnorrP1024:
         ) % self.Q
         if k == 0:
             k = 1
-        r_point = pow(self.G, k, self.P)
+        if next(_use_count("sign", verify_key)):
+            r_point = _table_pow(_table(self.G), k, self.P)
+        else:
+            r_point = pow(self.G, k, self.P)
         e = self._challenge(r_point, verify_key, digest)
         s = (k + e * x) % self.Q
         return BitString(e, self._HALF_BITS).concat(BitString(s, self._HALF_BITS))
@@ -345,7 +351,7 @@ class SchnorrP1024:
         # R' = g^s * y^(-e); y has order q so reduce the exponent mod q.
         t = self.Q - e % self.Q
         y = int.from_bytes(verify_key, "big")
-        if next(_verify_count(verify_key)):
+        if next(_use_count("verify", verify_key)):
             g_s = _table_pow(_table(self.G), s, self.P)
             y_t = _table_pow(_table(y), t, self.P)
         else:
@@ -353,13 +359,14 @@ class SchnorrP1024:
         return self._challenge(g_s * y_t % self.P, verify_key, digest) == e
 
 
-@functools.lru_cache(maxsize=8)
-def _verify_count(verify_key: bytes) -> itertools.count:
-    """Counts a key's verifies from 0, so its tables wait for the second one."""
+@functools.lru_cache(maxsize=16)
+def _use_count(role: str, verify_key: bytes) -> itertools.count:
+    """Counts a key's uses in one role ("sign" or "verify") from 0; tables wait for the second."""
     return itertools.count()
 
 
-# g is read before y in every table verify, so no key's table evicts g's.
+# g is read before y in every table verify, and alone in every table sign,
+# so no key's table evicts g's.
 @functools.lru_cache(maxsize=9)
 def _table(base: int) -> tuple[tuple[int, ...], ...]:
     return _window_table(base, SchnorrP1024.P, SchnorrP1024._HALF_BITS)

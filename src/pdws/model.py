@@ -20,8 +20,10 @@ character.
 
 The mocks never look at the context except for the position, so their
 spans take one vectorised step: every position's token is found at once
-from its uniform, and a scripted model's forced positions then overwrite
-theirs. A handle compiles its script once, when it is made, into its
+from its uniform and mapped to its code point through an array cached per
+alphabet, a scripted model's forced positions then overwrite theirs with
+their own code points, and the span is decoded from those code points in
+one call. A handle compiles its script once, when it is made, into its
 length and a map from each forced position to its character. A remote
 model's distribution depends on the context, and its tokens may be
 longer than one character, so its spans sample token by token through
@@ -173,16 +175,18 @@ def _uniform_dist(alphabet: str) -> TokenDistribution:
 
 
 @lru_cache(maxsize=32)
-def _uniform_bounds(alphabet: str):
-    """The uniform distribution's running sums without the last, as an array.
+def _uniform_tables(alphabet: str):
+    """The uniform distribution's running sums without the last, and the code points.
 
     Counting the inner bounds at or below u gives sample_token's
     bisect_right over all the sums, clamped to the last index, even when
-    the sums end just below 1.0.
+    the sums end just below 1.0. The code points are little-endian 32-bit,
+    so a span's array of them is its UTF-32-LE encoding.
     """
     import numpy  # deferred like the generator's: only sampling needs it
 
-    return numpy.array(_uniform_dist(alphabet)._cum[:-1])
+    bounds = numpy.array(_uniform_dist(alphabet)._cum[:-1])
+    return bounds, numpy.array(list(map(ord, alphabet)), dtype="<u4")
 
 
 def next_distribution(model: ModelHandle, prompt: str, context: str) -> TokenDistribution:
@@ -280,7 +284,7 @@ def sample_min_chars(
         dists = {}  # a call's own contexts grow with each token, so none repeats
     parts: list[str] = []
     total = 0
-    for u in rng.random(min_chars):
+    for u in rng.random(min_chars).tolist():
         dist = dists.get(context)
         if dist is None:
             dist = dists[context] = next_distribution(model, prompt, context)
@@ -293,17 +297,17 @@ def sample_min_chars(
     return "".join(parts)
 
 
-def _mock_span(model: ModelHandle, start: int, us: list[float]) -> str:
+def _mock_span(model: ModelHandle, start: int, us) -> str:
     """A mock's characters at positions start, start + 1, ..., one per uniform.
 
     Equal to sample_token(next_distribution(...), u) at each position.
     """
-    picks = _uniform_bounds(model.alphabet).searchsorted(us, side="right")
-    chars = list(map(model.alphabet.__getitem__, picks.tolist()))
+    bounds, code_points = _uniform_tables(model.alphabet)
+    points = code_points[bounds.searchsorted(us, side="right")]
     if model.script:
-        for i, char in _forced_positions(model, start, len(chars)):
-            chars[i] = char
-    return "".join(chars)
+        for i, char in _forced_positions(model, start, len(points)):
+            points[i] = ord(char)
+    return points.tobytes().decode("utf-32-le")
 
 
 def _forced_positions(model: ModelHandle, start: int, count: int) -> Iterator[tuple[int, str]]:

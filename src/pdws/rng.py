@@ -6,7 +6,8 @@ Philox is a counter-based generator, so a stream is fully determined by its
 ``b"pdws-rng|"``, the seed as 32 bytes and each label forked in so far as 8
 bytes, all big-endian. ``fork`` copies that state and feeds it the new
 label; ``random(n)`` keys Philox with the first 16 bytes of the digest and
-returns the stream's first n uniforms, the values n scalar draws would give.
+returns the stream's first n uniforms as numpy's float64 array, as drawn:
+the values n scalar draws would give.
 Drawing reads the state and never moves it, so the same state always gives
 the same values. The embedder forks once per (gadget, block, attempt) and
 draws each fork once, which makes every candidate attempt reproducible and
@@ -16,8 +17,9 @@ Building a Philox costs several times more than a short draw, so each
 thread keeps one generator and ``_rekey`` resets it to the start of a key's
 stream before every draw: counter 0, the key's two 64-bit words, and an
 empty output buffer, which is exactly the state ``Philox(key=key)`` starts
-in. ``_rekey`` is looked up on the module at every draw, so a wrapper
-installed there (as a profiler does) sees every stream.
+in. The thread builds that state dict once, beside its generator, and a
+draw rewrites only its key. ``_rekey`` is looked up on the module at every
+draw, so a wrapper installed there (as a profiler does) sees every stream.
 
 numpy is imported on the first draw, not with the package: detection never
 samples, and the import is most of the cost of ``import pdws``. Generator
@@ -34,7 +36,7 @@ from .core import ParameterError, _require_int
 
 _WORD_MASK = (1 << 64) - 1
 
-# One generator per thread, because a draw re-keys it in place.
+# One generator and its state dict per thread, because a draw re-keys both in place.
 _local = threading.local()
 
 
@@ -50,18 +52,21 @@ def __getattr__(name: str):
 
 def _rekey(key: int):
     """This thread's generator, reset to the first value of Philox(key=key)'s stream."""
-    gen = getattr(_local, "gen", None)
-    if gen is None:
+    try:
+        gen, state = _local.gen, _local.state
+    except AttributeError:
         module = sys.modules[__name__]
         gen = _local.gen = module.Generator(module.Philox(key=0))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [key & _WORD_MASK, key >> 64]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+        state = _local.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": None},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    state["state"]["key"] = (key & _WORD_MASK, key >> 64)
+    gen.bit_generator.state = state
     return gen
 
 
@@ -84,11 +89,11 @@ class SamplerState:
         child._hash = h
         return child
 
-    def random(self, n: int) -> list[float]:
-        """The first n uniforms in [0, 1) of this state's stream, from one draw call.
+    def random(self, n: int):
+        """The first n uniforms in [0, 1) of this state's stream, as one float64 array.
 
         The state does not move: every call starts the stream afresh, so a
         fork is drawn once, with n as large as its caller will need.
         """
         key = int.from_bytes(self._hash.digest()[:16], "big")
-        return _rekey(key).random(n).tolist()
+        return _rekey(key).random(n)

@@ -290,6 +290,40 @@ class TestErrorPaths:
         code, stdout, err = run(capsys, *argv)
         assert code == 2 and stdout == "" and "bad.json" in err
 
+    @pytest.mark.parametrize(
+        "role",
+        ["public", "input", "stdin", "stdin-escaped", "key", "model", "params", "prompt-file",
+         "prompts"],
+    )
+    def test_utf8_error_names_its_file(self, tmp_path, capsys, keypair, monkeypatch, role):
+        # A file that is not UTF-8 is named in the error, whichever file it is.
+        # Python's UTF-8 mode reads stdin with surrogateescape, which turns
+        # such bytes into lone surrogates instead of raising (stdin-escaped).
+        sk, pk = keypair
+        bad = tmp_path / "not-utf8"
+        bad.write_bytes(b"\xff\xfe{}")
+        text = tmp_path / "text.txt"
+        text.write_text("plain text")
+        argv = {
+            "public": ["detect", "--public", str(bad), str(text)],
+            "input": ["detect", "--public", str(pk), str(bad)],
+            "stdin": ["detect", "--public", str(pk), "-"],
+            "stdin-escaped": ["detect", "--public", str(pk), "-"],
+            "key": ["watermark", "--key", str(bad)],
+            "model": ["watermark", "--key", str(sk), "--model", str(bad)],
+            "params": ["keygen", str(tmp_path / "s.json"), str(tmp_path / "p.json"),
+                       "--params", str(bad)],
+            "prompt-file": ["watermark", "--key", str(sk), "--prompt-file", str(bad)],
+            "prompts": ["bench", "--key", str(sk), "--prompts", str(bad), "--repeats", "1"],
+        }[role]
+        errors = "surrogateescape" if role == "stdin-escaped" else "strict"
+        stdin = io.TextIOWrapper(io.BytesIO(bad.read_bytes()), encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, stdout, err = run(capsys, *argv)
+        named = "-" if role.startswith("stdin") else str(bad)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: %s is not UTF-8 text: " % named), err
+
     def test_embed_failure_exits_three(self, tmp_path, capsys, keypair):
         sk, _ = keypair
         gadget = load_profile("compact-328").gadget_chars

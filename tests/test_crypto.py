@@ -12,7 +12,7 @@ from pdws.crypto import (
     SchnorrP1024,
     _table,
     _table_pow,
-    _verify_count,
+    _use_count,
     available_schemes,
     get_scheme,
     h_bit,
@@ -278,13 +278,33 @@ def test_first_verify_under_a_key_builds_no_table():
     digest = SUITE.h_sign(b"msg")
     good, bad = sign(secret, digest), sign(keygen(b"other"), digest)
     for sig, verdict in ((good, True), (bad, False)):
-        for cached in (_verify_count, _table):
+        for cached in (_use_count, _table):
             cached.cache_clear()
         assert verify(keys, digest, sig) is verdict
         assert _table.cache_info().currsize == 0
         assert verify(keys, digest, sig) is verdict
         # g's table and the key's
         assert _table.cache_info().currsize == 2
+
+
+def test_first_sign_under_a_key_builds_no_table():
+    # A one-shot sign pays one pow; g's table comes from a key's second sign.
+    secret = keygen(b"sign-once")
+    a, b = SUITE.h_sign(b"a"), SUITE.h_sign(b"b")
+    signed = []
+    for one, two in ((a, b), (b, a)):
+        for cached in (_use_count, _table):
+            cached.cache_clear()
+        by_pow = sign(secret, one)
+        assert _table.cache_info().currsize == 0
+        by_table = sign(secret, two)
+        assert _table.cache_info().currsize == 1
+        _table(SchnorrP1024.G)
+        assert _table.cache_info().misses == 1  # g's is the one table built
+        signed.append((by_pow, by_table))
+    (a_by_pow, b_by_table), (b_by_pow, a_by_table) = signed
+    assert a_by_pow == a_by_table and b_by_pow == b_by_table
+    assert verify(secret.public_only(), a, a_by_pow) and verify(secret.public_only(), b, b_by_pow)
 
 
 def test_g_table_outlives_eight_newer_keys():

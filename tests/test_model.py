@@ -8,6 +8,7 @@ import tracemalloc
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -273,7 +274,7 @@ class FixedDraws:
 
     def random(self, n):
         assert n == len(self.us)
-        return list(self.us)
+        return np.array(self.us, dtype=np.float64)
 
 
 def per_token(model, context, us):

@@ -3,8 +3,10 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from functools import reduce
 
+import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
@@ -15,7 +17,7 @@ from pdws.rng import SamplerState
 
 
 def draws(state, k=8):
-    return state.random(k)
+    return state.random(k).tolist()
 
 
 def key_of(seed, labels):
@@ -64,12 +66,14 @@ def test_random_n_is_a_prefix_of_the_stream(seed, labels):
 
     key = key_of(seed, labels)
     for n in (1, 2, 7, 40):
-        head = fresh().random(n)
+        drawn = fresh().random(n)
+        assert drawn.dtype == np.float64 and drawn.shape == (n,)
+        head = drawn.tolist()
         for m in (n, n + 1, 64):
-            assert head == fresh().random(m)[:n]
+            assert head == fresh().random(m)[:n].tolist()
         gen = Generator(Philox(key=key))
         assert head == [float(gen.random()) for _ in range(n)]
-        assert all(type(u) is float and 0 <= u < 1 for u in head)
+        assert all(0 <= u < 1 for u in head)
 
 
 def test_rekeyed_stream_equals_a_fresh_philox():
@@ -83,21 +87,51 @@ def test_rekeyed_stream_equals_a_fresh_philox():
         assert rng._rekey(key).random(n).tolist() == fresh.random(n).tolist(), (key, n)
 
 
+def test_threads_drawing_at_once_keep_each_stream():
+    # Each thread re-keys its own generator and state dict: between one
+    # thread's re-key and its draw, the others re-key, and each draw still
+    # gives its own key's stream.
+    pick = random.Random(23)
+    keys = [[pick.getrandbits(128) for _ in range(150)] for _ in range(3)]
+    step = threading.Barrier(len(keys), timeout=30)
+    drawn = {}
+
+    def run(own):
+        for key in own:
+            gen = rng._rekey(key)
+            step.wait()
+            drawn[key] = gen.random(key % 40).tolist()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(own,)) for own in keys]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for key in sum(keys, []):
+        assert drawn[key] == Generator(Philox(key=key)).random(key % 40).tolist(), key
+
+
 @pytest.mark.parametrize("a, b", [(0, 5), (1, 1), (3, 4), (4, 4), (5, 11), (16, 1)])
 def test_second_draw_repeats_the_stream(a, b):
     # A state is a value: a second random(n) starts the stream afresh.
     state = SamplerState(3).fork(8)
-    first = state.random(a)
-    assert state.random(b) == SamplerState(3).fork(8).random(b)
-    assert state.random(a) == first
+    first = draws(state, a)
+    assert draws(state, b) == draws(SamplerState(3).fork(8), b)
+    assert draws(state, a) == first
 
 
 def test_interleaved_draws_keep_each_stream():
     a, b = SamplerState(1).fork(1), SamplerState(1).fork(2)
-    first = a.random(3)
-    other = b.random(6)
-    assert first == a.random(3) == SamplerState(1).fork(1).random(8)[:3]
-    assert other == b.random(6) == SamplerState(1).fork(2).random(6)
+    first = draws(a, 3)
+    other = draws(b, 6)
+    assert first == draws(a, 3) == draws(SamplerState(1).fork(1))[:3]
+    assert other == draws(b, 6) == draws(SamplerState(1).fork(2), 6)
 
 
 def test_large_seed_accepted():
