@@ -43,6 +43,7 @@ from typing import Optional
 from . import crypto
 from .bench import run_bench
 from .core import FORMAT_VERSION, Layout, ParameterError, WatermarkParams, json_fields, parse_json
+from .core import _require_hex
 from .crypto import KeyMaterial, KeyMaterialError, OracleSuite
 from .detector import detect
 from .embedder import EmbedFailure, watermark
@@ -221,8 +222,8 @@ def cmd_keygen(args) -> int:
     keys = crypto.keygen(seed_bytes, scheme_id=args.scheme)
 
     suite = OracleSuite()
-    if args.salt_seed:
-        base = bytes.fromhex(args.salt_seed)
+    if args.salt_seed is not None:
+        base = _require_hex("--salt-seed", args.salt_seed or None)  # '' would mean unsalted
         suite = OracleSuite(**{
             role + "_salt": hashlib.sha256(base + b"|" + role.encode()).digest()[:16]
             for role in ("sign", "mask", "bit")

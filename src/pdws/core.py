@@ -135,13 +135,22 @@ def chunk(c: BitString, beta: int) -> tuple[BitString, ...]:
     """Split c into consecutive beta-bit chunks; beta must divide the length."""
     if beta <= 0 or c.length % beta:
         raise ParameterError("chunk width %d does not divide length %d" % (beta, c.length))
-    return tuple(c[i : i + beta] for i in range(0, c.length, beta))
+    value, mask = c.value, (1 << beta) - 1
+    return tuple(BitString(value >> s & mask, beta) for s in range(c.length - beta, -1, -beta))
 
 
 def _require_int(name: str, value) -> None:
     """Reject a value that is not an int; bool, float and numeric strings too."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParameterError("%s must be an integer, got %r" % (name, value))
+
+
+def _require_hex(name: str, value) -> bytes:
+    """The bytes a hex string spells; a ParameterError naming name for anything else."""
+    try:
+        return bytes.fromhex(value)
+    except (TypeError, ValueError):
+        raise ParameterError("%s must be a string of hex digits" % name) from None
 
 
 def _require_ints(obj, *names: str) -> None:

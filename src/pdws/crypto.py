@@ -56,7 +56,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .core import BitString, ParameterError, _require_int, json_fields
+from .core import BitString, ParameterError, _require_hex, _require_int, json_fields
 
 class KeyMaterialError(ValueError):
     """Raised for malformed or incomplete key material."""
@@ -188,10 +188,9 @@ class OracleSuite:
     @classmethod
     def from_json_dict(cls, d: dict) -> "OracleSuite":
         """Salts from an object holding exactly the sign, mask and bit roles, as hex."""
-        json_fields(d, ["sign", "mask", "bit"], [], "salts")
-        if not all(isinstance(v, str) for v in d.values()):
-            raise ParameterError("salts must be hex strings")
-        return cls(bytes.fromhex(d["sign"]), bytes.fromhex(d["mask"]), bytes.fromhex(d["bit"]))
+        roles = ("sign", "mask", "bit")
+        json_fields(d, roles, [], "salts")
+        return cls(*(_require_hex("salts." + role, d[role]) for role in roles))
 
 
 # ---------------------------------------------------------------------------

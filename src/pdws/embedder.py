@@ -18,7 +18,8 @@ and a planted error stays confined to its own chunk.
 
 Blocks live at fixed character offsets. Multi-character tokens may overrun
 a block's window; the surplus is committed as the immutable prefix of the
-next block and only characters beyond it are resampled.
+next block and only characters beyond it are resampled. An attempt builds
+only its window, so its cost does not grow with the text before it.
 """
 
 from __future__ import annotations
@@ -70,38 +71,36 @@ def reject_sample_tokens(
     """Sample the ell-char block at window_start until it hashes to target_chunk.
 
     Attempt a draws from the forked stream rng.fork(a), so evaluation order
-    cannot change the outcome. Characters of text already inside the window
-    are kept; only the rest is sampled. Every attempt starts from the same
-    text, so the attempts share one map from context to distribution: a
-    remote model is asked once per distinct context of the block, and the
-    map is dropped with the block. Candidates are only peeked, so the
-    chain is unchanged. After a_max+1 misses the minimal-Hamming candidate,
-    the earliest on ties, is returned marked planted. A window that text
+    cannot change the outcome. Every attempt samples after the same text,
+    so the attempts share one map from context to distribution: a remote
+    model is asked once per distinct context of the block, and the map is
+    dropped with the block. Candidates are only peeked, so the chain is
+    unchanged. After a_max+1 misses the minimal-Hamming candidate, the
+    earliest on ties, is returned marked planted. A window that text
     already fills has one candidate, tried once. Returns the extended
     text, the block's bytes, the value they hash to, and the block record.
     The caller passes a beta-bit chunk and a window_start that text reaches.
     """
-    window_end = window_start + params.ell
+    ell, target, fork, peek = params.ell, target_chunk.value, rng.fork, chain.peek
+    missing = window_start + ell - len(text)  # characters each attempt samples
+    head = text[window_start:]  # the window's carried prefix, kept by every attempt
 
-    best = None  # (distance, full text, window bytes, achieved value)
+    best = None  # (distance, span, window bytes, achieved value)
     dists: dict = {}  # this block's contexts, each asked of the model once
     for attempt in range(1, params.a_max + 2):
-        cand = text
-        if len(cand) < window_end:
-            cand += sample_min_chars(
-                model, window_end - len(cand), prompt, cand, rng.fork(attempt), dists
-            )
-        window_bytes = cand[window_start:window_end].encode("utf-8")
-        achieved = chain.peek(window_bytes)
-        distance = (achieved ^ target_chunk.value).bit_count()
+        span = (sample_min_chars(model, missing, prompt, text, fork(attempt), dists)
+                if missing > 0 else "")
+        window_bytes = (head + span)[:ell].encode("utf-8")
+        achieved = peek(window_bytes)
+        distance = (achieved ^ target).bit_count()
         if best is None or distance < best[0]:
-            best = (distance, cand, window_bytes, achieved)
-        if not distance or len(text) >= window_end:  # nothing sampled: all attempts alike
+            best = (distance, span, window_bytes, achieved)
+        if not distance or missing <= 0:  # nothing sampled: all attempts alike
             break
 
-    distance, cand, window_bytes, achieved = best
-    record = BlockRecord(attempt, distance, cand[window_start:window_end])
-    return cand, window_bytes, achieved, record
+    distance, span, window_bytes, achieved = best
+    record = BlockRecord(attempt, distance, (head + span)[:ell])
+    return text + span, window_bytes, achieved, record
 
 
 def generate_message_signature_pair(

@@ -18,15 +18,15 @@ from the environment, no redirects, and the system CA store for https. A
 drawn in one call, which is enough because every token has at least one
 character.
 
-The mocks never look at the context except for the position, so their
-spans take one vectorised step: every position's token is found at once
-from its uniform and mapped to its code point through an array cached per
-alphabet, a scripted model's forced positions then overwrite theirs with
-their own code points, and the span is decoded from those code points in
-one call. A handle compiles its script once, when it is made, into its
+The mocks never look at the context except for the position, so their spans
+take one vectorised step: every position's token is found at once from its
+uniform and mapped to its code point through an array cached per alphabet,
+a scripted model's forced positions then overwrite theirs with their own
+code points, and the span is decoded straight from the code points' buffer,
+with no copy. A handle compiles its script once, when it is made, into its
 length and a map from each forced position to its character. A remote
-model's distribution depends on the context, and its tokens may be
-longer than one character, so its spans sample token by token through
+model's distribution depends on the context, and its tokens may be longer
+than one character, so its spans sample token by token through
 next_distribution. Spans that share a dists map (the attempts of one
 embedder block) ask the endpoint once per distinct context; this assumes
 the endpoint answers a context the same way each time.
@@ -39,6 +39,7 @@ import math
 import re
 import string
 from bisect import bisect_right
+from codecs import utf_32_le_decode
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate
@@ -303,11 +304,11 @@ def _mock_span(model: ModelHandle, start: int, us) -> str:
     Equal to sample_token(next_distribution(...), u) at each position.
     """
     bounds, code_points = _uniform_tables(model.alphabet)
-    points = code_points[bounds.searchsorted(us, side="right")]
+    points = code_points[bounds.searchsorted(us, "right")]
     if model.script:
         for i, char in _forced_positions(model, start, len(points)):
             points[i] = ord(char)
-    return points.tobytes().decode("utf-32-le")
+    return utf_32_le_decode(points)[0]
 
 
 def _forced_positions(model: ModelHandle, start: int, count: int) -> Iterator[tuple[int, str]]:

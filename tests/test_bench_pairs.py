@@ -1,0 +1,91 @@
+"""The summary maths of tools/bench_pairs.py, on fixed numbers; nothing is run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+E2E = [{"name": "scaled_call_s.p50", "better": "lower"},
+       {"name": "scaled_chars_per_s", "better": "higher"}]
+
+
+def pair_run(workload, side, pair, call_s, chars_per_s, failed=0, attempted=10):
+    metrics = {"scaled_call_s.p50": {"value": call_s, "unit": "s"},
+               "scaled_chars_per_s": {"value": chars_per_s, "unit": "chars/s"}}
+    return {"purpose": "pairs", "workload": workload, "side": side, "pair": pair,
+            "result": {"metrics": metrics, "failed": failed, "attempted": attempted}}
+
+
+def test_spread_uses_inclusive_quartiles():
+    assert bench_pairs.spread([4.0, 1.0, 3.0, 2.0, 5.0]) == {
+        "median": 3.0, "q1": 2.0, "q3": 4.0, "n": 5}
+    assert bench_pairs.spread([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0, "n": 1}
+
+
+def test_compare_counts_wins_in_the_better_direction():
+    parent = [10.0, 10.0, 10.0, 10.0, 12.0]
+    change = [8.0, 9.0, 11.0, 8.0, 8.0]
+    lower = bench_pairs.compare(parent, change, "lower")
+    assert lower["change_wins"] == "4 of 5"
+    assert lower["change_over_parent_median"] == pytest.approx(8.0 / 10.0)
+    # The parent's quartiles are 10 and 10, so any move of the median is beyond them.
+    assert lower["beyond_parent_quartiles"]
+    higher = bench_pairs.compare(parent, change, "higher")
+    assert higher["change_wins"] == "1 of 5"
+
+
+def test_compare_within_the_parent_spread_is_not_beyond_it():
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]  # quartiles 2 and 4
+    out = bench_pairs.compare(parent, [1.5, 2.5, 2.0, 4.5, 5.5], "lower")
+    assert out["change"]["median"] == 2.5
+    assert not out["beyond_parent_quartiles"]
+    assert out["change_wins"] == "1 of 5"  # only pair 2 (2.0 against 3.0)
+
+
+def test_summarize_keeps_only_complete_pairs():
+    runs = [pair_run("w", "parent", 0, 2.0, 100.0), pair_run("w", "change", 0, 1.0, 200.0),
+            pair_run("w", "parent", 1, 4.0, 50.0, failed=1),
+            pair_run("w", "change", 1, 3.0, 60.0),
+            pair_run("w", "parent", 2, 9.0, 9.0)]  # its change run is missing
+    out = bench_pairs.summarize(runs, E2E)["w"]
+    call = out["scaled_call_s.p50"]
+    assert call["parent_runs"] == [2.0, 4.0] and call["change_runs"] == [1.0, 3.0]
+    assert call["change_over_parent_median"] == pytest.approx(2.0 / 3.0)
+    assert call["change_wins"] == "2 of 2"
+    assert out["scaled_chars_per_s"]["change_wins"] == "2 of 2"
+    assert out["failed"] == {"parent": 1, "change": 0}
+    assert out["attempted"] == {"parent": 20, "change": 20}
+
+
+def test_traced_splits_counts_from_timings_and_flags_unequal_counts():
+    def trace(side, calls, self_s):
+        metrics = {"x.calls": {"value": calls, "unit": "count"},
+                   "x.self_s": {"value": self_s, "unit": "s"},
+                   "trace.overhead_frac": {"value": 0.5, "unit": "ratio"}}
+        return {"workload": "w", "side": side, "result": {"metrics": metrics}}
+
+    runs = [trace("parent", 7, 0.3), trace("parent", 7, 0.1), trace("parent", 7, 0.2),
+            trace("change", 7, 0.1), trace("change", 8, 0.1)]
+    counts, times, differ = bench_pairs.traced(runs)
+    assert counts == {"w": {"x.calls": {"parent": 7, "change": 7}}}
+    assert times["w"]["x.self_s"]["parent"] == {"median": 0.2, "runs": [0.3, 0.1, 0.2]}
+    assert set(times["w"]) == {"x.self_s", "trace.overhead_frac"}
+    assert differ == ["w x.calls change: [7, 8]"]
+
+
+def test_mismatches_compare_the_change_against_the_parent():
+    digests = {"seed 1": {"w": {"parent": "digest sha256:aa", "change": "digest sha256:aa"},
+                          "v": {"parent": "digest sha256:aa", "change": "digest sha256:bb"}},
+               "seed 7": {"w": {"parent": "digest sha256:cc"}}}  # its change run is missing
+    counts = {"w": {"x.calls": {"parent": 7, "change": 7}, "y.calls": {"parent": 3, "change": 4}}}
+    assert bench_pairs.mismatches(digests, counts, ["w x.calls change: [7, 8]"]) == [
+        "seed 1 v digest: parent digest sha256:aa, change digest sha256:bb",
+        "w y.calls: parent 3, change 4",
+        "w x.calls change: [7, 8]"]
+    same = {"seed 1": {"w": {"parent": "digest sha256:aa", "change": "digest sha256:aa"}}}
+    assert bench_pairs.mismatches(same, {"w": {"x.calls": {"parent": 7, "change": 7}}}, []) == []

@@ -290,6 +290,29 @@ class TestErrorPaths:
         code, stdout, err = run(capsys, *argv)
         assert code == 2 and stdout == "" and "bad.json" in err
 
+    @pytest.mark.parametrize("seed", ["zz", "abc", ""])
+    def test_salt_seed_that_is_not_hex_is_named(self, tmp_path, capsys, seed):
+        # '' would derive no salts; it is refused like any other non-hex seed.
+        sk, pk = tmp_path / "sk.json", tmp_path / "pk.json"
+        code, stdout, err = run(capsys, "keygen", str(sk), str(pk), "--salt-seed", seed)
+        assert (code, stdout) == (2, "") and "--salt-seed" in err
+        assert not sk.exists() and not pk.exists()
+
+    @pytest.mark.parametrize("flag", ["--public", "--key"])
+    @pytest.mark.parametrize("role, value", [("sign", "zz"), ("mask", "abc"), ("bit", 5)])
+    def test_salt_that_is_not_hex_is_named(self, tmp_path, capsys, keypair, flag, role, value):
+        sk, pk = (json.loads(path.read_text()) for path in keypair)
+        salts = (pk["params"] if flag == "--public" else sk)["salts"]
+        salts[role] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(pk if flag == "--public" else sk))
+        text = tmp_path / "text.txt"
+        text.write_text("irrelevant")
+        argv = {"--public": ["detect", "--public", str(bad), str(text)],
+                "--key": ["watermark", "--key", str(bad), "--n", "20"]}[flag]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "") and "salts.%s " % role in err
+
     @pytest.mark.parametrize(
         "role",
         ["public", "input", "stdin", "stdin-escaped", "key", "model", "params", "prompt-file",

@@ -50,6 +50,12 @@ class TestBitString:
         with pytest.raises(ParameterError):
             BitString(-1, 4)
 
+    def test_chunks_are_msb_first(self):
+        # Bit 0 is the most significant, so chunk 0 holds the top bits.
+        assert [p.value for p in chunk(BitString(0b101, 3), 1)] == [1, 0, 1]
+        assert chunk(BitString(0b110010, 6), 2) == tuple(BitString(v, 2) for v in (3, 0, 2))
+        assert chunk(BitString(0, 0), 2) == ()
+
     def test_slicing(self):
         b = BitString(0b110010, 6)
         assert b[1:4] == BitString(0b100, 3)

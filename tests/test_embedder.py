@@ -285,6 +285,69 @@ class TestRejectSampleTokens:
             assert got == (text, window, achieved, record)
 
 
+def whole_text_reject_sample(target_chunk, text, chain, params, model, *, prompt="",
+                             window_start, rng):
+    """The rejection loop that built each candidate's whole text: the oracle.
+
+    reject_sample_tokens builds only each attempt's window and joins the
+    text once; it must return exactly what this loop returns.
+    """
+    window_end = window_start + params.ell
+    best = None
+    dists: dict = {}
+    for attempt in range(1, params.a_max + 2):
+        cand = text
+        if len(cand) < window_end:
+            cand += embedder.sample_min_chars(
+                model, window_end - len(cand), prompt, cand, rng.fork(attempt), dists
+            )
+        window_bytes = cand[window_start:window_end].encode("utf-8")
+        achieved = chain.peek(window_bytes)
+        distance = (achieved ^ target_chunk.value).bit_count()
+        if best is None or distance < best[0]:
+            best = (distance, cand, window_bytes, achieved)
+        if not distance or len(text) >= window_end:
+            break
+    distance, cand, window_bytes, achieved = best
+    return cand, window_bytes, achieved, BlockRecord(attempt, distance, cand[window_start:window_end])
+
+
+# name -> (model, or None for rotating_remote; text; window_start)
+ORACLE_CASES = {
+    "uniform": (ModelHandle(kind="uniform-mock"), "", 0),
+    # forced at 10..21 and 28..37: both straddle the window 16..31
+    "script-straddles-window": (
+        ModelHandle(kind="scripted-mock", script=(
+            ("free", 10), ("forced", "Z" * 12), ("free", 6), ("forced", "Y" * 10))),
+        "a" * 16, 16,
+    ),
+    "remote-carried-prefix": (None, "abcdeab" * 3, 16),  # 5 of the window's 16 carried
+    "text-fills-window": (ModelHandle(kind="uniform-mock"), "x" * 40, 16),
+    "long-text": (ModelHandle(kind="uniform-mock"), "ab" * 10_003, 20_000),
+}
+
+
+class TestRejectSampleTokensOracle:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_equals_the_whole_text_loop(self, params328, suite, rotating_remote, case):
+        model, text, window_start = ORACLE_CASES[case]
+        model = model or rotating_remote[0]
+        assert window_start <= len(text)
+        chain = BitChain(suite.bit_oracle(), params328.beta)
+        chain.absorb((b"0123456789abcdef", "\u00e9t\u00e9 \u00e0 la mer".encode()))
+        retried = 0
+        for seed in range(6):
+            for value in range(2**params328.beta):
+                target = BitString(value, params328.beta)
+                args = (target, text, chain, params328, model)
+                kwargs = dict(prompt="p", window_start=window_start)
+                got = reject_sample_tokens(*args, **kwargs, rng=SamplerState(seed))
+                want = whole_text_reject_sample(*args, **kwargs, rng=SamplerState(seed))
+                assert got == want
+                retried += got[3].attempts > 1
+        assert retried or case == "text-fills-window"
+
+
 class TestGenerateMessageSignaturePair:
     def test_blocks_start_at_msg_start(self, params328, schnorr_keys, model64, suite):
         prefix = "x" * 32

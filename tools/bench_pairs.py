@@ -1,0 +1,291 @@
+#!/usr/bin/env python3
+"""Build a BENCH_<N>.json: the benchmark run on a parent and a change, side by side.
+
+    python3 tools/bench_pairs.py --parent REV [--change REV] --out BENCH_N.json
+        [--pairs 10] [--seed 7] [--extra WORKLOAD:SEED ...] [--what TEXT]
+
+Each revision is exported with `git archive` into its own temporary
+directory, so the runs see committed files only, as the benchmark does.
+The command, run length, workloads and end-to-end metrics come from the
+parent's BENCHMARK.json. In order, the tool runs:
+  digests  every workload for 3 s on seeds 1 and 7, one run a side, and
+           keeps each run's `digest sha256:` line;
+  traces   every workload for 3 s with --trace 1 on seed 1, three runs a
+           side, alternating which side runs first;
+  pairs    --pairs alternating pairs of full-length runs per workload on
+           --seed; pair i runs the parent first when i is even;
+  extra    the same pairs for each --extra WORKLOAD:SEED, e.g. a second
+           seed for a claimed gain, or a second set for a noisy workload;
+  tier1    the tests of each side, parent, change, change, parent, timed
+           in wall seconds.
+Every run is kept under "runs", and the file is rewritten after each run,
+so an interrupted build keeps what it measured. The summary gives, per
+workload and metric, each side's median and quartiles, the change's
+median over the parent's, the pairs the change won, and whether the
+medians differ by more than the parent's quartile spread.
+
+Under "mismatches" the file lists every digest line and every traced
+count in which the change differs from the parent, and every traced count
+that differs between runs of one side. The tool exits 1 when that list
+is not empty, so a change meant to keep its outputs fails loudly when it
+does not.
+
+The tool imports nothing from the program; it only runs it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+DIGEST_SEEDS = (1, 7)
+TRACE_SEED = 1
+TRACE_RUNS = 3
+SHORT_S = 3
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"]
+TIER1_RUNS = 2  # a side
+QUARTILES = "statistics.quantiles(values, n=4, method='inclusive')"
+
+
+def spread(values: list) -> dict:
+    """Median, first and third quartile, and count of values."""
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+
+
+def compare(parent: list, change: list, better: str) -> dict:
+    """One metric over pairs: parent[i] and change[i] ran side by side."""
+    p, c = spread(parent), spread(change)
+    sign = -1 if better == "lower" else 1
+    wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    return {
+        "parent": p,
+        "change": c,
+        "change_over_parent_median": c["median"] / p["median"] if p["median"] else None,
+        "change_wins": "%d of %d" % (wins, len(parent)),
+        "beyond_parent_quartiles": abs(c["median"] - p["median"]) > p["q3"] - p["q1"],
+        "better": better,
+        "parent_runs": parent,
+        "change_runs": change,
+    }
+
+
+def summarize(runs: list, end_to_end: list) -> dict:
+    """Per workload, each end-to-end metric compared over its pairs, plus totals."""
+    out = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        sides = {
+            side: sorted((r for r in runs if r["workload"] == workload and r["side"] == side
+                          and r.get("result")), key=lambda r: r["pair"])
+            for side in ("parent", "change")
+        }
+        pairs = sorted({r["pair"] for r in sides["parent"]} & {r["pair"] for r in sides["change"]})
+        kept = {s: [r for r in rs if r["pair"] in pairs] for s, rs in sides.items()}
+        if not pairs:
+            continue
+        entry = {
+            m["name"]: compare(
+                *([r["result"]["metrics"][m["name"]]["value"] for r in kept[s]]
+                  for s in ("parent", "change")),
+                m["better"],
+            )
+            for m in end_to_end
+        }
+        for key in ("failed", "attempted"):
+            entry[key] = {s: sum(r["result"][key] for r in rs) for s, rs in kept.items()}
+        out[workload] = entry
+    return out
+
+
+def traced(runs: list) -> tuple[dict, dict, list]:
+    """Traced counts (equal within a side), timings by median, and counts that differ."""
+    counts, times, differ = {}, {}, []
+    for r in runs:
+        for name, metric in r["result"]["metrics"].items():
+            timing = metric["unit"] == "s" or name.startswith("trace.")
+            group = times if timing else counts
+            slot = group.setdefault(r["workload"], {}).setdefault(name, {})
+            slot.setdefault(r["side"], []).append(metric["value"])
+    for workload, metrics in counts.items():
+        for name, sides in metrics.items():
+            for side, values in sides.items():
+                if len(set(values)) > 1:
+                    differ.append("%s %s %s: %s" % (workload, name, side, values))
+                sides[side] = values[0]
+    for metrics in times.values():
+        for sides in metrics.values():
+            for side, values in sides.items():
+                sides[side] = {"median": statistics.median(values), "runs": values}
+    return counts, times, differ
+
+
+def mismatches(digests: dict, counts: dict, differ: list) -> list:
+    """Digests and traced counts in which the change's differ from the parent's, then differ."""
+    out = ["%s %s digest: parent %s, change %s" % (seed, workload, sides.get("parent"),
+                                                   sides.get("change"))
+           for seed, workloads in digests.items() for workload, sides in workloads.items()
+           if len(sides) == 2 and sides["parent"] != sides["change"]]
+    out += ["%s %s: parent %s, change %s" % (workload, name, sides["parent"], sides["change"])
+            for workload, metrics in counts.items() for name, sides in metrics.items()
+            if len(sides) == 2 and sides["parent"] != sides["change"]]
+    return out + differ
+
+
+def export(rev: str, root: Path) -> tuple[str, Path]:
+    """The commit rev names, and a directory holding its files."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], check=True,
+                         capture_output=True, text=True).stdout.strip()
+    target = Path(tempfile.mkdtemp(prefix=sha[:12] + "-", dir=root))
+    archive = subprocess.Popen(["git", "archive", sha], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(target)], stdin=archive.stdout, check=True)
+    if archive.wait():
+        raise SystemExit("git archive %s failed" % rev)
+    return sha, target
+
+
+def run_bench(command: list, tree: Path, workload: str, seed: int, seconds: float,
+              trace: int) -> dict:
+    """One benchmark run in tree: its digest line, exit code, wall time and result."""
+    args = command + ["--workload", workload, "--seed", str(seed),
+                      "--seconds", "%g" % seconds, "--trace", str(trace)]
+    start = time.perf_counter()
+    proc = subprocess.run(args, cwd=tree, capture_output=True, text=True,
+                          timeout=4 * seconds + 600)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.splitlines()
+    result = None
+    if proc.returncode == 0 and lines:
+        try:
+            result = json.loads(lines[-1])
+        except ValueError:
+            pass
+    return {
+        "workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
+        "command": " ".join(args),
+        "digest": next((ln for ln in lines if ln.startswith("digest sha256:")), None),
+        "returncode": proc.returncode, "wall_s": wall, "result": result,
+        "stderr": proc.stderr[-2000:],
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", default="HEAD")
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--extra", action="append", default=[], metavar="WORKLOAD:SEED")
+    parser.add_argument("--what", default="")
+    args = parser.parse_args(argv)
+    extra = [(w, int(s)) for w, s in (e.rsplit(":", 1) for e in args.extra)]
+
+    root = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    try:
+        parent_sha, parent = export(args.parent, root)
+        change_sha, change = export(args.change, root)
+        spec = json.loads((parent / "BENCHMARK.json").read_text())
+        command, e2e = spec["command"], spec["end_to_end"]
+        seconds = spec["run_seconds"]
+        workloads = [w["name"] for w in spec["workloads"]]
+        trees = {"parent": parent, "change": change}
+        runs: list = []
+        doc = {
+            "what": args.what,
+            "parent": parent_sha,
+            "change": change_sha,
+            "machine": "%d CPUs, Python %s, %s" % (
+                os.cpu_count(), platform.python_version(), platform.platform()),
+            "commands": {
+                "digest": "%s --workload W --seed S --seconds %d --trace 0, S in %s"
+                          % (" ".join(command), SHORT_S, " and ".join(map(str, DIGEST_SEEDS))),
+                "trace": "%s --workload W --seed %d --seconds %d --trace 1 (%d runs a side, "
+                         "alternating which side runs first)"
+                         % (" ".join(command), TRACE_SEED, SHORT_S, TRACE_RUNS),
+                "pairs": "%s --workload W --seed %d --seconds %g --trace 0 (%d pairs per "
+                         "workload, pair i runs the parent first when i is even)"
+                         % (" ".join(command), args.seed, seconds, args.pairs),
+                "extra": ["%s on seed %d, as pairs" % e for e in extra],
+                "tier1": "PYTHONPATH=src %s (alternating, %d a side)"
+                         % (" ".join(["python"] + TIER1[1:]), TIER1_RUNS),
+            },
+            "quartiles": QUARTILES,
+        }
+
+        def by(purpose):
+            return [r for r in runs if r["purpose"] == purpose]
+
+        def record(purpose, side, pair=None, **fields):
+            fields.update(purpose=purpose, side=side, pair=pair)
+            runs.append(fields)
+            doc["summary"] = summarize(by("pairs"), e2e)
+            doc["extra"] = {
+                "%s seed %d" % e: summarize(
+                    [r for r in by("extra") if (r["workload"], r["seed"]) == e], e2e
+                ).get(e[0])
+                for e in extra
+            }
+            doc["digests"] = {}
+            for r in by("digest"):
+                seeds = doc["digests"].setdefault("seed %d" % r["seed"], {})
+                seeds.setdefault(r["workload"], {})[r["side"]] = r["digest"]
+            counts, times, differ = traced([r for r in by("trace") if r["result"]])
+            doc["traced_counts_seed1"], doc["traced_self_s_seed1"] = counts, times
+            doc["mismatches"] = mismatches(doc["digests"], counts, differ)
+            doc["tier1"] = {s: [r["summary"] for r in by("tier1") if r["side"] == s]
+                            for s in trees}
+            doc["runs"] = runs
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+            print("%s %s %s %s pair=%s rc=%s" % (
+                purpose, fields.get("workload", ""), fields.get("seed", ""), side, pair,
+                fields.get("returncode")), file=sys.stderr, flush=True)
+
+        def both(purpose, workload, seed, secs, trace, pair):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                record(purpose, side, pair, order=order[0] + " first",
+                       **run_bench(command, trees[side], workload, seed, secs, trace))
+
+        for seed in DIGEST_SEEDS:
+            for workload in workloads:
+                both("digest", workload, seed, SHORT_S, 0, 0)
+        for workload in workloads:
+            for i in range(TRACE_RUNS):
+                both("trace", workload, TRACE_SEED, SHORT_S, 1, i)
+        for workload in workloads:
+            for i in range(args.pairs):
+                both("pairs", workload, args.seed, seconds, 0, i)
+        for workload, seed in extra:
+            for i in range(args.pairs):
+                both("extra", workload, seed, seconds, 0, i)
+        for i in range(2 * TIER1_RUNS):
+            side = ("parent", "change")[(i + 1) // 2 % 2]  # parent, change, change, parent
+            env = dict(os.environ, PYTHONPATH="src")
+            start = time.perf_counter()
+            proc = subprocess.run(TIER1, cwd=trees[side], env=env, capture_output=True,
+                                  text=True, timeout=3600)
+            tail = proc.stdout.strip().splitlines()[-1:] or [""]
+            record("tier1", side, i, returncode=proc.returncode,
+                   wall_s=time.perf_counter() - start, summary=tail[0].strip("= "))
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    for line in doc["mismatches"]:
+        print("mismatch: " + line, file=sys.stderr)
+    return 1 if doc["mismatches"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
