@@ -10,13 +10,14 @@ HTTP endpoint that serves top-k candidates with logprobs.
 Mock tokens are single characters so block boundaries land exactly;
 the embedder handles multi-character tokens from remote models.
 
-The remote adapter speaks HTTP through the standard library's http.client,
-imported on the first request: one plain connection per request, no proxy
-from the environment, no redirects, and the system CA store for https. A
-5xx reply is retried like a failed connection; any other status outside
-2xx is a protocol error. A span of n characters is sampled with n uniforms
-drawn in one call, which is enough because every token has at least one
-character.
+The remote adapter speaks HTTP/1.0 over a socket, imported on the first
+request: per request one connection, one write and a read to EOF; no proxy
+from the environment, no redirects, and for https the system CA store in
+one SSL context per process. A 5xx reply, no status line or a body short
+of its Content-Length is retried like a failed connection; any other
+status outside 2xx, or Transfer-Encoding, is a protocol error. A span of n
+characters is sampled with n uniforms drawn in one call, which is enough
+because every token has at least one character.
 
 The mocks never look at the context except for the position, so their spans
 take one vectorised step: every position's token is found at once from its
@@ -52,6 +53,7 @@ from .rng import SamplerState
 
 DEFAULT_ALPHABET = string.ascii_letters + string.digits + " ."  # 64 characters
 _SURROGATE = re.compile("[\ud800-\udfff]")  # no UTF-8 form, so the hash chain cannot read one
+_STATUS_LINE = re.compile(rb"HTTP/\S*[ \t]+([1-9][0-9][0-9])(?:[ \t].*)?")  # as http.client reads it
 
 # The fields each kind reads; any other field must keep its default.
 _READS = {
@@ -200,14 +202,16 @@ def next_distribution(model: ModelHandle, prompt: str, context: str) -> TokenDis
 
 
 @lru_cache(maxsize=32)
-def _split_endpoint(endpoint: str) -> tuple[bool, str, int, str]:
-    """(https?, host, port, path) of an http or https URL; ParameterError otherwise."""
+def _split_endpoint(endpoint: str) -> tuple[bool, str, int, bytes]:
+    """(https?, host, port, request head up to its Content-Length value); ParameterError if bad."""
     try:
         parts = urlsplit(endpoint)
         port = parts.port
-    except ValueError as exc:
+        name = parts.hostname or ""
+        host = name.encode("ascii") if name.isascii() else name.encode("idna")
+    except ValueError as exc:  # UnicodeError included: a name IDNA cannot encode
         raise ParameterError("bad model endpoint %r: %s" % (endpoint, exc)) from None
-    if parts.scheme not in ("http", "https") or not parts.hostname or port == 0:
+    if parts.scheme not in ("http", "https") or not name or port == 0:
         raise ParameterError(
             "model endpoint must be an http or https URL with a host, got %r" % endpoint
         )
@@ -215,33 +219,64 @@ def _split_endpoint(endpoint: str) -> tuple[bool, str, int, str]:
     path = (parts.path or "/") + ("?" + parts.query if parts.query else "")
     if any(not "!" <= ch <= "~" for ch in path):
         raise ParameterError("model endpoint path must be percent-encoded ASCII, got %r" % endpoint)
-    return https, parts.hostname, port or (443 if https else 80), path
+    default = 443 if https else 80
+    host = b"[%s]" % host if b":" in host else host  # an IPv6 literal
+    host += b":%d" % port if port not in (None, default) else b""
+    head = (b"POST %s HTTP/1.0\r\nHost: %s\r\nAccept-Encoding: identity\r\nConnection: close\r\n"
+            b"Content-Type: application/json\r\nContent-Length: " % (path.encode(), host))
+    return https, name, port or default, head
+
+
+@lru_cache(maxsize=None)
+def _tls_context():
+    """The client context checking the system CA store, built once: building reads the store."""
+    import ssl
+
+    return ssl.create_default_context()
+
+
+def _parse_reply(reply: bytes) -> tuple[int, bytes]:
+    """Status and body of an HTTP/1.0 reply read to EOF; ConnectionError if it is cut short."""
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status_line, *lines = head.split(b"\r\n")
+    status = _STATUS_LINE.fullmatch(status_line)
+    if status is None:
+        raise ConnectionError("reply has no HTTP status line")
+    headers = {k.strip().lower(): v.strip() for k, _, v in (ln.partition(b":") for ln in lines)}
+    if b"transfer-encoding" in headers:
+        raise ProtocolError("endpoint sent Transfer-Encoding, which HTTP/1.0 forbids")
+    length = headers.get(b"content-length", b"")
+    length = int(length) if length.isdigit() else len(body)
+    if len(body) < length:
+        raise ConnectionError("reply body is shorter than its Content-Length")
+    return int(status[1]), body[:length]
 
 
 def _remote_distribution(model: ModelHandle, prompt: str, context: str) -> TokenDistribution:
-    import http.client  # deferred: only the remote kind speaks HTTP
+    import socket  # deferred: only the remote kind opens sockets
 
-    https, host, port, path = _split_endpoint(model.endpoint)
-    connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
+    https, host, port, head = _split_endpoint(model.endpoint)
     data = json.dumps({"prompt": prompt, "context": context, "top_k": model.top_k}).encode()
-    headers = {"Content-Type": "application/json"}
+    request = b"%s%d\r\n\r\n%s" % (head, len(data), data)
     last_failure = ""
     for _ in range(model.retries + 1):
-        conn = connection(host, port, timeout=model.timeout_ms / 1000.0)
-        try:
-            conn.request("POST", path, data, headers)
-            resp = conn.getresponse()
-            raw = resp.read()
-        except (OSError, http.client.HTTPException) as exc:
+        chunks = []
+        try:  # one write, then the reply to EOF
+            with socket.create_connection((host, port), model.timeout_ms / 1000.0) as sock:
+                conn = _tls_context().wrap_socket(sock, server_hostname=host) if https else sock
+                with conn:
+                    conn.sendall(request)
+                    while chunk := conn.recv(65536):
+                        chunks.append(chunk)
+            status, raw = _parse_reply(b"".join(chunks))
+        except OSError as exc:
             last_failure = str(exc) or type(exc).__name__
             continue
-        finally:
-            conn.close()
-        if 200 <= resp.status < 300:
+        if 200 <= status < 300:
             break
-        if resp.status < 500:
-            raise ProtocolError("endpoint returned HTTP %d" % resp.status)
-        last_failure = "HTTP %d" % resp.status
+        if status < 500:
+            raise ProtocolError("endpoint returned HTTP %d" % status)
+        last_failure = "HTTP %d" % status
     else:
         raise TransportError(
             "endpoint unreachable after %d tries: %s" % (model.retries + 1, last_failure)

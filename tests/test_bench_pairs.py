@@ -14,11 +14,12 @@ E2E = [{"name": "scaled_call_s.p50", "better": "lower"},
        {"name": "scaled_chars_per_s", "better": "higher"}]
 
 
-def pair_run(workload, side, pair, call_s, chars_per_s, failed=0, attempted=10):
+def pair_run(workload, side, pair, call_s, chars_per_s, failed=0, attempted=10, correct=True):
     metrics = {"scaled_call_s.p50": {"value": call_s, "unit": "s"},
                "scaled_chars_per_s": {"value": chars_per_s, "unit": "chars/s"}}
-    return {"purpose": "pairs", "workload": workload, "side": side, "pair": pair,
-            "result": {"metrics": metrics, "failed": failed, "attempted": attempted}}
+    return {"purpose": "pairs", "workload": workload, "seed": 7, "side": side, "pair": pair,
+            "returncode": 0, "result": {"metrics": metrics, "failed": failed,
+                                        "attempted": attempted, "correct": correct}}
 
 
 def test_spread_uses_inclusive_quartiles():
@@ -89,3 +90,27 @@ def test_mismatches_compare_the_change_against_the_parent():
         "w x.calls change: [7, 8]"]
     same = {"seed 1": {"w": {"parent": "digest sha256:aa", "change": "digest sha256:aa"}}}
     assert bench_pairs.mismatches(same, {"w": {"x.calls": {"parent": 7, "change": 7}}}, []) == []
+
+
+def test_failures_name_runs_without_a_result_or_with_a_wrong_one():
+    crashed = dict(pair_run("w", "change", 0, 1.0, 1.0), result=None, returncode=1)
+    wrong = pair_run("w", "parent", 1, 1.0, 1.0, correct=False)
+    tier1 = {"purpose": "tier1", "side": "change", "pair": 0, "returncode": 1}
+    runs = [pair_run("w", "parent", 0, 1.0, 1.0), crashed, wrong,
+            pair_run("w", "change", 1, 1.0, 1.0), tier1]
+    assert bench_pairs.failures(runs) == [
+        "pairs w seed 7 change pair 0: no result (exit 1)",
+        "pairs w seed 7 parent pair 1: correct false"]
+    # The crashed pair is left out of the summary, so only the list shows it.
+    assert bench_pairs.summarize(runs[:4], E2E)["w"]["scaled_call_s.p50"]["change_wins"] == "0 of 1"
+
+
+def test_failures_name_a_workload_whose_change_fails_a_larger_share():
+    runs = [pair_run("w", "parent", 0, 1.0, 1.0, failed=1, attempted=10),
+            pair_run("w", "change", 0, 1.0, 1.0, failed=1, attempted=5),
+            pair_run("v", "parent", 0, 1.0, 1.0, failed=2, attempted=10),
+            pair_run("v", "change", 0, 1.0, 1.0, failed=1, attempted=5),  # the same share
+            pair_run("u", "parent", 0, 1.0, 1.0, failed=0, attempted=0),
+            pair_run("u", "change", 0, 1.0, 1.0, failed=0, attempted=4)]
+    assert bench_pairs.failures(runs) == ["w failed: parent 1 of 10, change 1 of 5"]
+    assert bench_pairs.failures(runs[2:]) == []

@@ -10,6 +10,7 @@ from pdws.crypto import (
     KeyMaterialError,
     OracleSuite,
     SchnorrP1024,
+    _SCHEMES,
     _table,
     _table_pow,
     _use_count,
@@ -190,6 +191,22 @@ class TestSchemes:
         digest = SUITE.h_sign(b"msg")
         assert not verify(keys, digest, BitString(0, 8))
         assert not verify(keys, digest, BitString(0, 0))
+
+    def test_a_fault_in_the_scheme_raises(self, scheme_id, monkeypatch):
+        # A bug in a scheme's verify must not read as "no signature here".
+        keys = keygen(b"seed-n", scheme_id=scheme_id)
+        digest = SUITE.h_sign(b"msg")
+        sig = sign(keys, digest)
+
+        class Faulty:
+            sig_bits = get_scheme(scheme_id).sig_bits
+
+            def verify(self, verify_key, digest, sig):
+                raise TypeError("a fault in the scheme")
+
+        monkeypatch.setitem(_SCHEMES, scheme_id, Faulty())
+        with pytest.raises(TypeError, match="a fault in the scheme"):
+            verify(keys, digest, sig)
 
     def test_public_only_can_verify_but_not_sign(self, scheme_id):
         keys = keygen(b"seed-j", scheme_id=scheme_id)

@@ -1,9 +1,14 @@
+import contextlib
+import datetime
 import json
 import math
 import os
+import socket
+import ssl
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -14,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import pdws
 from pdws import WatermarkParams, keygen, watermark
+from pdws import model as model_module
 from pdws.core import ParameterError
 from pdws.model import (
     DEFAULT_ALPHABET,
@@ -131,6 +137,103 @@ def stub():
 @pytest.fixture()
 def stub_server(stub):
     return "http://127.0.0.1:%d" % stub.server_port
+
+
+# A two-candidate answer, as one HTTP/1.0 reply.
+_OK_BODY = json.dumps({"candidates": [
+    {"token": "ab", "logprob": math.log(0.4)}, {"token": "c", "logprob": math.log(0.6)}]}).encode()
+_OK_REPLY = b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_OK_BODY), _OK_BODY)
+
+
+def _read_request(conn):
+    """One request's bytes: the head, then as many body bytes as its Content-Length says."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(4096)
+        if not chunk:
+            return data
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = next(int(line.split(b":")[1]) for line in head.split(b"\r\n")
+                  if line.lower().startswith(b"content-length:"))
+    while len(body) < length:
+        body += conn.recv(4096)
+    return data
+
+
+@contextlib.contextmanager
+def raw_endpoint(reply, tls=None):
+    """A loopback socket endpoint on a thread; yields (its URL, the requests it read).
+
+    Each connection gets reply, a list of byte strings each sent by its own
+    write, and is closed. With an ssl server context as tls, the endpoint
+    speaks https, and a connection whose handshake fails is counted as the
+    request None.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    requests = []
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(10)
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                try:
+                    sock = tls.wrap_socket(conn, server_side=True) if tls else conn
+                    requests.append(_read_request(sock))
+                    for part in reply:
+                        sock.sendall(part)
+                except OSError:
+                    requests.append(None)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    scheme = "https" if tls else "http"
+    try:
+        yield "%s://127.0.0.1:%d" % (scheme, listener.getsockname()[1]), requests
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def _self_signed_tls(tmp_path):
+    """A server context for 127.0.0.1 whose certificate signs itself."""
+    import ipaddress
+
+    from cryptography import x509
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import NameOID
+
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "127.0.0.1")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (
+        x509.CertificateBuilder().subject_name(name).issuer_name(name)
+        .public_key(key.public_key()).serial_number(x509.random_serial_number())
+        .not_valid_before(now - datetime.timedelta(days=1))
+        .not_valid_after(now + datetime.timedelta(days=1))
+        .add_extension(x509.SubjectAlternativeName(
+            [x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]), critical=False)
+        .sign(key, hashes.SHA256())
+    )
+    pem = tmp_path / "self-signed.pem"
+    pem.write_bytes(
+        cert.public_bytes(serialization.Encoding.PEM)
+        + key.private_bytes(serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+                            serialization.NoEncryption())
+    )
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(pem)
+    return context
 
 
 class TestTokenDistribution:
@@ -461,6 +564,94 @@ class TestRemote:
         )
         with pytest.raises(TransportError):
             next_distribution(model, "p", "")
+
+
+class TestWire:
+    """The adapter's own HTTP/1.0 exchange, against a raw socket endpoint."""
+
+    def test_request_bytes_are_pinned(self):
+        with raw_endpoint([_OK_REPLY]) as (url, requests):
+            model = ModelHandle(kind="remote", endpoint=url + "/v1/next?m=x", top_k=5)
+            dist = next_distribution(model, "Dear caf\u00e9,", "It was \"late\"")
+        assert dist.tokens == ("ab", "c")
+        (request,) = requests
+        head, _, body = request.partition(b"\r\n\r\n")
+        assert body == (b'{"prompt": "Dear caf\\u00e9,", "context": "It was \\"late\\"", '
+                        b'"top_k": 5}')
+        line, *headers = head.split(b"\r\n")
+        assert line == b"POST /v1/next?m=x HTTP/1.0"
+        assert sorted(headers) == sorted([
+            b"Host: 127.0.0.1:%s" % url.rsplit(":", 1)[1].encode(),
+            b"Accept-Encoding: identity",
+            b"Content-Type: application/json",
+            b"Content-Length: %d" % len(body),
+            b"Connection: close",
+        ])
+
+    @pytest.mark.parametrize("endpoint, host", [
+        ("http://Example.COM/", b"example.com"),
+        ("http://example.com:80/", b"example.com"),
+        ("https://example.com:443/", b"example.com"),
+        ("https://example.com:80/", b"example.com:80"),
+        ("http://[::1]/", b"[::1]"),
+        ("http://[::1]:8080/", b"[::1]:8080"),
+        ("http://b\u00fccher.example/", b"xn--bcher-kva.example"),
+    ])
+    def test_host_header(self, endpoint, host):
+        # As http.client wrote it: the port only when it is not the
+        # scheme's default, and an IPv6 literal in brackets.
+        head = model_module._split_endpoint(endpoint)[3]
+        assert b"\r\nHost: %s\r\n" % host in head
+
+    @pytest.mark.parametrize("reply", [
+        [bytes([b]) for b in _OK_REPLY],  # one byte per write
+        [_OK_REPLY + b"trailing bytes past the Content-Length"],
+        [_OK_REPLY.replace(b"Content-Length: %d\r\n" % len(_OK_BODY), b"")],  # read to EOF
+    ], ids=["byte-at-a-time", "past-content-length", "no-content-length"])
+    def test_reply_parses(self, reply):
+        with raw_endpoint(reply) as (url, requests):
+            dist = next_distribution(ModelHandle(kind="remote", endpoint=url), "p", "")
+        assert dist.tokens == ("ab", "c") and len(requests) == 1
+
+    @pytest.mark.parametrize("reply, failure", [
+        (b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{}", "shorter than its Content-Length"),
+        (b"not a status line\r\n\r\n" + _OK_BODY, "no HTTP status line"),
+        (b"", "no HTTP status line"),
+    ], ids=["short-body", "no-status-line", "empty"])
+    def test_broken_reply_is_retried_then_transport_error(self, reply, failure):
+        with raw_endpoint([reply]) as (url, requests):
+            model = ModelHandle(kind="remote", endpoint=url, retries=2)
+            with pytest.raises(TransportError, match=failure):
+                next_distribution(model, "p", "")
+        assert len(requests) == model.retries + 1
+
+    def test_transfer_encoding_is_protocol_error(self):
+        reply = b"HTTP/1.0 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n"
+        with raw_endpoint([reply % (len(_OK_BODY), _OK_BODY)]) as (url, requests):
+            with pytest.raises(ProtocolError, match="Transfer-Encoding"):
+                next_distribution(ModelHandle(kind="remote", endpoint=url, retries=2), "p", "")
+        assert len(requests) == 1
+
+    def test_self_signed_https_is_refused_with_one_context(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        real = ssl.create_default_context
+        monkeypatch.setattr(ssl, "create_default_context", counting)
+        model_module._tls_context.cache_clear()
+        try:
+            with raw_endpoint([_OK_REPLY], tls=_self_signed_tls(tmp_path)) as (url, requests):
+                model = ModelHandle(kind="remote", endpoint=url, retries=1)
+                for _ in range(2):
+                    with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+                        next_distribution(model, "p", "")
+        finally:
+            model_module._tls_context.cache_clear()
+        assert len(built) == 1
+        assert requests == [None] * 2 * (model.retries + 1)  # no handshake completed
 
 
 def test_import_pdws_does_not_load_requests():

@@ -25,10 +25,12 @@ median over the parent's, the pairs the change won, and whether the
 medians differ by more than the parent's quartile spread.
 
 Under "mismatches" the file lists every digest line and every traced
-count in which the change differs from the parent, and every traced count
-that differs between runs of one side. The tool exits 1 when that list
-is not empty, so a change meant to keep its outputs fails loudly when it
-does not.
+count in which the change differs from the parent, every traced count
+that differs between runs of one side, every run of either side that
+gave no result or reported `correct: false`, and every workload whose
+change failed a larger share of its attempts than the parent. The tool
+exits 1 when that list is not empty, so a change meant to keep its
+outputs, or whose runs crash, fails loudly.
 
 The tool imports nothing from the program; it only runs it.
 """
@@ -144,6 +146,28 @@ def mismatches(digests: dict, counts: dict, differ: list) -> list:
     return out + differ
 
 
+def failures(runs: list) -> list:
+    """Benchmark runs with no result or a wrong one, then workloads the change fails more."""
+    runs = [r for r in runs if "result" in r]  # tier-1 runs have none
+    out = ["%s %s seed %s %s pair %s: no result (exit %s)" % (
+        r["purpose"], r["workload"], r["seed"], r["side"], r["pair"], r["returncode"])
+        for r in runs if not r["result"]]
+    out += ["%s %s seed %s %s pair %s: correct false" % (
+        r["purpose"], r["workload"], r["seed"], r["side"], r["pair"])
+        for r in runs if r["result"] and not r["result"]["correct"]]
+    rates = {}  # workload -> side -> [failed, attempted]
+    for r in runs:
+        if r["result"]:
+            rate = rates.setdefault(r["workload"], {}).setdefault(r["side"], [0, 0])
+            rate[0] += r["result"]["failed"]
+            rate[1] += r["result"]["attempted"]
+    for workload, sides in rates.items():
+        (pf, pa), (cf, ca) = sides.get("parent", (0, 0)), sides.get("change", (0, 0))
+        if cf * pa > pf * ca:  # cf / ca > pf / pa, with no division by zero
+            out.append("%s failed: parent %d of %d, change %d of %d" % (workload, pf, pa, cf, ca))
+    return out
+
+
 def export(rev: str, root: Path) -> tuple[str, Path]:
     """The commit rev names, and a directory holding its files."""
     sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], check=True,
@@ -244,7 +268,7 @@ def main(argv=None) -> int:
                 seeds.setdefault(r["workload"], {})[r["side"]] = r["digest"]
             counts, times, differ = traced([r for r in by("trace") if r["result"]])
             doc["traced_counts_seed1"], doc["traced_self_s_seed1"] = counts, times
-            doc["mismatches"] = mismatches(doc["digests"], counts, differ)
+            doc["mismatches"] = mismatches(doc["digests"], counts, differ) + failures(runs)
             doc["tier1"] = {s: [r["summary"] for r in by("tier1") if r["side"] == s]
                             for s in trees}
             doc["runs"] = runs
