@@ -53,7 +53,7 @@ from .rng import SamplerState
 
 DEFAULT_ALPHABET = string.ascii_letters + string.digits + " ."  # 64 characters
 _SURROGATE = re.compile("[\ud800-\udfff]")  # no UTF-8 form, so the hash chain cannot read one
-_STATUS_LINE = re.compile(rb"HTTP/\S*[ \t]+([1-9][0-9][0-9])(?:[ \t].*)?")  # as http.client reads it
+_STATUS_LINE = re.compile(rb"HTTP/\S*[ \t]+([1-9][0-9][0-9])(?:[ \t].*)?")  # http.client's form
 
 # The fields each kind reads; any other field must keep its default.
 _READS = {
@@ -236,7 +236,7 @@ def _tls_context():
 
 
 def _parse_reply(reply: bytes) -> tuple[int, bytes]:
-    """Status and body of an HTTP/1.0 reply read to EOF; ConnectionError if it is cut short."""
+    """Status and body of a reply read to EOF; ConnectionError if no status line or cut short."""
     head, _, body = reply.partition(b"\r\n\r\n")
     status_line, *lines = head.split(b"\r\n")
     status = _STATUS_LINE.fullmatch(status_line)

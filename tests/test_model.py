@@ -8,7 +8,6 @@ import ssl
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -602,6 +601,10 @@ class TestWire:
         # scheme's default, and an IPv6 literal in brackets.
         head = model_module._split_endpoint(endpoint)[3]
         assert b"\r\nHost: %s\r\n" % host in head
+
+    def test_host_idna_cannot_encode_is_refused(self):
+        with pytest.raises(ParameterError, match="idna"):
+            ModelHandle(kind="remote", endpoint="http://%s.example/" % ("\u00e9" * 70))
 
     @pytest.mark.parametrize("reply", [
         [bytes([b]) for b in _OK_REPLY],  # one byte per write
