@@ -13,8 +13,9 @@ carry its gamma_max is refused there. Model settings come only from the
 (core.json_fields): an unknown or missing key is bad input, and salts need
 all three roles. Every file is read as UTF-8 by _read_text and every JSON
 text parsed by core.parse_json, and the error of either names the file. A
-detect input that is not a watermark output is scanned as raw text; no
-other input may be '-' (stdin).
+detect input that is not a watermark output is scanned as raw text. Only
+the detect input may be '-' (stdin); any other input named '-' is read
+as a file of that name.
 
 Exit codes, all decided in main, which maps each failure to one of them:
     0  success / signature detected
@@ -76,13 +77,9 @@ def list_profiles() -> tuple[str, ...]:
 
 
 def _read_text(path) -> str:
-    """The text of a file path, a bundled resource or '-' (stdin), read as UTF-8."""
+    """The text of a file path or a bundled resource, read as UTF-8."""
     try:
-        if path != "-":
-            return Path(path).read_text("utf-8")
-        text = sys.stdin.read()
-        text.encode("utf-8")  # stdin may decode bytes that are not UTF-8 to lone surrogates
-        return text
+        return Path(path).read_text("utf-8")
     except UnicodeError as exc:
         raise ParameterError("%s is not UTF-8 text: %s" % (path, exc)) from None
 
@@ -194,8 +191,15 @@ def _load_model(args) -> ModelHandle:
 
 
 def _read_input_text(path: str) -> str:
-    """Read raw text, or pull the text field from a watermark output file."""
-    raw = _read_text(path)
+    """Raw text or a watermark output's text field; the one input that may be '-' (stdin)."""
+    if path != "-":
+        raw = _read_text(path)
+    else:
+        try:
+            raw = sys.stdin.read()
+            raw.encode("utf-8")  # stdin may decode bytes that are not UTF-8 to lone surrogates
+        except UnicodeError as exc:
+            raise ParameterError("- is not UTF-8 text: %s" % exc) from None
     try:
         doc = parse_json(raw, path)
     except ParameterError:

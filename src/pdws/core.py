@@ -1,7 +1,7 @@
 """Shared value types for the watermarking protocol.
 
 Everything here is an immutable value: fixed-length bit strings (the
-signature, codeword and chunk carriers), the gadget layout a verifier
+signature, digest, mask and codeword carriers), the gadget layout a verifier
 needs, the full parameter profile the embedder reads its knobs from, and
 the per-block transcript of an embedding run. Each stores only its
 independent fields; what follows from them (n_blocks, gadget_chars, the
@@ -13,9 +13,11 @@ and alpha a finite positive number, so a JSON 2.0 or true is rejected
 rather than read as 2 or 1.
 
 Bit order convention: bit 0 of a BitString is the most significant bit of
-byte 0, and serialization is big-endian throughout. A BitString takes slices,
-not int indexes (TypeError), and has no len(). Characters are unicode scalar
-values; all character counts index ``str`` positions, never bytes.
+byte 0, and serialization is big-endian throughout. A BitString has no
+indexing (TypeError) and no len(); inside the protocol, chunks and
+signature halves are plain ints cut from its value by shifts. Characters
+are unicode scalar values; all character counts index ``str`` positions,
+never bytes.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ class BitString:
     """An immutable sequence of bits with explicit length.
 
     Backed by an integer whose most significant bit (after left-padding to
-    ``length``) is bit 0. Supports the operations the protocol needs: xor,
-    concatenation and slicing; ``chunk`` splits one into beta-bit pieces.
+    ``length``) is bit 0. Supports the operations the protocol needs: xor
+    and conversion to and from bytes.
     """
 
     value: int
@@ -105,17 +107,6 @@ class BitString:
         nbytes = (self.length + 7) // 8
         return (self.value << (8 * nbytes - self.length)).to_bytes(nbytes, "big")
 
-    # -- element access -------------------------------------------------
-
-    def __getitem__(self, key: slice) -> "BitString":
-        if not isinstance(key, slice):
-            raise TypeError("BitString indexes take slices, not %s" % type(key).__name__)
-        start, stop, step = key.indices(self.length)
-        if step != 1:
-            raise ParameterError("BitString slices must be contiguous")
-        width = max(stop - start, 0)
-        return BitString((self.value >> (self.length - stop)) & ((1 << width) - 1), width)
-
     # -- operations -----------------------------------------------------
 
     def __xor__(self, other: "BitString") -> "BitString":
@@ -124,19 +115,6 @@ class BitString:
                 "xor length mismatch: %d vs %d" % (self.length, other.length)
             )
         return BitString(self.value ^ other.value, self.length)
-
-    def concat(self, other: "BitString") -> "BitString":
-        return BitString(
-            (self.value << other.length) | other.value, self.length + other.length
-        )
-
-
-def chunk(c: BitString, beta: int) -> tuple[BitString, ...]:
-    """Split c into consecutive beta-bit chunks; beta must divide the length."""
-    if beta <= 0 or c.length % beta:
-        raise ParameterError("chunk width %d does not divide length %d" % (beta, c.length))
-    value, mask = c.value, (1 << beta) - 1
-    return tuple(BitString(value >> s & mask, beta) for s in range(c.length - beta, -1, -beta))
 
 
 def _require_int(name: str, value) -> None:

@@ -340,11 +340,10 @@ class SchnorrP1024:
             r_point = pow(self.G, k, self.P)
         e = self._challenge(r_point, verify_key, digest)
         s = (k + e * x) % self.Q
-        return BitString(e, self._HALF_BITS).concat(BitString(s, self._HALF_BITS))
+        return BitString(e << self._HALF_BITS | s, self.sig_bits)
 
     def verify(self, verify_key: bytes, digest: bytes, sig: BitString) -> bool:
-        e = sig[: self._HALF_BITS].value
-        s = sig[self._HALF_BITS :].value
+        e, s = divmod(sig.value, 1 << self._HALF_BITS)  # crypto.verify checked the length
         if s >= self.Q:
             return False
         # R' = g^s * y^(-e); y has order q so reduce the exponent mod q.

@@ -134,23 +134,22 @@ def _chien(loc: list[int], n: int) -> bytes:
 
 
 def _berlekamp_massey(synd: list[int]) -> tuple[list[int], int]:
-    """Shortest LFSR generating synd: (locator lowest degree first, length), by log tables."""
+    """Shortest LFSR generating synd: (locator lowest degree first, length)."""
     nsym = len(synd)
-    logs = [_LOG[s] if s else -1 for s in synd]  # -1: a zero syndrome has no log
     loc = prev = [1] + [0] * nsym
-    length, shift, prev_log = 0, 0, 0  # prev_log: log of the last nonzero delta (1 at first)
+    length, shift, prev_delta = 0, 0, 1
     for i in range(nsym):
         shift += 1
         delta = synd[i]
         for k in range(1, length + 1):
-            delta ^= _EXP[_LOG[loc[k]] + logs[i - k]] if loc[k] and logs[i - k] >= 0 else 0
+            delta ^= _mul(loc[k], synd[i - k])
         if delta:
-            scale = (_LOG[delta] - prev_log) % 255  # log of delta / prev_delta
+            scale = _mul(delta, _inv(prev_delta))
             new = loc[:]
             for k in range(nsym + 1 - shift):
-                new[k + shift] ^= _EXP[scale + _LOG[prev[k]]] if prev[k] else 0
+                new[k + shift] ^= _mul(scale, prev[k])
             if 2 * length <= i:
-                prev, prev_log, length, shift = loc, _LOG[delta], i + 1 - length, 0
+                prev, prev_delta, length, shift = loc, delta, i + 1 - length, 0
             loc = new
     return loc[: length + 1], length
 

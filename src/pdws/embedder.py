@@ -28,13 +28,11 @@ import logging
 
 from . import crypto, ecc
 from .core import (
-    BitString,
     BlockRecord,
     EmbedTranscript,
     ParameterError,
     WatermarkParams,
     _require_int,
-    chunk,
 )
 from .crypto import KeyMaterial, OracleSuite
 from .model import ModelHandle, sample_min_chars
@@ -58,7 +56,7 @@ class EmbedFailure(RuntimeError):
 
 
 def reject_sample_tokens(
-    target_chunk: BitString,
+    target: int,
     text: str,
     chain: crypto.BitChain,
     params: WatermarkParams,
@@ -68,7 +66,7 @@ def reject_sample_tokens(
     window_start: int,
     rng: SamplerState,
 ) -> tuple[str, bytes, int, BlockRecord]:
-    """Sample the ell-char block at window_start until it hashes to target_chunk.
+    """Sample the ell-char block at window_start until it hashes to target.
 
     Attempt a draws from the forked stream rng.fork(a), so evaluation order
     cannot change the outcome. Every attempt samples after the same text,
@@ -79,9 +77,10 @@ def reject_sample_tokens(
     earliest on ties, is returned marked planted. A window that text
     already fills has one candidate, tried once. Returns the extended
     text, the block's bytes, the value they hash to, and the block record.
-    The caller passes a beta-bit chunk and a window_start that text reaches.
+    The caller passes a beta-bit chunk value and a window_start that text
+    reaches.
     """
-    ell, target, fork, peek = params.ell, target_chunk.value, rng.fork, chain.peek
+    ell, fork, peek = params.ell, rng.fork, chain.peek
     missing = window_start + ell - len(text)  # characters each attempt samples
     head = text[window_start:]  # the window's carried prefix, kept by every attempt
 
@@ -132,14 +131,14 @@ def generate_message_signature_pair(
     msg_window = text[msg_start:msg_end]
     msg_bytes = msg_window.encode("utf-8")
     sigma = crypto.sign(keys, suite.h_sign(msg_bytes))
-    masked = suite.h_mask(msg_bytes, params.lambda_c) ^ ecc.encode(sigma, params)
+    masked = (suite.h_mask(msg_bytes, params.lambda_c) ^ ecc.encode(sigma, params)).value
 
     records = [BlockRecord(1, 0, msg_window)]
     chain = crypto.BitChain(suite.bit_oracle(), params.beta)
-    gamma_used = 0
-    for j, target in enumerate(chunk(masked, params.beta), start=1):
+    gamma_used, beta = 0, params.beta
+    for j in range(1, params.n_blocks + 1):
         text, window_bytes, _, rec = reject_sample_tokens(
-            target,
+            masked >> (params.lambda_c - j * beta) & ((1 << beta) - 1),
             text,
             chain,
             params,

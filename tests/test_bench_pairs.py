@@ -114,3 +114,14 @@ def test_failures_name_a_workload_whose_change_fails_a_larger_share():
             pair_run("u", "change", 0, 1.0, 1.0, failed=0, attempted=4)]
     assert bench_pairs.failures(runs) == ["w failed: parent 1 of 10, change 1 of 5"]
     assert bench_pairs.failures(runs[2:]) == []
+
+
+def test_design_numbers_count_source_lines_and_exported_names(tmp_path):
+    package = tmp_path / "src" / "pdws"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        '"""Doc."""\n\nfrom .a import f\n\nX = 1\n__all__ = [\n    "f",\n    "g",\n]\n')
+    (package / "a.py").write_text("def f():\n    return 1\n")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert bench_pairs.design_numbers(tmp_path) == {"source_lines": 11, "exported_names": 2}

@@ -347,6 +347,30 @@ class TestErrorPaths:
         assert code == 2 and stdout == ""
         assert err.startswith("error: %s is not UTF-8 text: " % named), err
 
+    @pytest.mark.parametrize(
+        "role", ["public", "key-watermark", "key-bench", "model", "prompts", "prompt-file"]
+    )
+    def test_only_the_detect_input_reads_stdin(self, tmp_path, capsys, keypair, monkeypatch,
+                                                role):
+        # A valid document on stdin is not read: '-' names a file, and there is none.
+        sk, pk = keypair
+        text = tmp_path / "text.txt"
+        text.write_text("irrelevant")
+        stdin, argv = {
+            "public": (pk.read_text(), ["detect", "--public", "-", str(text)]),
+            "key-watermark": (sk.read_text(), ["watermark", "--key", "-", "--n", "20"]),
+            "key-bench": (sk.read_text(), ["bench", "--key", "-", "--repeats", "1"]),
+            "model": ('{"kind": "uniform-mock"}',
+                      ["watermark", "--key", str(sk), "--model", "-", "--n", "20"]),
+            "prompts": ("a prompt\n", ["bench", "--key", str(sk), "--prompts", "-"]),
+            "prompt-file": ("a prompt",
+                            ["watermark", "--key", str(sk), "--prompt-file", "-", "--n", "20"]),
+        }[role]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "") and "'-'" in err, err
+
     def test_embed_failure_exits_three(self, tmp_path, capsys, keypair):
         sk, _ = keypair
         gadget = load_profile("compact-328").gadget_chars

@@ -11,7 +11,6 @@ from pdws.core import (
     Layout,
     ParameterError,
     WatermarkParams,
-    chunk,
 )
 from conftest import layouts
 
@@ -24,11 +23,10 @@ bitstrings = st.integers(min_value=0, max_value=512).flatmap(
 
 class TestBitString:
     def test_msb_first_indexing(self):
-        # Bit 0 is the most significant; a BitString takes slices only.
+        # Bit 0 is the most significant; a BitString has no indexing at all.
         b = BitString(0b101, 3)
-        assert [b[i : i + 1].value for i in range(3)] == [1, 0, 1]
-        assert b[-1:] == BitString(1, 1)
-        for key in (0, -1, 3):
+        assert b.to_bytes() == b"\xa0"
+        for key in (0, -1, 3, slice(1, 2), slice(None)):
             with pytest.raises(TypeError):
                 b[key]
 
@@ -50,26 +48,6 @@ class TestBitString:
         with pytest.raises(ParameterError):
             BitString(-1, 4)
 
-    def test_chunks_are_msb_first(self):
-        # Bit 0 is the most significant, so chunk 0 holds the top bits.
-        assert [p.value for p in chunk(BitString(0b101, 3), 1)] == [1, 0, 1]
-        assert chunk(BitString(0b110010, 6), 2) == tuple(BitString(v, 2) for v in (3, 0, 2))
-        assert chunk(BitString(0, 0), 2) == ()
-
-    def test_slicing(self):
-        b = BitString(0b110010, 6)
-        assert b[1:4] == BitString(0b100, 3)
-        assert b[:0] == BitString(0, 0)
-        assert b[2:] == BitString(0b0010, 4)
-        with pytest.raises(ParameterError):
-            b[::2]
-
-    def test_concat_and_add(self):
-        a = BitString(0b11, 2)
-        b = BitString(0b001, 3)
-        assert a.concat(b) == BitString(0b11001, 5)
-        assert a.concat(BitString(0, 0)) == a
-
     def test_xor_requires_equal_length(self):
         with pytest.raises(ParameterError):
             BitString(1, 1) ^ BitString(1, 2)
@@ -81,19 +59,6 @@ class TestBitString:
     @given(bitstrings)
     def test_xor_involution(self, b):
         assert b ^ b == BitString(0, b.length)
-
-    @given(bitstrings, st.sampled_from([1, 2, 4, 8]))
-    def test_chunk_concat_inverse(self, b, beta):
-        if b.length % beta:
-            with pytest.raises(ParameterError):
-                chunk(b, beta)
-        else:
-            parts = chunk(b, beta)
-            assert all(p.length == beta for p in parts)
-            joined = BitString(0, 0)
-            for p in parts:
-                joined = joined.concat(p)
-            assert joined == b
 
     @given(bitstrings, bitstrings)
     def test_hamming_symmetry(self, a, b):

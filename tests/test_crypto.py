@@ -99,21 +99,22 @@ class TestOracles:
         windows = [b"", b"block", "äß中".encode(), "文😀".encode(), b"", b"x" * 40]
         windows += [b"%d" % i for i in range(4)]
         chain = BitChain(OracleSuite(bit_salt=b"salt").bit_oracle(), beta)
-        m, c_prev = b"", BitString(0, 0)
+        m, c_prev, c_bits = b"", 0, 0  # c_prev: the chunk values so far, an int of c_bits bits
         for window in windows:
-            value = h_bit(m + window + c_prev.to_bytes(), beta, b"salt")
+            c_bytes = BitString(c_prev, c_bits).to_bytes()
+            value = h_bit(m + window + c_bytes, beta, b"salt")
             other = "✅".encode() + window
-            assert chain.peek(other) == h_bit(m + other + c_prev.to_bytes(), beta, b"salt").value
+            assert chain.peek(other) == h_bit(m + other + c_bytes, beta, b"salt").value
             assert chain.peek(window) == value.value
             # peeking left the chain as it was
-            assert chain.absorb(()) == c_prev.to_bytes()
-            m, c_prev = m + window, c_prev.concat(value)
-            assert chain.absorb([window]) == c_prev.to_bytes()
+            assert chain.absorb(()) == c_bytes
+            m, c_prev, c_bits = m + window, c_prev << beta | value.value, c_bits + beta
+            assert chain.absorb([window]) == BitString(c_prev, c_bits).to_bytes()
         # One call over every window, or two calls split inside a c_prev byte.
         for split in (0, 3, len(windows)):
             chain = BitChain(OracleSuite(bit_salt=b"salt").bit_oracle(), beta)
             chain.absorb(windows[:split])
-            assert chain.absorb(iter(windows[split:])) == c_prev.to_bytes()
+            assert chain.absorb(iter(windows[split:])) == BitString(c_prev, c_bits).to_bytes()
 
     def test_absorb_returns_a_snapshot(self):
         chain = BitChain(OracleSuite().bit_oracle(), 2)

@@ -95,18 +95,22 @@ class TestDetect:
             schnorr_keys, params328, text, suite=suite, known_offset=0
         ).detected
 
-    def test_corrupting_the_last_block_is_absorbed(
-        self, marked, params328, schnorr_keys, suite
+    @pytest.mark.parametrize("block", range(173, 181))
+    def test_an_edit_in_the_last_8_blocks_is_absorbed(
+        self, marked, params328, schnorr_keys, suite, block
     ):
-        # only the final chunk depends on the final block, so the code's
-        # error budget swallows the damage
-        flip = "A" if marked[-1] != "A" else "B"
-        text = marked[:-1] + flip
+        # An edit in signature block j redraws chunks j..180, which lie in
+        # code symbols 43 and 44 (four 2-bit chunks per byte) for j >= 173:
+        # two bad symbols, within t = 2 when nothing was planted.
+        ell = params328.ell
         clean = detect(schnorr_keys, params328, marked, suite=suite, known_offset=0)
-        result = detect(schnorr_keys, params328, text, suite=suite, known_offset=0)
-        assert result.detected
-        assert result.corrected_errors <= 1
-        assert result.recovered_sig == clean.recovered_sig
+        for pos in (block * ell, block * ell + ell // 2, (block + 1) * ell - 1):
+            flip = "A" if marked[pos] != "A" else "B"
+            text = marked[:pos] + flip + marked[pos + 1 :]
+            result = detect(schnorr_keys, params328, text, suite=suite, known_offset=0)
+            assert result.detected, pos
+            assert result.corrected_errors <= 2
+            assert result.recovered_sig == clean.recovered_sig
 
     def test_wrong_key_not_detected(self, marked, params328, suite):
         other = keygen(b"a different keypair")

@@ -12,7 +12,6 @@ from pdws.core import (
     EmbedTranscript,
     ParameterError,
     WatermarkParams,
-    chunk,
 )
 from pdws.crypto import BitChain, h_bit, sign
 from pdws.detector import detect_all
@@ -37,19 +36,22 @@ def chain_replay(params, suite, keys, msg_text, block_texts):
     """
     msg = msg_text.encode("utf-8")
     sigma = sign(keys, suite.h_sign(msg))
-    masked = suite.h_mask(msg, params.lambda_c) ^ encode(sigma, params)
-    targets = chunk(masked, params.beta)
+    masked = (suite.h_mask(msg, params.lambda_c) ^ encode(sigma, params)).value
+    beta, n = params.beta, params.n_blocks
+    # Chunk j takes bits (j-1)*beta .. j*beta-1, bit 0 the most significant.
+    targets = [masked >> (n - j) * beta & ((1 << beta) - 1) for j in range(1, n + 1)]
     assert len(block_texts) == len(targets)
 
     m_acc = b""
-    c_prev = BitString(0, 0)
+    c_prev = 0  # the chunk values so far, beta bits each
     out = []
     for j, (text, target) in enumerate(zip(block_texts, targets), start=1):
         x = text.encode("utf-8")
-        achieved = h_bit(m_acc + x + c_prev.to_bytes(), params.beta, suite.bit_salt)
+        c_bytes = BitString(c_prev, (j - 1) * beta).to_bytes()
+        achieved = h_bit(m_acc + x + c_bytes, beta, suite.bit_salt).value
         out.append((j, achieved, target))
         m_acc += x
-        c_prev = c_prev.concat(achieved)
+        c_prev = c_prev << beta | achieved
     return out
 
 
@@ -236,7 +238,7 @@ class TestAttemptStatistics:
 class TestRejectSampleTokens:
     def test_accepted_block_satisfies_hash(self, params328, model64, suite):
         rng = SamplerState(11)
-        target = BitString(0b10, 2)
+        target = 0b10
         chain = BitChain(suite.bit_oracle(), params328.beta)
         text, window, achieved, rec = reject_sample_tokens(
             target, "", chain, params328, model64, window_start=0, rng=rng
@@ -246,9 +248,9 @@ class TestRejectSampleTokens:
         assert window == rec.text.encode()
         assert not rec.planted_error
         assert rec.attempts >= 1
-        assert achieved == target.value
+        assert achieved == target
         assert chain.absorb(()) == b""  # candidates are only peeked
-        assert h_bit(window, params328.beta, suite.bit_salt) == target
+        assert h_bit(window, params328.beta, suite.bit_salt).value == target
 
     def test_forced_block_plants_with_achieved_chunk(self, params328, suite):
         model = ModelHandle(
@@ -257,7 +259,7 @@ class TestRejectSampleTokens:
             script_cycle=True,
         )
         achieved = h_bit(("Z" * params328.ell).encode(), params328.beta, suite.bit_salt)
-        bad_target = BitString(achieved.value ^ 0b01, 2)
+        bad_target = achieved.value ^ 0b01
         chain = BitChain(suite.bit_oracle(), params328.beta)
         text, window, value, rec = reject_sample_tokens(
             bad_target, "", chain, params328, model, window_start=0, rng=SamplerState(12)
@@ -278,14 +280,14 @@ class TestRejectSampleTokens:
         achieved = chain.peek(window)
         for value in range(4):
             got = reject_sample_tokens(
-                BitString(value, 2), text, chain, params328, model64,
+                value, text, chain, params328, model64,
                 window_start=16, rng=SamplerState(3),
             )
             record = BlockRecord(1, (value ^ achieved).bit_count(), text[16:32])
             assert got == (text, window, achieved, record)
 
 
-def whole_text_reject_sample(target_chunk, text, chain, params, model, *, prompt="",
+def whole_text_reject_sample(target, text, chain, params, model, *, prompt="",
                              window_start, rng):
     """The rejection loop that built each candidate's whole text: the oracle.
 
@@ -303,7 +305,7 @@ def whole_text_reject_sample(target_chunk, text, chain, params, model, *, prompt
             )
         window_bytes = cand[window_start:window_end].encode("utf-8")
         achieved = chain.peek(window_bytes)
-        distance = (achieved ^ target_chunk.value).bit_count()
+        distance = (achieved ^ target).bit_count()
         if best is None or distance < best[0]:
             best = (distance, cand, window_bytes, achieved)
         if not distance or len(text) >= window_end:
@@ -338,8 +340,7 @@ class TestRejectSampleTokensOracle:
         retried = 0
         for seed in range(6):
             for value in range(2**params328.beta):
-                target = BitString(value, params328.beta)
-                args = (target, text, chain, params328, model)
+                args = (value, text, chain, params328, model)
                 kwargs = dict(prompt="p", window_start=window_start)
                 got = reject_sample_tokens(*args, **kwargs, rng=SamplerState(seed))
                 want = whole_text_reject_sample(*args, **kwargs, rng=SamplerState(seed))
@@ -457,7 +458,7 @@ class TestMultiCharTokens:
         for j in range(3):
             # targets must be achievable, not fixed: pick whatever we like;
             # rejection keeps sampling until the chain hash matches
-            target = BitString(j % 4, 2)
+            target = j % 4
             window_start = j * params328.ell
             prefix_before = text
             text, window, _, rec = reject_sample_tokens(
@@ -479,15 +480,14 @@ class TestMultiCharTokens:
 
         # detector-style replay over fixed character windows agrees
         m_replay = b""
-        c_replay = BitString(0, 0)
+        c_replay = 0  # the chunk values so far, 2 bits each
         for j, target in enumerate(targets):
             window = text[j * params328.ell : (j + 1) * params328.ell]
-            achieved = h_bit(
-                m_replay + window.encode() + c_replay.to_bytes(), params328.beta, suite.bit_salt
-            )
-            assert achieved == target
+            c_bytes = BitString(c_replay, 2 * j).to_bytes()
+            achieved = h_bit(m_replay + window.encode() + c_bytes, params328.beta, suite.bit_salt)
+            assert achieved.value == target
             m_replay += window.encode()
-            c_replay = c_replay.concat(achieved)
+            c_replay = c_replay << 2 | achieved.value
 
 
 def embed_gadgets(params, keys, model, suite, k, tiled, seed):
@@ -600,7 +600,7 @@ class TestOneRequestPerContext:
                     if every_attempt:
                         asking_every_attempt(mp)
                     out = reject_sample_tokens(
-                        BitString(value, params328.beta),
+                        value,
                         "ab",
                         BitChain(suite.bit_oracle(), params328.beta),
                         params328,

@@ -18,6 +18,9 @@ parent's BENCHMARK.json. In order, the tool runs:
            seed for a claimed gain, or a second set for a noisy workload;
   tier1    the tests of each side, parent, change, change, parent, timed
            in wall seconds.
+Each side also gets ROADMAP aim 2's two numbers, under "design": the
+lines of its src/pdws/*.py (as `cat src/pdws/*.py | wc -l` counts them)
+and the names in its pdws.__all__, read from the literal with ast.
 Every run is kept under "runs", and the file is rewritten after each run,
 so an interrupted build keeps what it measured. The summary gives, per
 workload and metric, each side's median and quartiles, the change's
@@ -38,6 +41,7 @@ The tool imports nothing from the program; it only runs it.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -168,6 +172,17 @@ def failures(runs: list) -> list:
     return out
 
 
+def design_numbers(tree: Path) -> dict:
+    """Source lines of tree's src/pdws/*.py, and the length of its pdws.__all__ literal."""
+    package = tree / "src" / "pdws"
+    lines = sum(p.read_bytes().count(b"\n") for p in package.glob("*.py"))
+    module = ast.parse((package / "__init__.py").read_bytes())
+    exported = next(ast.literal_eval(node.value) for node in module.body
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    return {"source_lines": lines, "exported_names": len(exported)}
+
+
 def export(rev: str, root: Path) -> tuple[str, Path]:
     """The commit rev names, and a directory holding its files."""
     sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], check=True,
@@ -247,6 +262,7 @@ def main(argv=None) -> int:
                          % (" ".join(["python"] + TIER1[1:]), TIER1_RUNS),
             },
             "quartiles": QUARTILES,
+            "design": {side: design_numbers(tree) for side, tree in trees.items()},
         }
 
         def by(purpose):
