@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -197,34 +196,41 @@ class OracleSuite:
 # Signature schemes
 # ---------------------------------------------------------------------------
 
-# Exponent bits per window-table row; each row holds 2^_WINDOW_BITS powers.
-_WINDOW_BITS = 6
+# Exponent bits per table row; each row holds 2^_ROW_BITS powers.
+_ROW_BITS = 8
 
 
-def _window_table(base: int, modulus: int, exponent_bits: int) -> tuple[tuple[int, ...], ...]:
-    """Row i holds base^(d * 2^(w*i)) mod modulus for every digit d < 2^w."""
-    rows = []
-    for _ in range(-(-exponent_bits // _WINDOW_BITS)):
-        row = [1]
-        for _ in range((1 << _WINDOW_BITS) - 1):
-            row.append(row[-1] * base % modulus)
-        rows.append(tuple(row))
-        base = row[-1] * base % modulus
-    return tuple(rows)
+def _table_pow(table: list[list[int]], exponent: int, modulus: int) -> int:
+    """base^exponent mod modulus from _table(base), one multiply per non-zero digit.
 
-
-def _table_pow(table: tuple[tuple[int, ...], ...], exponent: int, modulus: int) -> int:
-    """base^exponent mod modulus from _window_table(base, ...), one multiply per row."""
-    if exponent < 0 or exponent >> (_WINDOW_BITS * len(table)):
+    A digit whose entry is still missing (0) is filled first and kept.
+    """
+    if exponent < 0 or exponent >> (_ROW_BITS * len(table)):
         raise ValueError("exponent outside the table's range")
-    mask = (1 << _WINDOW_BITS) - 1
+    mask = (1 << _ROW_BITS) - 1
     acc = 1
     for row in table:
         digit = exponent & mask
         if digit:
-            acc = acc * row[digit] % modulus
-        exponent >>= _WINDOW_BITS
+            acc = acc * (row[digit] or _fill(row, digit, modulus)) % modulus
+        exponent >>= _ROW_BITS
     return acc
+
+
+def _fill(row: list[int], digit: int, modulus: int) -> int:
+    """Set row[digit] from the entries of two digits that split its bits, filled as needed.
+
+    A digit with both nibbles set splits into its nibbles; any other into its
+    lowest bit and the rest. So the filled entries beyond the digits read
+    are nibble digits, at most 22 a row.
+    """
+    low = digit & 0x0F
+    if low == digit or not low:
+        low = digit & -digit
+    high = digit ^ low
+    row[digit] = ((row[high] or _fill(row, high, modulus))
+                  * (row[low] or _fill(row, low, modulus)) % modulus)
+    return row[digit]
 
 
 @dataclass(frozen=True)
@@ -334,10 +340,8 @@ class SchnorrP1024:
         ) % self.Q
         if k == 0:
             k = 1
-        if next(_use_count("sign", verify_key)):
-            r_point = _table_pow(_table(self.G), k, self.P)
-        else:
-            r_point = pow(self.G, k, self.P)
+        # Every entry is filled first, so the nonce's digits only ever read.
+        r_point = _table_pow(_full_table(self.G), k, self.P)
         e = self._challenge(r_point, verify_key, digest)
         s = (k + e * x) % self.Q
         return BitString(e << self._HALF_BITS | s, self.sig_bits)
@@ -349,25 +353,36 @@ class SchnorrP1024:
         # R' = g^s * y^(-e); y has order q so reduce the exponent mod q.
         t = self.Q - e % self.Q
         y = int.from_bytes(verify_key, "big")
-        if next(_use_count("verify", verify_key)):
-            g_s = _table_pow(_table(self.G), s, self.P)
-            y_t = _table_pow(_table(y), t, self.P)
-        else:
-            g_s, y_t = pow(self.G, s, self.P), pow(y, t, self.P)
+        g_s = _table_pow(_table(self.G), s, self.P)
+        y_t = _table_pow(_table(y), t, self.P)
         return self._challenge(g_s * y_t % self.P, verify_key, digest) == e
 
 
-@functools.lru_cache(maxsize=16)
-def _use_count(role: str, verify_key: bytes) -> itertools.count:
-    """Counts a key's uses in one role ("sign" or "verify") from 0; tables wait for the second."""
-    return itertools.count()
-
-
-# g is read before y in every table verify, and alone in every table sign,
-# so no key's table evicts g's.
+# g is read first in every verify, so no key's table evicts g's; the
+# signing path holds g's full table besides.
 @functools.lru_cache(maxsize=9)
-def _table(base: int) -> tuple[tuple[int, ...], ...]:
-    return _window_table(base, SchnorrP1024.P, SchnorrP1024._HALF_BITS)
+def _table(base: int) -> list[list[int]]:
+    """Row i holds base^(d * 2^(8i)) mod P at digit d; only 1 and the powers of two are set."""
+    rows = []
+    for _ in range(-(-SchnorrP1024._HALF_BITS // _ROW_BITS)):
+        row = [0] * (1 << _ROW_BITS)
+        row[0] = 1
+        for bit in range(_ROW_BITS):
+            row[1 << bit] = base
+            base = base * base % SchnorrP1024.P
+        rows.append(row)
+    return rows
+
+
+@functools.lru_cache(maxsize=1)
+def _full_table(base: int) -> list[list[int]]:
+    """_table(base) with every entry filled: one multiply per entry, once."""
+    table = _table(base)
+    for row in table:
+        for digit in range(1 << _ROW_BITS):
+            if not row[digit]:
+                _fill(row, digit, SchnorrP1024.P)
+    return table
 
 
 class Ed25519Scheme:

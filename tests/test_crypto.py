@@ -11,9 +11,9 @@ from pdws.crypto import (
     OracleSuite,
     SchnorrP1024,
     _SCHEMES,
+    _full_table,
     _table,
     _table_pow,
-    _use_count,
     available_schemes,
     get_scheme,
     h_bit,
@@ -289,40 +289,46 @@ def test_verify_tables_follow_the_key():
         assert not verify(pub, digest, other)
 
 
-def test_first_verify_under_a_key_builds_no_table():
-    # A one-shot verify pays two pows; tables come from a key's second verify.
-    secret = keygen(b"one-shot")
+@pytest.mark.parametrize("base", ["g", "y"])
+def test_lazy_table_fills_and_keeps_what_pow_gives(base):
+    P, Q = SchnorrP1024.P, SchnorrP1024.Q
+    value = SchnorrP1024.G if base == "g" else int.from_bytes(keygen(b"lazy").verify_key, "big")
+    _table.cache_clear()
+    table = _table(value)
+    rows = len(table)
+    rng = random.Random(11)
+    exponents = [0, 1, Q - 1, 2 ** (8 * rows) - 1] + [rng.getrandbits(164) for _ in range(50)]
+    for _ in range(2):  # the first pass fills entries, the second reads the kept ones
+        for x in exponents:
+            assert _table_pow(table, x, P) == pow(value, x, P)
+    assert _table(value) is table
+
+
+def test_verify_under_a_fresh_key_matches_pow():
+    P, Q, G = SchnorrP1024.P, SchnorrP1024.Q, SchnorrP1024.G
+    secret, other = keygen(b"fresh-verify"), keygen(b"other")
     keys = secret.public_only()
-    digest = SUITE.h_sign(b"msg")
-    good, bad = sign(secret, digest), sign(keygen(b"other"), digest)
-    for sig, verdict in ((good, True), (bad, False)):
-        for cached in (_use_count, _table):
-            cached.cache_clear()
-        assert verify(keys, digest, sig) is verdict
-        assert _table.cache_info().currsize == 0
-        assert verify(keys, digest, sig) is verdict
-        # g's table and the key's
-        assert _table.cache_info().currsize == 2
+    y = int.from_bytes(keys.verify_key, "big")
+
+    def by_pow(digest, sig):
+        e, s = divmod(sig.value, 1 << 164)
+        r_point = pow(G, s, P) * pow(y, Q - e % Q, P) % P
+        return s < Q and SchnorrP1024()._challenge(r_point, keys.verify_key, digest) == e
+
+    for signer, verdict in ((secret, True), (other, False)):
+        _table.cache_clear()
+        for use in range(1, 51):  # the key's 1st, 2nd ... 50th verify
+            digest = SUITE.h_sign(b"m%d" % use)
+            sig = sign(signer, digest)
+            assert verify(keys, digest, sig) is by_pow(digest.to_bytes(), sig) is verdict
 
 
-def test_first_sign_under_a_key_builds_no_table():
-    # A one-shot sign pays one pow; g's table comes from a key's second sign.
-    secret = keygen(b"sign-once")
-    a, b = SUITE.h_sign(b"a"), SUITE.h_sign(b"b")
-    signed = []
-    for one, two in ((a, b), (b, a)):
-        for cached in (_use_count, _table):
-            cached.cache_clear()
-        by_pow = sign(secret, one)
-        assert _table.cache_info().currsize == 0
-        by_table = sign(secret, two)
-        assert _table.cache_info().currsize == 1
-        _table(SchnorrP1024.G)
-        assert _table.cache_info().misses == 1  # g's is the one table built
-        signed.append((by_pow, by_table))
-    (a_by_pow, b_by_table), (b_by_pow, a_by_table) = signed
-    assert a_by_pow == a_by_table and b_by_pow == b_by_table
-    assert verify(secret.public_only(), a, a_by_pow) and verify(secret.public_only(), b, b_by_pow)
+def test_one_sign_fills_g_table():
+    for cached in (_full_table, _table):
+        cached.cache_clear()
+    assert 0 in _table(SchnorrP1024.G)[0]
+    sign(keygen(b"fill"), SUITE.h_sign(b"msg"))
+    assert all(all(row) for row in _table(SchnorrP1024.G))
 
 
 def test_g_table_outlives_eight_newer_keys():
