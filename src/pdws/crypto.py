@@ -29,15 +29,18 @@ is cached per key.
 
 A scan runs one verify at every offset whose decode succeeds, which is
 every offset under a bypass code such as ``gamma0-328``. Schnorr verify
-therefore evaluates both of its powers from fixed-base window tables, one
-cache holding g's and those of the last 8 public keys y, and Schnorr sign
-takes its g^k from g's table. Each role counts its own uses per key, and a
-table is read from a key's second use in that role: verify reads both
-tables from the second verify, sign reads g's from the second sign. So a
-process that signs once, or verifies once (``pdws detect
---known-offset``), or signs once and then verifies once, builds no table.
-Each build costs about 9-11 ms; a power then takes about a sixth of
-``pow``'s time. A key check runs once per key and stays on ``pow``.
+therefore evaluates both of its powers from fixed-base tables, one cache
+holding g's and those of the last 8 public keys y. A table row covers 8
+exponent bits, so a 164-bit power is at most 21 multiplies and a verify
+43. A new table holds only each row's powers of two, 8 squarings a row,
+about the cost of one ``pow``; an entry read while missing is filled from
+two others and kept. The first verify under a key takes about 1.8 ms
+against 1.3 ms for two ``pow`` calls, and later ones grow cheaper as the
+tables fill, to about 0.15 ms (2-vCPU VM, Python 3.11.7). A full table
+holds about 0.9 MB. Schnorr sign reads g's table only once every entry is
+filled, which the first sign in a process does (about 20 ms), so a secret
+nonce's digits never choose between reading an entry and filling it. A
+key check runs once per key and stays on ``pow``.
 """
 
 from __future__ import annotations

@@ -316,10 +316,10 @@ def test_verify_under_a_fresh_key_matches_pow():
         return s < Q and SchnorrP1024()._challenge(r_point, keys.verify_key, digest) == e
 
     for signer, verdict in ((secret, True), (other, False)):
-        _table.cache_clear()
-        for use in range(1, 51):  # the key's 1st, 2nd ... 50th verify
-            digest = SUITE.h_sign(b"m%d" % use)
-            sig = sign(signer, digest)
+        digests = [SUITE.h_sign(b"m%d" % use) for use in range(1, 51)]
+        sigs = [sign(signer, digest) for digest in digests]
+        _table.cache_clear()  # the 1st verify finds g's table and y's both new
+        for digest, sig in zip(digests, sigs):  # the key's 1st, 2nd ... 50th verify
             assert verify(keys, digest, sig) is by_pow(digest.to_bytes(), sig) is verdict
 
 
