@@ -5,16 +5,8 @@ budget smooths runtime when some blocks have no entropy to work with."""
 import dataclasses
 import time
 
-from pdws import (
-    EmbedFailure,
-    ModelHandle,
-    OracleSuite,
-    WatermarkParams,
-    expected_chars,
-    keygen,
-    run_bench,
-    watermark,
-)
+from pdws import EmbedFailure, ModelHandle, OracleSuite, WatermarkParams, keygen, watermark
+from pdws.bench import expected_chars, run_bench
 
 keys = keygen(b"demo-bench")
 suite = OracleSuite(b"demo-sign", b"demo-mask", b"demo-bit")

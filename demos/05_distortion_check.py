@@ -10,7 +10,8 @@ still look uniform. Second: the bit oracle itself is balanced across salts.
 import numpy as np
 from scipy import stats
 
-from pdws import ModelHandle, OracleSuite, WatermarkParams, h_bit, keygen, watermark
+from pdws import ModelHandle, OracleSuite, WatermarkParams, keygen, watermark
+from pdws.crypto import h_bit
 
 params = WatermarkParams(
     ell=4, beta=1, gamma_max=2, a_max=64, n=1444,

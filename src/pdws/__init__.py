@@ -9,10 +9,9 @@ forge a positive without the signing key.
 The top level holds the protocol, the types it takes and returns, and the
 errors the command line maps to exit codes. The error-correcting code is
 read off the Layout (parity_symbols, ecc_block). Internals (the byte code,
-sampling, raw sign/verify) are imported from their submodules.
+sampling, h_bit, raw sign/verify, the bench) stay in their submodules.
 """
 
-from .bench import expected_chars, run_bench
 from .core import (
     BitString,
     BlockRecord,
@@ -21,7 +20,7 @@ from .core import (
     ParameterError,
     WatermarkParams,
 )
-from .crypto import KeyMaterial, KeyMaterialError, OracleSuite, h_bit, keygen
+from .crypto import KeyMaterial, KeyMaterialError, OracleSuite, keygen
 from .detector import DetectionResult, detect, detect_all
 from .embedder import EmbedFailure, tile_compress, watermark
 from .model import (
@@ -52,11 +51,8 @@ __all__ = [
     "WatermarkParams",
     "detect",
     "detect_all",
-    "expected_chars",
-    "h_bit",
     "keygen",
     "next_distribution",
-    "run_bench",
     "tile_compress",
     "watermark",
 ]

@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Optional
 
 from . import crypto
-from .bench import run_bench
 from .core import FORMAT_VERSION, Layout, ParameterError, WatermarkParams, json_fields, parse_json
 from .core import _require_hex
 from .crypto import KeyMaterial, KeyMaterialError, OracleSuite
@@ -278,6 +277,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import run_bench
+
     keys, params, suite = _read_secret_envelope(args.key)
     model = _load_model(args)
     bundled = resources.files("pdws") / "profiles" / "prompts.txt"

@@ -18,7 +18,9 @@ Signature schemes live behind a small registry keyed by scheme_id:
   signature budget; treat it as demonstration-grade, not long-term key
   material.
 * ``ed25519``: RFC 8032 via the cryptography package, 512-bit signatures,
-  for deployments that prefer a standard scheme over the compact one.
+  for deployments that prefer a standard scheme over the compact one. The
+  package is imported at the first Ed25519 sign, verify or key derivation,
+  so a Schnorr-only process never loads it.
 
 Both schemes sign deterministically; embedding relies on equal message,
 equal signature. No ``KeyMaterial`` can hold a public key its scheme
@@ -32,15 +34,13 @@ every offset under a bypass code such as ``gamma0-328``. Schnorr verify
 therefore evaluates both of its powers from fixed-base tables, one cache
 holding g's and those of the last 8 public keys y. A table row covers 8
 exponent bits, so a 164-bit power is at most 21 multiplies and a verify
-43. A new table holds only each row's powers of two, 8 squarings a row,
-about the cost of one ``pow``; an entry read while missing is filled from
-two others and kept. The first verify under a key takes about 1.8 ms
-against 1.3 ms for two ``pow`` calls, and later ones grow cheaper as the
-tables fill, to about 0.15 ms (2-vCPU VM, Python 3.11.7). A full table
-holds about 0.9 MB. Schnorr sign reads g's table only once every entry is
-filled, which the first sign in a process does (about 20 ms), so a secret
-nonce's digits never choose between reading an entry and filling it. A
-key check runs once per key and stays on ``pow``.
+at most 43. A new table holds only each row's powers of two, 8 squarings
+a row; an entry read while missing is filled from two others, one
+multiply, and kept. Schnorr sign fills g's table once per signing process
+(about 4,950 multiplies, 0.9 MB): every entry a nonce below q can index is
+filled before sign reads, so a secret nonce's digits never choose between
+reading an entry and filling it. A key check runs once per key and stays
+on ``pow``.
 """
 
 from __future__ import annotations
@@ -50,13 +50,6 @@ import hashlib
 import os
 from dataclasses import dataclass
 from typing import Optional
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .core import BitString, ParameterError, _require_hex, _require_int, json_fields
 
@@ -379,10 +372,10 @@ def _table(base: int) -> list[list[int]]:
 
 @functools.lru_cache(maxsize=1)
 def _full_table(base: int) -> list[list[int]]:
-    """_table(base) with every entry filled: one multiply per entry, once."""
+    """_table(base) with every entry an exponent below 2^164 can index filled, once."""
     table = _table(base)
-    for row in table:
-        for digit in range(1 << _ROW_BITS):
+    for i, row in enumerate(table):  # the top row, bits 160-167, only below digit 16
+        for digit in range(1 << min(_ROW_BITS, SchnorrP1024._HALF_BITS - _ROW_BITS * i)):
             if not row[digit]:
                 _fill(row, digit, SchnorrP1024.P)
     return table
@@ -401,6 +394,9 @@ class Ed25519Scheme:
         return KeyMaterial(self.scheme_id, self.derive_verify_key(seed), seed)
 
     def derive_verify_key(self, signing_key: bytes) -> bytes:
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+        from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
+
         try:
             key = Ed25519PrivateKey.from_private_bytes(signing_key)
         except (ValueError, TypeError) as exc:
@@ -426,10 +422,15 @@ class Ed25519Scheme:
             raise KeyMaterialError("ed25519 public key has x = 0 with the sign bit set")
 
     def sign(self, signing_key: bytes, verify_key: bytes, digest: bytes) -> BitString:
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
         key = Ed25519PrivateKey.from_private_bytes(signing_key)
         return BitString.from_bytes(key.sign(digest), self.sig_bits)
 
     def verify(self, verify_key: bytes, digest: bytes, sig: BitString) -> bool:
+        from cryptography.exceptions import InvalidSignature
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+
         try:
             Ed25519PublicKey.from_public_bytes(verify_key).verify(sig.to_bytes(), digest)
             return True

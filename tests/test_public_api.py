@@ -2,7 +2,10 @@
 
 import argparse
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -15,14 +18,38 @@ PUBLIC = [
     "BitString", "BlockRecord", "DetectionResult", "EmbedFailure", "EmbedTranscript",
     "KeyMaterial", "KeyMaterialError", "Layout", "ModelHandle", "OracleSuite",
     "ParameterError", "ProtocolError", "TokenDistribution", "TransportError",
-    "WatermarkParams", "detect", "detect_all", "expected_chars", "h_bit", "keygen",
-    "next_distribution", "run_bench", "tile_compress", "watermark",
+    "WatermarkParams", "detect", "detect_all", "keygen", "next_distribution",
+    "tile_compress", "watermark",
 ]
 
 
 def test_all_is_pinned():
     assert sorted(pdws.__all__) == sorted(PUBLIC)
     assert all(hasattr(pdws, name) for name in pdws.__all__)
+
+
+def test_protocol_processes_load_neither_cryptography_nor_the_bench(tmp_path):
+    # Schnorr keygen, embedding and detection, and pdws detect, need neither
+    # cryptography nor pdws.bench and its platform import. numpy, which the
+    # first embed loads, imports platform itself, so that check comes first.
+    (tmp_path / "plain.txt").write_text("unmarked text " * 250, encoding="utf-8")
+    code = """if True:
+        import sys, pdws, pdws.cli
+        unwanted = {"cryptography", "pdws.bench", "platform"}
+        assert pdws.cli.main(["keygen", "secret.json", "public.json", "--seed", "1"]) == 0
+        assert pdws.cli.main(["detect", "--public", "public.json", "plain.txt"]) == 1
+        assert not unwanted & set(sys.modules), unwanted & set(sys.modules)
+        params, keys = pdws.WatermarkParams(a_max=64), pdws.keygen(b"k")
+        model = pdws.ModelHandle(kind="uniform-mock")
+        text, _ = pdws.watermark(params, keys, model, "p", seed=1)
+        assert pdws.detect(keys.public_only(), params.layout, "xx" + text).offset == 2
+        unwanted.discard("platform")
+        assert not unwanted & set(sys.modules), unwanted & set(sys.modules)
+        pdws.keygen(b"k", scheme_id="ed25519")
+        assert "cryptography" in sys.modules
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True)
 
 
 def _top_level_imports(source):
