@@ -42,12 +42,10 @@ from pathlib import Path
 from typing import Optional
 
 from . import crypto
-from .core import FORMAT_VERSION, Layout, ParameterError, WatermarkParams, json_fields, parse_json
-from .core import _require_hex
+from .core import FORMAT_VERSION, EmbedFailure, Layout, ParameterError, ProtocolError
+from .core import TransportError, WatermarkParams, _require_hex, json_fields, parse_json
 from .crypto import KeyMaterial, KeyMaterialError, OracleSuite
 from .detector import detect
-from .embedder import EmbedFailure, watermark
-from .model import ModelHandle, ProtocolError, TransportError
 
 SECRET_KIND = "pdws-secret-key"
 PUBLIC_KIND = "pdws-public-key"
@@ -176,7 +174,9 @@ def _dump_json(d: dict, path: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_model(args) -> ModelHandle:
+def _load_model(args):
+    from .model import ModelHandle
+
     spec = args.model
     endpoint_env = os.environ.get(_ENDPOINT_ENV)
     if spec == "uniform-mock" or spec is None and not endpoint_env:
@@ -239,6 +239,8 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_watermark(args) -> int:
+    from .embedder import watermark
+
     keys, params, suite = _read_secret_envelope(args.key)
     if args.n is not None:
         params = dataclasses.replace(params, n=args.n)

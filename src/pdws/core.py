@@ -1,16 +1,18 @@
-"""Shared value types for the watermarking protocol.
+"""Shared value types and errors for the watermarking protocol.
 
-Everything here is an immutable value: fixed-length bit strings (the
-signature, digest, mask and codeword carriers), the gadget layout a verifier
-needs, the full parameter profile the embedder reads its knobs from, and
-the per-block transcript of an embedding run. Each stores only its
-independent fields; what follows from them (n_blocks, gadget_chars, the
-error-correcting code, planted_error, gamma_used) is computed. A Layout
-that constructs has a code: none when lambda_c == lambda_sig, else
-Reed-Solomon over bytes with an even, positive parity count and at most
-255 symbols. Layout and parameter fields other than alpha must be ints,
-and alpha a finite positive number, so a JSON 2.0 or true is rejected
-rather than read as 2 or 1.
+The errors are those the command line maps to exit codes (ParameterError 2,
+EmbedFailure 3, TransportError and ProtocolError 4), kept here so that
+catching them loads neither the embedder nor the model. Every other name is
+an immutable value: fixed-length bit strings (the signature, digest, mask
+and codeword carriers), the gadget layout a verifier needs, the full
+parameter profile the embedder reads its knobs from, and the per-block
+transcript of an embedding run. Each stores only its independent fields;
+what follows from them (n_blocks, gadget_chars, the error-correcting code,
+planted_error, gamma_used) is computed. A Layout that constructs has a
+code: none when lambda_c == lambda_sig, else Reed-Solomon over bytes with
+an even, positive parity count and at most 255 symbols. Layout and
+parameter fields other than alpha must be ints, and alpha a finite positive
+number, so a JSON 2.0 or true is rejected rather than read as 2 or 1.
 
 Bit order convention: bit 0 of a BitString is the most significant bit of
 byte 0, and serialization is big-endian throughout. A BitString has no
@@ -30,6 +32,26 @@ from typing import Optional
 
 class ParameterError(ValueError):
     """Raised for invalid protocol parameters or mismatched operand shapes."""
+
+
+class EmbedFailure(RuntimeError):
+    """A block found no hash match and the planted-error budget was spent."""
+
+    def __init__(self, gadget_index: int, block_index: int):
+        self.gadget_index = gadget_index
+        self.block_index = block_index
+        super().__init__(
+            "no matching block within a_max attempts and gamma budget exhausted "
+            "(gadget %d, block %d)" % (gadget_index, block_index)
+        )
+
+
+class TransportError(RuntimeError):
+    """Remote endpoint unreachable or persistently failing."""
+
+
+class ProtocolError(RuntimeError):
+    """Remote endpoint answered with something other than the wire format."""
 
 
 FORMAT_VERSION = 1

@@ -29,6 +29,7 @@ import logging
 from . import crypto, ecc
 from .core import (
     BlockRecord,
+    EmbedFailure,
     EmbedTranscript,
     ParameterError,
     WatermarkParams,
@@ -41,18 +42,6 @@ from .rng import SamplerState
 logger = logging.getLogger(__name__)
 
 _MSG_BLOCK = 0  # rng label for the message block; signature blocks are 1-based
-
-
-class EmbedFailure(RuntimeError):
-    """A block found no hash match and the planted-error budget was spent."""
-
-    def __init__(self, gadget_index: int, block_index: int):
-        self.gadget_index = gadget_index
-        self.block_index = block_index
-        super().__init__(
-            "no matching block within a_max attempts and gamma budget exhausted "
-            "(gadget %d, block %d)" % (gadget_index, block_index)
-        )
 
 
 def reject_sample_tokens(

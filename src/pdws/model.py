@@ -48,7 +48,8 @@ from threading import TIMEOUT_MAX  # seconds; a longer socket timeout overflows 
 from typing import Iterator, Optional
 from urllib.parse import urlsplit
 
-from .core import ParameterError, _require_ints, json_fields, parse_json
+from .core import ParameterError, ProtocolError, TransportError, _require_ints
+from .core import json_fields, parse_json
 from .rng import SamplerState
 
 DEFAULT_ALPHABET = string.ascii_letters + string.digits + " ."  # 64 characters
@@ -61,14 +62,6 @@ _READS = {
     "scripted-mock": ("alphabet", "script", "script_cycle"),
     "remote": ("endpoint", "top_k", "timeout_ms", "retries"),
 }
-
-
-class TransportError(RuntimeError):
-    """Remote endpoint unreachable or persistently failing."""
-
-
-class ProtocolError(RuntimeError):
-    """Remote endpoint answered with something other than the wire format."""
 
 
 @dataclass(frozen=True)

@@ -125,3 +125,24 @@ def test_design_numbers_count_source_lines_and_exported_names(tmp_path):
     (package / "notes.txt").write_text("not\ncounted\n")
     (tmp_path / "src" / "other.py").write_text("not counted\n")
     assert bench_pairs.design_numbers(tmp_path) == {"source_lines": 11, "exported_names": 2}
+
+
+def test_one_shot_summary_compares_steps_and_names_faults():
+    def round_(side, pair, wall_s, returncode=0, digest="aa"):
+        steps = {step: {"wall_s": wall_s, "returncode": 0, "stdout_sha256": "aa"}
+                 for step in bench_pairs.ONE_SHOT}
+        steps["detect_known_offset"].update(returncode=returncode, stdout_sha256=digest)
+        return {"purpose": "one_shot", "side": side, "pair": pair, "steps": steps}
+
+    runs = [round_("parent", 0, 0.3), round_("change", 0, 0.2),
+            round_("change", 1, 0.2, returncode=1, digest="bb"), round_("parent", 1, 0.1),
+            round_("parent", 2, 0.5)]  # its change round is missing
+    summary, faults = bench_pairs.one_shot_summary(runs)
+    assert set(summary) == set(bench_pairs.ONE_SHOT)
+    detect = summary["detect_known_offset"]
+    assert detect["parent_runs"] == [0.3, 0.1] and detect["change_runs"] == [0.2, 0.2]
+    assert detect["change_wins"] == "1 of 2"
+    assert detect["change"]["median"] == pytest.approx(0.2)
+    assert faults == ["one_shot detect_known_offset round 1 change: exit 1",
+                      "one_shot detect_known_offset round 1: change output differs"]
+    assert bench_pairs.one_shot_summary(runs[-1:]) == ({}, [])

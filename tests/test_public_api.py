@@ -32,18 +32,28 @@ def test_protocol_processes_load_neither_cryptography_nor_the_bench(tmp_path):
     # Schnorr keygen, embedding and detection, and pdws detect, need neither
     # cryptography nor pdws.bench and its platform import. numpy, which the
     # first embed loads, imports platform itself, so that check comes first.
+    # Keygen and detection load no sampling module either: the embedder, the
+    # model and the rng import on first access to a sampling name.
     (tmp_path / "plain.txt").write_text("unmarked text " * 250, encoding="utf-8")
     code = """if True:
         import sys, pdws, pdws.cli
-        unwanted = {"cryptography", "pdws.bench", "platform"}
+        sampling = {"pdws.embedder", "pdws.model", "pdws.rng"}
+        unwanted = {"cryptography", "pdws.bench", "platform"} | sampling
         assert pdws.cli.main(["keygen", "secret.json", "public.json", "--seed", "1"]) == 0
         assert pdws.cli.main(["detect", "--public", "public.json", "plain.txt"]) == 1
         assert not unwanted & set(sys.modules), unwanted & set(sys.modules)
+        loaded = {m for m in sys.modules if m.startswith("pdws")}
+        assert not hasattr(pdws, "no_such_name")
+        assert {m for m in sys.modules if m.startswith("pdws")} == loaded
         params, keys = pdws.WatermarkParams(a_max=64), pdws.keygen(b"k")
         model = pdws.ModelHandle(kind="uniform-mock")
         text, _ = pdws.watermark(params, keys, model, "p", seed=1)
         assert pdws.detect(keys.public_only(), params.layout, "xx" + text).offset == 2
-        unwanted.discard("platform")
+        assert sampling <= set(sys.modules), sampling - set(sys.modules)
+        assert pdws.EmbedFailure is pdws.embedder.EmbedFailure
+        assert pdws.TransportError is pdws.model.TransportError
+        assert pdws.ProtocolError is pdws.model.ProtocolError
+        unwanted -= {"platform"} | sampling
         assert not unwanted & set(sys.modules), unwanted & set(sys.modules)
         pdws.keygen(b"k", scheme_id="ed25519")
         assert "cryptography" in sys.modules

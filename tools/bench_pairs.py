@@ -16,6 +16,10 @@ parent's BENCHMARK.json. In order, the tool runs:
            --seed; pair i runs the parent first when i is even;
   extra    the same pairs for each --extra WORKLOAD:SEED, e.g. a second
            seed for a claimed gain, or a second set for a noisy workload;
+  one_shot 25 rounds of fresh processes, alternating which side goes
+           first: `import pdws`, a 2-gadget `pdws watermark --n 5792` and
+           `pdws detect --known-offset 0` on that side's own output, each
+           timed in wall seconds, with keys from one `pdws keygen` a side;
   tier1    the tests of each side, parent, change, change, parent, timed
            in wall seconds.
 Each side also gets ROADMAP aim 2's two numbers, under "design": the
@@ -30,8 +34,9 @@ medians differ by more than the parent's quartile spread.
 Under "mismatches" the file lists every digest line and every traced
 count in which the change differs from the parent, every traced count
 that differs between runs of one side, every run of either side that
-gave no result or reported `correct: false`, and every workload whose
-change failed a larger share of its attempts than the parent. The tool
+gave no result or reported `correct: false`, every workload whose
+change failed a larger share of its attempts than the parent, and every
+one-shot step that exited non-zero or whose output differs between sides. The tool
 exits 1 when that list is not empty, so a change meant to keep its
 outputs, or whose runs crash, fails loudly.
 
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import platform
@@ -61,6 +67,16 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
          "-p", "no:cacheprovider"]
 TIER1_RUNS = 2  # a side
 QUARTILES = "statistics.quantiles(values, n=4, method='inclusive')"
+ONE_SHOT_ROUNDS = 25
+ONE_SHOT_KEYGEN = ["-m", "pdws.cli", "keygen", "secret.json", "public.json",
+                   "--seed", "7", "--salt-seed", "00ff"]
+ONE_SHOT = {  # step: its arguments to the interpreter; detect reads watermark's stdout
+    "import_pdws": ["-c", "import pdws"],
+    "watermark_2_gadgets": ["-m", "pdws.cli", "watermark", "--key", "secret.json",
+                            "--seed", "3", "--n", "5792"],
+    "detect_known_offset": ["-m", "pdws.cli", "detect", "--public", "public.json",
+                            "--known-offset", "0", "-"],
+}
 
 
 def spread(values: list) -> dict:
@@ -172,6 +188,45 @@ def failures(runs: list) -> list:
     return out
 
 
+def one_shot_summary(runs: list) -> tuple[dict, list]:
+    """Per one-shot step, wall seconds compared over complete rounds; then its faults.
+
+    A fault is a step that exited non-zero, or whose stdout on the change
+    differs from the parent's in the same round.
+    """
+    sides = {side: {r["pair"]: r["steps"] for r in runs if r["side"] == side}
+             for side in ("parent", "change")}
+    rounds = sorted(set(sides["parent"]) & set(sides["change"]))
+    if not rounds:
+        return {}, []
+    summary, faults = {}, []
+    for step in ONE_SHOT:
+        summary[step] = compare(*([sides[s][i][step]["wall_s"] for i in rounds]
+                                  for s in ("parent", "change")), "lower")
+        for i in rounds:
+            parent, change = sides["parent"][i][step], sides["change"][i][step]
+            faults += ["one_shot %s round %d %s: exit %d" % (step, i, side, run["returncode"])
+                       for side, run in (("parent", parent), ("change", change))
+                       if run["returncode"]]
+            if parent["stdout_sha256"] != change["stdout_sha256"]:
+                faults.append("one_shot %s round %d: change output differs" % (step, i))
+    return summary, faults
+
+
+def one_shot_round(tree: Path, work: Path) -> dict:
+    """Each ONE_SHOT step as a fresh process in work: wall seconds, exit code, stdout hash."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    steps, stdout = {}, b""
+    for step, argv in ONE_SHOT.items():
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, *argv], cwd=work, env=env, capture_output=True,
+                              input=stdout if argv[-1] == "-" else None, timeout=600)
+        steps[step] = {"wall_s": time.perf_counter() - start, "returncode": proc.returncode,
+                       "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()}
+        stdout = proc.stdout
+    return steps
+
+
 def design_numbers(tree: Path) -> dict:
     """Source lines of tree's src/pdws/*.py, and the length of its pdws.__all__ literal."""
     package = tree / "src" / "pdws"
@@ -258,6 +313,11 @@ def main(argv=None) -> int:
                          "workload, pair i runs the parent first when i is even)"
                          % (" ".join(command), args.seed, seconds, args.pairs),
                 "extra": ["%s on seed %d, as pairs" % e for e in extra],
+                "one_shot": "in a directory holding `%s` keys, %d rounds, round i runs the "
+                            "parent first when i is even: %s" % (
+                                " ".join(ONE_SHOT_KEYGEN), ONE_SHOT_ROUNDS,
+                                "; ".join("%s: python3 %s" % (step, " ".join(argv))
+                                          for step, argv in ONE_SHOT.items())),
                 "tier1": "PYTHONPATH=src %s (alternating, %d a side)"
                          % (" ".join(["python"] + TIER1[1:]), TIER1_RUNS),
             },
@@ -284,7 +344,9 @@ def main(argv=None) -> int:
                 seeds.setdefault(r["workload"], {})[r["side"]] = r["digest"]
             counts, times, differ = traced([r for r in by("trace") if r["result"]])
             doc["traced_counts_seed1"], doc["traced_self_s_seed1"] = counts, times
-            doc["mismatches"] = mismatches(doc["digests"], counts, differ) + failures(runs)
+            doc["one_shot"], one_shot_faults = one_shot_summary(by("one_shot"))
+            doc["mismatches"] = (mismatches(doc["digests"], counts, differ) + failures(runs)
+                                 + one_shot_faults)
             doc["tier1"] = {s: [r["summary"] for r in by("tier1") if r["side"] == s]
                             for s in trees}
             doc["runs"] = runs
@@ -311,6 +373,14 @@ def main(argv=None) -> int:
         for workload, seed in extra:
             for i in range(args.pairs):
                 both("extra", workload, seed, seconds, 0, i)
+        work = {side: root / ("one-shot-" + side) for side in trees}
+        for side, tree in trees.items():
+            work[side].mkdir()
+            subprocess.run([sys.executable, *ONE_SHOT_KEYGEN], cwd=work[side], check=True,
+                           env=dict(os.environ, PYTHONPATH=str(tree / "src")))
+        for i in range(ONE_SHOT_ROUNDS):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                record("one_shot", side, i, steps=one_shot_round(trees[side], work[side]))
         for i in range(2 * TIER1_RUNS):
             side = ("parent", "change")[(i + 1) // 2 % 2]  # parent, change, change, parent
             env = dict(os.environ, PYTHONPATH="src")
