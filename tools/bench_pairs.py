@@ -36,9 +36,9 @@ count in which the change differs from the parent, every traced count
 that differs between runs of one side, every run of either side that
 gave no result or reported `correct: false`, every workload whose
 change failed a larger share of its attempts than the parent, and every
-one-shot step that exited non-zero or whose output differs between sides. The tool
-exits 1 when that list is not empty, so a change meant to keep its
-outputs, or whose runs crash, fails loudly.
+one-shot step that exited non-zero or whose output differs between
+sides. The tool exits 1 when that list is not empty, so a change meant
+to keep its outputs, or whose runs crash, fails loudly.
 
 The tool imports nothing from the program; it only runs it.
 """
