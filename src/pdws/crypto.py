@@ -93,17 +93,17 @@ class HashOracle:
 class BitChain:
     """One gadget's chained rejection hash: block j hashes to h_bit(m || x || c_prev).
 
-    m is the blocks absorbed so far, x the block and c_prev the chunk values
+    m is the blocks committed so far, x the block and c_prev the chunk values
     so far, packed MSB-first and zero-padded to a whole byte. One running
     SHA-256 state absorbs the oracle frame and each block once, and a
     block's value hashes only the c_prev bytes on a copy of it, so a chain
     of n blocks feeds SHA-256 about ell * n bytes plus the c_prev tails and
     a detector scan costs time linear in the text length. absorb takes any
     number of blocks in one call: the detector passes all of an offset's
-    signature blocks at once, the embedder peeks at candidates and absorbs
-    the one block it keeps, so both compute the same values. c_prev is one
-    bytearray, filled in place block by block, and each block is one
-    HashOracle.bit_value call.
+    signature blocks at once. The embedder peeks at candidates and pushes
+    the one it keeps with its peeked value, which leaves the chain as
+    absorb would, hashing it once. c_prev is one bytearray, filled in place
+    block by block, and each value is one HashOracle.bit_value call.
     """
 
     __slots__ = ("oracle", "beta", "_state", "_tail", "_free")
@@ -119,6 +119,14 @@ class BitChain:
     def peek(self, window: bytes) -> int:
         """The value window would take as the next block; the chain is unchanged."""
         return self.oracle.bit_value(window + self._tail, self.beta, self._state)
+
+    def push(self, window: bytes, value: int) -> None:
+        """Commit window as the next block, given value = peek(window); as absorb((window,))."""
+        self._state.update(window)
+        if not self._free:
+            self._tail.append(0)
+        self._free = (self._free or 8) - self.beta
+        self._tail[-1] |= value << self._free
 
     def absorb(self, windows) -> bytes:
         """Absorb each window as the next block, in order; return a copy of c_prev after them.

@@ -11,10 +11,10 @@ When a block refuses to match within a_max+1 fresh samples (low entropy,
 or plain bad luck), the best candidate by Hamming distance is planted
 instead; the decoder's error correction absorbs it. Each gadget's block loop
 owns its error budget gamma_max: it counts the planted blocks and
-raises EmbedFailure past the budget. It also absorbs every block it keeps
-into the gadget's crypto.BitChain, so c_prev carries what each block
-really hashes to, which is what a detector recomputing the chain will see,
-and a planted error stays confined to its own chunk.
+raises EmbedFailure past the budget. It pushes every block it keeps, with
+its peeked value, into the gadget's crypto.BitChain, so c_prev carries what
+each block really hashes to, which is what a detector recomputing the
+chain will see, and a planted error stays confined to its own chunk.
 
 Blocks live at fixed character offsets. Multi-character tokens may overrun
 a block's window; the surplus is committed as the immutable prefix of the
@@ -126,7 +126,7 @@ def generate_message_signature_pair(
     chain = crypto.BitChain(suite.bit_oracle(), params.beta)
     gamma_used, beta = 0, params.beta
     for j in range(1, params.n_blocks + 1):
-        text, window_bytes, _, rec = reject_sample_tokens(
+        text, window_bytes, achieved, rec = reject_sample_tokens(
             masked >> (params.lambda_c - j * beta) & ((1 << beta) - 1),
             text,
             chain,
@@ -139,7 +139,7 @@ def generate_message_signature_pair(
         gamma_used += rec.planted_error
         if gamma_used > params.gamma_max:
             raise EmbedFailure(gadget_index, j)
-        chain.absorb((window_bytes,))
+        chain.push(window_bytes, achieved)
         records.append(rec)
     return text, records
 

@@ -25,7 +25,8 @@ uniform and mapped to its code point through an array cached per alphabet,
 a scripted model's forced positions then overwrite theirs with their own
 code points, and the span is decoded straight from the code points' buffer,
 with no copy. A handle compiles its script once, when it is made, into its
-length and a map from each forced position to its character. A remote
+length and its forced positions in increasing order with their characters;
+a span bisects them in each script period it touches. A remote
 model's distribution depends on the context, and its tokens may be longer
 than one character, so its spans sample token by token through
 next_distribution. Spans that share a dists map (the attempts of one
@@ -39,7 +40,7 @@ import json
 import math
 import re
 import string
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from codecs import utf_32_le_decode
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -131,19 +132,19 @@ class ModelHandle:
             if not self.endpoint or not isinstance(self.endpoint, str):
                 raise ParameterError("remote model needs an endpoint URL")
             _split_endpoint(self.endpoint)
-        forced: dict[int, str] = {}  # forced position -> its character
-        length = 0
+        positions, chars, length = [], "", 0  # the forced positions, increasing, and their chars
         for seg in self.script:
             if len(seg) != 2 or (seg[0], type(seg[1])) not in (("forced", str), ("free", int)):
                 raise ParameterError("script segments are ('forced', text) or ('free', count)")
             if seg[0] == "free" and seg[1] < 0:
                 raise ParameterError("a free segment's count must be non-negative")
             if seg[0] == "forced":
-                forced.update(enumerate(seg[1], length))
+                positions += range(length, length + len(seg[1]))
+                chars += seg[1]
             length += seg[1] if seg[0] == "free" else len(seg[1])
-        if _SURROGATE.search(self.alphabet + "".join(forced.values())):
+        if _SURROGATE.search(self.alphabet + chars):
             raise ParameterError("alphabet or forced text holds a lone surrogate (not UTF-8)")
-        object.__setattr__(self, "_forced", (forced, length))
+        object.__setattr__(self, "_forced", (positions, chars, length))
         if not isinstance(self.script_cycle, bool):
             raise ParameterError("script_cycle must be true or false")
         _require_ints(self, "top_k", "timeout_ms", "retries")
@@ -341,10 +342,10 @@ def _mock_span(model: ModelHandle, start: int, us) -> str:
 
 def _forced_positions(model: ModelHandle, start: int, count: int) -> Iterator[tuple[int, str]]:
     """(i, char) for each forced position start + i of a scripted mock, i < count."""
-    forced, length = model._forced
+    positions, chars, length = model._forced
     if not model.script_cycle or not length:
         count = min(count, length - start)  # no position past the script's end is forced
-    for i in range(count):
-        char = forced.get((start + i) % length)
-        if char is not None:
-            yield i, char
+    if count > 0:  # so the script has a length
+        for shift in range(-(start % length), count, length):  # each period's offset from start
+            for k in range(bisect_left(positions, -shift), bisect_left(positions, count - shift)):
+                yield shift + positions[k], chars[k]

@@ -146,3 +146,14 @@ def test_one_shot_summary_compares_steps_and_names_faults():
     assert faults == ["one_shot detect_known_offset round 1 change: exit 1",
                       "one_shot detect_known_offset round 1: change output differs"]
     assert bench_pairs.one_shot_summary(runs[-1:]) == ({}, [])
+
+
+def test_one_shot_commands_quote_arguments_and_name_detects_input():
+    text = bench_pairs.one_shot_commands(["-m", "pdws.cli", "keygen", "s.json", "p.json"],
+                                         {"import_pdws": ["-c", "import pdws"],
+                                          "detect": ["-m", "pdws.cli", "detect", "-"]}, 3)
+    assert text == ("in a directory holding `python3 -m pdws.cli keygen s.json p.json` keys, "
+                    "3 rounds, round i runs the parent first when i is even: "
+                    "import_pdws: python3 -c 'import pdws'; "
+                    "detect: python3 -m pdws.cli detect -; "
+                    "detect's `-` input is that round's watermark stdout")

@@ -99,8 +99,9 @@ class TestOracles:
         windows = [b"", b"block", "äß中".encode(), "文😀".encode(), b"", b"x" * 40]
         windows += [b"%d" % i for i in range(4)]
         chain = BitChain(OracleSuite(bit_salt=b"salt").bit_oracle(), beta)
+        mixed = BitChain(OracleSuite(bit_salt=b"salt").bit_oracle(), beta)  # pushes every other
         m, c_prev, c_bits = b"", 0, 0  # c_prev: the chunk values so far, an int of c_bits bits
-        for window in windows:
+        for n, window in enumerate(windows):
             c_bytes = BitString(c_prev, c_bits).to_bytes()
             value = h_bit(m + window + c_bytes, beta, b"salt")
             other = "✅".encode() + window
@@ -110,6 +111,12 @@ class TestOracles:
             assert chain.absorb(()) == c_bytes
             m, c_prev, c_bits = m + window, c_prev << beta | value.value, c_bits + beta
             assert chain.absorb([window]) == BitString(c_prev, c_bits).to_bytes()
+            if n % 2:
+                mixed.absorb([window])
+            else:
+                mixed.push(window, mixed.peek(window))
+            assert mixed.absorb(()) == chain.absorb(())
+            assert mixed.peek(other) == chain.peek(other)
         # One call over every window, or two calls split inside a c_prev byte.
         for split in (0, 3, len(windows)):
             chain = BitChain(OracleSuite(bit_salt=b"salt").bit_oracle(), beta)

@@ -14,7 +14,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pdws
 from pdws import WatermarkParams, keygen, watermark
@@ -420,9 +420,26 @@ def mock_spans(draw):
     return model, context, us
 
 
+def bench_spans(test):
+    """test with 16-character spans of perfbench's low-entropy script as explicit examples.
+
+    The script is two forced blocks of 16 in a 1936-character period; the
+    spans start in, at, across and past its forced blocks, and one period
+    on, with and without script_cycle.
+    """
+    script = (("free", 320), ("forced", "x" * 16), ("free", 1584), ("forced", "x" * 16))
+    us = [k / 16 for k in range(16)]  # no draw maps to "x"
+    for cycle in (False, True):
+        model = ModelHandle(kind="scripted-mock", script=script, script_cycle=cycle)
+        for start in (0, 312, 320, 330, 1935, 1936, 2000, 2 * 1936 + 310):
+            test = example(case=(model, "c" * start, us))(test)
+    return test
+
+
 class TestMockSpans:
     @settings(deadline=None, max_examples=200)
     @given(case=mock_spans())
+    @bench_spans
     def test_span_equals_per_token_loop(self, case):
         model, context, us = case
         span = sample_min_chars(model, len(us), "p", context, FixedDraws(us))

@@ -51,6 +51,7 @@ import hashlib
 import json
 import os
 import platform
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -188,6 +189,15 @@ def failures(runs: list) -> list:
     return out
 
 
+def one_shot_commands(keygen: list, steps: dict, rounds: int) -> str:
+    """The one-shot rounds described with shell-quoted commands, for the file's "commands"."""
+    return ("in a directory holding `%s` keys, %d rounds, round i runs the parent first when "
+            "i is even: %s; detect's `-` input is that round's watermark stdout" % (
+                shlex.join(["python3"] + keygen), rounds,
+                "; ".join("%s: %s" % (step, shlex.join(["python3"] + argv))
+                          for step, argv in steps.items())))
+
+
 def one_shot_summary(runs: list) -> tuple[dict, list]:
     """Per one-shot step, wall seconds compared over complete rounds; then its faults.
 
@@ -313,11 +323,7 @@ def main(argv=None) -> int:
                          "workload, pair i runs the parent first when i is even)"
                          % (" ".join(command), args.seed, seconds, args.pairs),
                 "extra": ["%s on seed %d, as pairs" % e for e in extra],
-                "one_shot": "in a directory holding `%s` keys, %d rounds, round i runs the "
-                            "parent first when i is even: %s" % (
-                                " ".join(ONE_SHOT_KEYGEN), ONE_SHOT_ROUNDS,
-                                "; ".join("%s: python3 %s" % (step, " ".join(argv))
-                                          for step, argv in ONE_SHOT.items())),
+                "one_shot": one_shot_commands(ONE_SHOT_KEYGEN, ONE_SHOT, ONE_SHOT_ROUNDS),
                 "tier1": "PYTHONPATH=src %s (alternating, %d a side)"
                          % (" ".join(["python"] + TIER1[1:]), TIER1_RUNS),
             },
