@@ -345,7 +345,7 @@ def _forced_positions(model: ModelHandle, start: int, count: int) -> Iterator[tu
     positions, chars, length = model._forced
     if not model.script_cycle or not length:
         count = min(count, length - start)  # no position past the script's end is forced
-    if count > 0:  # so the script has a length
+    if count > 0:  # only when the script has a length, which the period needs
         for shift in range(-(start % length), count, length):  # each period's offset from start
             for k in range(bisect_left(positions, -shift), bisect_left(positions, count - shift)):
                 yield shift + positions[k], chars[k]
