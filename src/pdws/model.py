@@ -21,17 +21,17 @@ because every token has at least one character.
 
 The mocks never look at the context except for the position, so their spans
 take one vectorised step: every position's token is found at once from its
-uniform and mapped to its code point through an array cached per alphabet,
-a scripted model's forced positions then overwrite theirs with their own
-code points, and the span is decoded straight from the code points' buffer,
-with no copy. A handle compiles its script once, when it is made, into its
-length and its forced positions in increasing order with their characters;
-a span bisects them in each script period it touches. A remote
-model's distribution depends on the context, and its tokens may be longer
-than one character, so its spans sample token by token through
-next_distribution. Spans that share a dists map (the attempts of one
-embedder block) ask the endpoint once per distinct context; this assumes
-the endpoint answers a context the same way each time.
+uniform and mapped to its code point through numpy arrays cached per
+alphabet beside its distribution, a scripted model's forced positions then
+overwrite theirs with their own code points, and the span is decoded
+straight from the code points' buffer, with no copy. A handle compiles its
+script once, when it is made, into its length and its forced positions in
+increasing order with their characters; a span bisects them in each script
+period it touches. A remote model's distribution depends on the context,
+and its tokens may be longer than one character, so its spans sample token
+by token through next_distribution. Spans that share a dists map (the
+attempts of one embedder block) ask the endpoint once per distinct context;
+this assumes the endpoint answers a context the same way each time.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ from itertools import accumulate
 from threading import TIMEOUT_MAX  # seconds; a longer socket timeout overflows time_t
 from typing import Iterator, Optional
 from urllib.parse import urlsplit
+
+import numpy
 
 from .core import ParameterError, ProtocolError, TransportError, _require_ints
 from .core import json_fields, parse_json
@@ -166,24 +168,17 @@ class ModelHandle:
 
 
 @lru_cache(maxsize=32)
-def _uniform_dist(alphabet: str) -> TokenDistribution:
-    p = 1.0 / len(alphabet)
-    return TokenDistribution(tuple(alphabet), (p,) * len(alphabet))
-
-
-@lru_cache(maxsize=32)
-def _uniform_tables(alphabet: str):
-    """The uniform distribution's running sums without the last, and the code points.
+def _uniform(alphabet: str):
+    """The uniform distribution, its running sums without the last, and the code points.
 
     Counting the inner bounds at or below u gives sample_token's
     bisect_right over all the sums, clamped to the last index, even when
     the sums end just below 1.0. The code points are little-endian 32-bit,
     so a span's array of them is its UTF-32-LE encoding.
     """
-    import numpy  # deferred like the generator's: only sampling needs it
-
-    bounds = numpy.array(_uniform_dist(alphabet)._cum[:-1])
-    return bounds, numpy.array(list(map(ord, alphabet)), dtype="<u4")
+    p = 1.0 / len(alphabet)
+    dist = TokenDistribution(tuple(alphabet), (p,) * len(alphabet))
+    return dist, numpy.array(dist._cum[:-1]), numpy.array(list(map(ord, alphabet)), dtype="<u4")
 
 
 def next_distribution(model: ModelHandle, prompt: str, context: str) -> TokenDistribution:
@@ -192,7 +187,7 @@ def next_distribution(model: ModelHandle, prompt: str, context: str) -> TokenDis
         return _remote_distribution(model, prompt, context)
     for _, char in _forced_positions(model, len(context), 1):  # none for a uniform mock
         return TokenDistribution((char,), (1.0,))
-    return _uniform_dist(model.alphabet)
+    return _uniform(model.alphabet)[0]
 
 
 @lru_cache(maxsize=32)
@@ -332,7 +327,7 @@ def _mock_span(model: ModelHandle, start: int, us) -> str:
 
     Equal to sample_token(next_distribution(...), u) at each position.
     """
-    bounds, code_points = _uniform_tables(model.alphabet)
+    _, bounds, code_points = _uniform(model.alphabet)
     points = code_points[bounds.searchsorted(us, "right")]
     if model.script:
         for i, char in _forced_positions(model, start, len(points)):

@@ -19,18 +19,16 @@ stream before every draw: counter 0, the key's two 64-bit words, and an
 empty output buffer, which is exactly the state ``Philox(key=key)`` starts
 in. The thread builds that state dict once, beside its generator, and a
 draw rewrites only its key. ``_rekey`` is looked up on the module at every
-draw, so a wrapper installed there (as a profiler does) sees every stream.
-
-numpy is imported on the first draw, not with the package: detection never
-samples, and the import is most of the cost of ``import pdws``. Generator
-and Philox resolve as module attributes on first use.
+draw, and ``Philox`` when a thread builds its generator, so a wrapper
+installed on either (as a profiler does) sees every stream or every build.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
 import threading
+
+from numpy.random import Generator, Philox
 
 from .core import ParameterError, _require_int
 
@@ -40,23 +38,12 @@ _WORD_MASK = (1 << 64) - 1
 _local = threading.local()
 
 
-def __getattr__(name: str):
-    if name in ("Generator", "Philox"):
-        import numpy.random
-
-        value = getattr(numpy.random, name)
-        globals()[name] = value
-        return value
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
 def _rekey(key: int):
     """This thread's generator, reset to the first value of Philox(key=key)'s stream."""
     try:
         gen, state = _local.gen, _local.state
     except AttributeError:
-        module = sys.modules[__name__]
-        gen = _local.gen = module.Generator(module.Philox(key=0))
+        gen = _local.gen = Generator(Philox(key=0))
         state = _local.state = {
             "bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": None},

@@ -1,7 +1,9 @@
 import json
 import sys
 import threading
+from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from pdws.core import (
     BitString,
     BlockRecord,
     EmbedTranscript,
+    Layout,
     ParameterError,
     WatermarkParams,
 )
@@ -23,9 +26,10 @@ from pdws.embedder import (
     tile_compress,
     watermark,
 )
-from pdws.model import ModelHandle, TokenDistribution
+from pdws.model import DEFAULT_ALPHABET, ModelHandle, TokenDistribution, sample_min_chars
 from pdws.rng import SamplerState
 
+import spec_embedder
 from conftest import layouts, make_blocked_script
 
 
@@ -632,3 +636,97 @@ class TestOneRequestPerContext:
             counts.append(len(requests))
         assert outputs[0] == outputs[1] == outputs[2]
         assert 0 < counts[0] == counts[1] < counts[2]
+
+
+# 1-, 2-, 3- and 4-byte UTF-8 characters.
+CHARS = "aZ.äßéñαω中文字检签😀🔏📜✅"
+
+
+def low_entropy(ell, alphabet=DEFAULT_ALPHABET):
+    """perfbench's low-entropy shape: signature blocks 20 and 120 of the first gadget forced."""
+    script = (("free", 20 * ell), ("forced", "x" * ell), ("free", 99 * ell), ("forced", "x" * ell))
+    return ModelHandle(kind="scripted-mock", alphabet=alphabet, script=script)
+
+
+def check_against_reference(params, keys, model, suite, seed):
+    """watermark and the reference give equal text and records, or fail at one block."""
+    try:
+        expected = spec_embedder.watermark(params, keys, model, seed=seed, suite=suite)
+    except EmbedFailure as failure:
+        with pytest.raises(EmbedFailure) as info:
+            watermark(params, keys, model, "p", seed=seed, suite=suite)
+        assert (info.value.gadget_index, info.value.block_index) == (
+            failure.gadget_index, failure.block_index)
+        return False
+    text, transcript = watermark(params, keys, model, "p", seed=seed, suite=suite)
+    assert (text, list(transcript.blocks)) == expected
+    return True
+
+
+class _Drawn:
+    """A stand-in for a sampler state whose one draw is the given uniforms."""
+
+    def __init__(self, us):
+        self.us = us
+
+    def random(self, n):
+        assert n == len(self.us)
+        return np.array(self.us)
+
+
+class TestReference:
+    """watermark against tests/spec_embedder.py, built from the definitions alone."""
+
+    @pytest.mark.parametrize("alphabet", ["abc", "0123456789", DEFAULT_ALPHABET, CHARS])
+    @pytest.mark.parametrize("scripted", [False, True])
+    def test_span_at_the_running_sums(self, alphabet, scripted):
+        # A draw lands on a running sum with probability about 2^-53, so
+        # these uniforms are chosen: 0, each sum and the float below it, and
+        # the largest float below 1, at or past the last sum when the sums
+        # end short of 1 (ten tenths do).
+        sums = list(accumulate([1.0 / len(alphabet)] * len(alphabet)))
+        us = [0.0] + sums[:-1] + [np.nextafter(s, 0.0) for s in sums] + [np.nextafter(1.0, 0.0)]
+        script = (("free", 3), ("forced", "xy"), ("free", 2)) if scripted else ()
+        model = ModelHandle(kind="scripted-mock" if scripted else "uniform-mock",
+                            alphabet=alphabet, script=script, script_cycle=scripted)
+        for start in (0, 4, 13):
+            span = sample_min_chars(model, len(us), "", "c" * start, _Drawn(us))
+            assert span == spec_embedder.span(model, start, us), start
+
+    @pytest.mark.parametrize("beta, ell, a_max, gadgets, alphabet, scripted, seed", [
+        (1, 1, 40, 2, DEFAULT_ALPHABET, False, 3),
+        (1, 5, 40, 2, CHARS, True, 5),
+        (2, 2, 600, 2, "äöü中文字😀🔏", False, 3),
+        (2, 3, 40, 2, DEFAULT_ALPHABET, True, 11),
+        (4, 3, 600, 2, CHARS, True, 1),
+        (4, 1, 40, 2, "ab", False, 2),
+        (8, 2, 1000, 1, DEFAULT_ALPHABET, False, 3),
+        (8, 5, 40, 2, CHARS, True, 4),
+    ])
+    def test_examples(self, schnorr_keys, suite, beta, ell, a_max, gadgets, alphabet, scripted,
+                      seed):
+        layout = dict(ell=ell, beta=beta, lambda_c=392, gamma_max=4, a_max=a_max)  # t = 4
+        n = gadgets * WatermarkParams(**layout).gadget_chars + ell + 1
+        model = (low_entropy(ell, alphabet) if scripted
+                 else ModelHandle(kind="uniform-mock", alphabet=alphabet))
+        check_against_reference(WatermarkParams(**layout, n=n), schnorr_keys, model, suite, seed)
+
+    @settings(deadline=None, max_examples=20)
+    @given(data=st.data(), gadgets=st.integers(1, 2), seed=st.integers(0, 2**256 - 1))
+    def test_drawn(self, schnorr_keys, suite, data, gadgets, seed):
+        beta = data.draw(st.sampled_from((1, 2, 4, 8)))
+        ell = data.draw(st.sampled_from((1, 2, 3, 5)))
+        layout = Layout(ell, beta, 328, 8 * (41 + 2 * data.draw(st.integers(1, 4))))
+        params = WatermarkParams(
+            ell, beta, 328, layout.lambda_c,
+            gamma_max=data.draw(st.integers(1, layout.parity_symbols // 2)),
+            a_max=data.draw(st.sampled_from((40, 600))),
+            n=gadgets * layout.gadget_chars + data.draw(st.integers(0, 2 * ell)),
+        )
+        alphabet = "".join(data.draw(st.lists(st.sampled_from(CHARS), min_size=6, unique=True)))
+        if data.draw(st.booleans()):
+            model = low_entropy(ell, alphabet)
+        else:
+            model = ModelHandle(kind="uniform-mock", alphabet=alphabet)
+        ok = check_against_reference(params, schnorr_keys, model, suite, seed)
+        event("embedded" if ok else "EmbedFailure")

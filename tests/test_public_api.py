@@ -31,7 +31,7 @@ def test_all_is_pinned():
 def test_protocol_processes_load_neither_cryptography_nor_the_bench(tmp_path):
     # Schnorr keygen, embedding and detection, and pdws detect, need neither
     # cryptography nor pdws.bench and its platform import. numpy, which the
-    # first embed loads, imports platform itself, so that check comes first.
+    # sampling half loads, imports platform itself, so that check comes first.
     # Keygen and detection load no sampling module either: the embedder, the
     # model and the rng import on first access to a sampling name.
     (tmp_path / "plain.txt").write_text("unmarked text " * 250, encoding="utf-8")

@@ -158,11 +158,15 @@ def test_seed_beyond_256_bits_rejected():
 
 
 def test_import_pdws_does_not_load_numpy():
-    # Detection never samples, so only the first draw pays for numpy.
+    # Detection never samples, so numpy loads with the sampling half, at the
+    # first access to it, and binds Generator and Philox where a profiler
+    # wraps them.
     src = os.path.dirname(os.path.dirname(pdws.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, pdws; assert 'numpy' not in sys.modules, 'numpy loaded'; "
+        "import pdws.rng; assert 'numpy' in sys.modules, 'numpy not loaded'; "
+        "assert {'Generator', 'Philox'} <= set(vars(pdws.rng)); "
         "pdws.rng.SamplerState(1).random(1); assert 'numpy' in sys.modules"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
