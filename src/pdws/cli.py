@@ -175,15 +175,16 @@ def _dump_json(d: dict, path: Optional[str]) -> None:
 
 
 def _load_model(args):
-    from .model import ModelHandle
-
     spec = args.model
     endpoint_env = os.environ.get(_ENDPOINT_ENV)
+    doc = None if spec in (None, "uniform-mock") else _read_json(spec)
+    from .model import ModelHandle  # after the file reads, so a bad one never loads numpy
+
     if spec == "uniform-mock" or spec is None and not endpoint_env:
         return ModelHandle(kind="uniform-mock")
     if spec is None:
         return ModelHandle(kind="remote", endpoint=endpoint_env)
-    handle = ModelHandle.from_json_dict(_read_json(spec))
+    handle = ModelHandle.from_json_dict(doc)
     if endpoint_env and handle.kind == "remote":
         handle = dataclasses.replace(handle, endpoint=endpoint_env)
     return handle
@@ -239,13 +240,13 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_watermark(args) -> int:
-    from .embedder import watermark
-
     keys, params, suite = _read_secret_envelope(args.key)
     if args.n is not None:
         params = dataclasses.replace(params, n=args.n)
     model = _load_model(args)
     prompt = _read_text(args.prompt_file) if args.prompt_file else args.prompt or ""
+    from .embedder import watermark  # numpy loads here, once the inputs have read
+
     text, transcript = watermark(params, keys, model, prompt, seed=args.seed, suite=suite)
     _dump_json(
         {

@@ -1,4 +1,7 @@
 import json
+import os
+import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -12,6 +15,7 @@ from pdws.detector import DetectionResult, detect, detect_all
 from pdws.embedder import tile_compress, watermark
 from pdws.model import ModelHandle
 
+import spec_detector
 from conftest import make_blocked_script
 
 JUNK = "the watermark never hides in plain filler text like this. "
@@ -296,7 +300,8 @@ def multibyte_marked(params328, schnorr_keys, suite):
 
 
 class TestEncodeOnce:
-    """A scan encodes each window once, when an offset first reads it; a probe only its gadget's."""
+    """In the calling process a scan encodes each window once, when an offset first reads it;
+    a probe only its gadget's."""
 
     @pytest.fixture
     def encoded(self, monkeypatch):
@@ -367,7 +372,10 @@ class TestSeams:
     """Per offset tried: one _try_offset, one ecc.decode, one bit_value per signature block.
 
     These are the calls the perfbench tracer counts as detector.offsets,
-    ecc.decode.calls and crypto.bit_value.calls.
+    ecc.decode.calls and crypto.bit_value.calls. A full detect's child makes
+    the bit_value calls of its share in its own process, where no counter
+    sees them, so detect's are pinned with the shard off; TestReference
+    pins what the child hashes.
     """
 
     @pytest.fixture
@@ -387,10 +395,17 @@ class TestSeams:
             monkeypatch.setattr(owner, name, counted)
         return calls
 
-    def test_calls_per_offset(self, calls, marked, params328, schnorr_keys, suite):
+    def test_calls_per_offset(self, calls, monkeypatch, marked, params328, schnorr_keys, suite):
         n_blocks, gadget_len = params328.n_blocks, params328.gadget_chars
 
+        # 100 offsets: enough for detect to fork its child where it can.
         clean = junk_text(gadget_len + 99)
+        assert detector._SHARD_MIN <= 100
+        assert not detect(schnorr_keys, params328, clean, suite=suite).detected
+        assert calls["_try_offset"] == calls["decode"] == 100
+
+        calls.clear()
+        monkeypatch.setattr(detector, "_SHARD_MIN", sys.maxsize)
         assert not detect(schnorr_keys, params328, clean, suite=suite).detected
         assert calls == {"_try_offset": 100, "decode": 100, "bit_value": 100 * n_blocks}
 
@@ -404,3 +419,155 @@ class TestSeams:
         calls.clear()
         assert detect(schnorr_keys, params328, text, suite=suite, known_offset=20).detected
         assert calls == {"_try_offset": 1, "decode": 1, "bit_value": n_blocks}
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestShard:
+    """A full detect's forked child: the serial scan's result on every path, and no child left."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        forks, fork = [], os.fork
+
+        def spy():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", spy)
+        return forks
+
+    @pytest.fixture
+    def texts(self, marked):
+        # 161 offsets; the first hits in the front share, the second in the child's.
+        return junk_text(10) + marked + junk_text(150), junk_text(150) + marked + junk_text(10)
+
+    def serial(self, params, keys, text, suite):
+        return next(detector._scan(keys, params, text, suite, range(len(text))))
+
+    def test_a_hit_in_either_share(self, forks, texts, params328, schnorr_keys, suite):
+        for text, offset in zip(texts, (10, 150)):
+            result = detect(schnorr_keys, params328, text, suite=suite)
+            assert result.offset == offset
+            assert result == self.serial(params328, schnorr_keys, text, suite)
+            no_child_left()
+        assert len(forks) == (2 if detector._may_shard() else 0)
+
+    def test_fork_fails(self, monkeypatch, texts, params328, schnorr_keys, suite):
+        def fail():
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", fail)
+        monkeypatch.setattr(detector, "_may_shard", lambda: True)
+        for text in texts:
+            result = detect(schnorr_keys, params328, text, suite=suite)
+            assert result == self.serial(params328, schnorr_keys, text, suite)
+        no_child_left()
+
+    def test_child_exits_before_it_writes(
+        self, monkeypatch, forks, texts, params328, schnorr_keys, suite
+    ):
+        monkeypatch.setattr(detector, "_may_shard", lambda: True)
+        monkeypatch.setattr(detector, "_chains", lambda *args: os._exit(1))
+        for text in texts:
+            result = detect(schnorr_keys, params328, text, suite=suite)
+            assert result == self.serial(params328, schnorr_keys, text, suite)
+            no_child_left()
+        assert len(forks) == 2
+
+    def test_a_front_hit_kills_the_child(
+        self, monkeypatch, forks, texts, params328, schnorr_keys, suite
+    ):
+        # The child hangs in its share, so only the kill can end it in time.
+        monkeypatch.setattr(detector, "_may_shard", lambda: True)
+        monkeypatch.setattr(detector, "_chains", lambda *args: time.sleep(60))
+        start = time.perf_counter()
+        assert detect(schnorr_keys, params328, texts[0], suite=suite).offset == 10
+        assert time.perf_counter() - start < 30
+        assert len(forks) == 1
+        no_child_left()
+
+    def test_a_raise_reaps_the_child(self, monkeypatch, forks, texts, params328, schnorr_keys, suite):
+        def fail(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(detector, "_may_shard", lambda: True)
+        monkeypatch.setattr(detector, "_try_offset", fail)
+        with pytest.raises(KeyboardInterrupt):
+            detect(schnorr_keys, params328, texts[0], suite=suite)
+        assert len(forks) == 1
+        no_child_left()
+
+    def test_one_cpu_scans_serially(self, monkeypatch, forks, texts, params328, schnorr_keys, suite):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert detect(schnorr_keys, params328, texts[1], suite=suite).offset == 150
+        assert forks == []
+
+
+# A layout the reference scans quickly: 86 four-bit chunks, t = 1.
+SMALL = WatermarkParams(
+    ell=2, beta=4, lambda_sig=328, lambda_c=344, gamma_max=1, a_max=255, n=174
+)
+# Padding and edits: one-, two-, three- and four-byte characters and a lone surrogate.
+PAD_CHAR = st.sampled_from("ab \u00e9\u20ac\U0001f600\ud800")
+
+
+@pytest.fixture(scope="module")
+def small_gadgets(schnorr_keys, suite):
+    """A plain gadget, a tiled pair and a gadget with one planted error, in SMALL."""
+    model = ModelHandle(kind="uniform-mock", alphabet="abcdefgh" + MULTIBYTE)
+    plain, _ = watermark(SMALL, schnorr_keys, model, "p", seed=1, suite=suite)
+    tiled = tile_compress(SMALL, schnorr_keys, model, "p", k_pairs=2, seed=2, suite=suite)
+    blocked = make_blocked_script(SMALL, {5})
+    planted, tr = watermark(SMALL, schnorr_keys, blocked, "p", seed=3, suite=suite)
+    assert tr.gamma_used == 1
+    return plain, tiled, planted
+
+
+class TestReference:
+    """detect, detect_all and known_offset probes against tests/spec_detector.py.
+
+    With the shard forced on, every full detect forks a child that hashes
+    the back share of its offsets, so this also pins the child's chains
+    and the offsets they are tried at; with it off, the serial scan.
+    """
+
+    @pytest.mark.parametrize("sharded", [True, False], ids=["shard-on", "shard-off"])
+    @settings(deadline=None, max_examples=25)
+    @given(
+        base=st.integers(0, 2),
+        left=st.text(PAD_CHAR, max_size=40),
+        right=st.text(PAD_CHAR, max_size=12),
+        edit=st.none() | st.tuples(st.integers(0, 2**20), PAD_CHAR),
+        probe=st.integers(-1, 60),
+    )
+    # The forced shard splits 41 offsets at 17: a hit in the front share, then in the child's.
+    @example(base=0, left="", right="ab" * 20, edit=None, probe=0)
+    @example(base=0, left="ab" * 20, right="", edit=None, probe=0)
+    def test_agrees(self, small_gadgets, schnorr_keys, suite, sharded, base, left, right, edit, probe):
+        gadgets = small_gadgets[base]
+        text = left + gadgets + right
+        if edit is not None:
+            pos = len(left) + edit[0] % len(gadgets)
+            text = text[:pos] + edit[1] + text[pos + 1 :]
+        forks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detector, "_SHARD_MIN", 1 if sharded else sys.maxsize)
+            mp.setattr(detector, "_may_shard", lambda: True)
+            fork = os.fork
+            mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+            hits = spec_detector.detect_all(schnorr_keys, SMALL, text, suite)
+            assert detect_all(schnorr_keys, SMALL, text, suite=suite) == hits
+            assert detect(schnorr_keys, SMALL, text, suite=suite) == (
+                hits[0] if hits else DetectionResult(False))
+            for k in {probe} | {h.offset + d for h in hits for d in (-1, 0, 1)}:
+                expected = spec_detector.gadget_at(schnorr_keys, SMALL, text, k, suite)
+                result = detect(schnorr_keys, SMALL, text, suite=suite, known_offset=k)
+                assert result == (expected or DetectionResult(False)), k
+        assert len(forks) == (sharded and len(text) >= SMALL.gadget_chars)
+        no_child_left()

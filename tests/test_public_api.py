@@ -33,14 +33,19 @@ def test_protocol_processes_load_neither_cryptography_nor_the_bench(tmp_path):
     # cryptography nor pdws.bench and its platform import. numpy, which the
     # sampling half loads, imports platform itself, so that check comes first.
     # Keygen and detection load no sampling module either: the embedder, the
-    # model and the rng import on first access to a sampling name.
+    # model and the rng import on first access to a sampling name. A pdws
+    # watermark that cannot read its key or its model file stops before them.
     (tmp_path / "plain.txt").write_text("unmarked text " * 250, encoding="utf-8")
+    (tmp_path / "model.json").write_text("{not json", encoding="utf-8")
     code = """if True:
         import sys, pdws, pdws.cli
-        sampling = {"pdws.embedder", "pdws.model", "pdws.rng"}
+        sampling = {"pdws.embedder", "pdws.model", "pdws.rng", "numpy"}
         unwanted = {"cryptography", "pdws.bench", "platform"} | sampling
         assert pdws.cli.main(["keygen", "secret.json", "public.json", "--seed", "1"]) == 0
         assert pdws.cli.main(["detect", "--public", "public.json", "plain.txt"]) == 1
+        assert pdws.cli.main(["watermark", "--key", "no-such-key.json"]) == 2
+        for model in ("model.json", "no-such-model.json"):
+            assert pdws.cli.main(["watermark", "--key", "secret.json", "--model", model]) == 2
         assert not unwanted & set(sys.modules), unwanted & set(sys.modules)
         loaded = {m for m in sys.modules if m.startswith("pdws")}
         assert not hasattr(pdws, "no_such_name")
