@@ -188,9 +188,9 @@ def _scan(
 # A full detect of at least _SHARD_MIN offsets forks one child, which
 # hashes the offsets from _FRONT_SIXTEENTHS / 16 of the way on. A fork and
 # its reaping cost about 2.5 ms, and on a 2-vCPU VM a compact-328 or
-# wide-32 scan broke even at about 64 offsets. The child gets the larger
-# share because the caller also decodes the child's share, and the child
-# hashes more slowly than the caller (its first writes copy pages).
+# wide-32 scan broke even at about 64 offsets. The caller also decodes
+# the child's offsets, so the child takes the larger share; 7/16 and 8/16
+# read within a few percent of each other there.
 _SHARD_MIN = 64
 _FRONT_SIXTEENTHS = 7
 
@@ -299,8 +299,9 @@ def detect(
     only its gadget's windows; a known_offset that is not an int (a bool,
     float or string) raises ParameterError, and one where no gadget fits
     means not detected. Otherwise offsets 0..len(text)-gadget_chars are
-    tried in order and the lowest verifying one wins. Total: bad text
-    means not detected.
+    tried in order and the lowest verifying one wins; a long scan hashes
+    its back share in a forked child, reaped before detect returns (see
+    the module docstring). Total: bad text means not detected.
     """
     offsets = range(len(text))
     if known_offset is not None:
